@@ -1,11 +1,10 @@
 // Beyond the paper ("Fig. 14"): scaling of the sharded PNW front-end.
 // Sweeps client threads x shards over a YCSB-A style mixed workload and
-// reports throughput (wall and simulated) plus bit-flips per write, to show
+// reports wall-clock throughput plus bit-flips per write, to show
 // that placement quality -- the paper's headline metric -- survives
 // sharding: each shard keeps its own K-means model and address pool, so
 // bits/write should stay flat as shards multiply while throughput grows.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -33,7 +32,6 @@ std::vector<uint8_t> MakeValue(uint64_t key, uint64_t version, pnw::Rng& rng) {
 
 struct CellResult {
   double wall_kops = 0.0;
-  double sim_kops = 0.0;
   double bits_per_write = 0.0;
   uint64_t failed = 0;
   double imbalance = 1.0;
@@ -107,19 +105,10 @@ CellResult RunCell(size_t threads, size_t shards, size_t records,
   const double wall_s = std::chrono::duration<double>(t1 - t0).count();
 
   const pnw::core::ShardedMetrics agg = store->AggregatedMetrics();
-  double busy_ns = 0.0;
-  for (const auto& s : agg.shards) {
-    busy_ns += s.device_ns;
-  }
-  const double parallelism = static_cast<double>(std::min(threads, shards));
-  const double sim_ns =
-      std::max(agg.MaxShardDeviceNs(), busy_ns / parallelism);
-
   CellResult result;
   const double total_ops =
       static_cast<double>(agg.totals.puts + agg.totals.gets);
   result.wall_kops = total_ops / wall_s / 1000.0;
-  result.sim_kops = sim_ns > 0.0 ? total_ops / (sim_ns / 1e9) / 1000.0 : 0.0;
   result.bits_per_write =
       agg.totals.puts > 0
           ? static_cast<double>(agg.totals.put_bits_written) /
@@ -139,8 +128,8 @@ int main() {
               "%zu records, %zu ops, %zuB values ===\n",
               records, ops, kValueBytes);
 
-  pnw::TablePrinter table({"threads", "shards", "kops/s", "kops/s(sim)",
-                           "bits/write", "imbal", "failed"});
+  pnw::TablePrinter table({"threads", "shards", "kops/s", "bits/write",
+                           "imbal", "failed"});
   uint64_t total_failed = 0;
   for (size_t threads : {1, 2, 4, 8}) {
     for (size_t shards : {1, 4, 16}) {
@@ -149,7 +138,6 @@ int main() {
       table.AddRow({pnw::TablePrinter::Fmt(static_cast<double>(threads), 0),
                     pnw::TablePrinter::Fmt(static_cast<double>(shards), 0),
                     pnw::TablePrinter::Fmt(cell.wall_kops, 1),
-                    pnw::TablePrinter::Fmt(cell.sim_kops, 1),
                     pnw::TablePrinter::Fmt(cell.bits_per_write, 1),
                     pnw::TablePrinter::Fmt(cell.imbalance, 2),
                     pnw::TablePrinter::Fmt(static_cast<double>(cell.failed),
@@ -158,7 +146,6 @@ int main() {
   }
   table.Print();
   std::printf("\n(bits/write staying flat across the shard axis = placement "
-              "quality survives sharding;\n kops/s(sim) divides summed "
-              "simulated busy time by min(threads, shards))\n");
+              "quality survives sharding; kops/s is wall clock)\n");
   return total_failed == 0 ? 0 : 1;
 }

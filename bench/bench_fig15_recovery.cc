@@ -2,16 +2,11 @@
 // subsystem. Sweeps the record count and measures, per store size:
 //   - checkpoint wall time and snapshot size on disk,
 //   - recovery wall time from the snapshot alone (PnwStore::Open with
-//     replay disabled) and with an op-log of records/8 updates replayed,
-//   - the old-style rebuild (SimulateCrashAndRecover: re-index + retrain)
-//     for comparison.
+//     replay disabled) and with an op-log of records/8 updates replayed.
 // Expected trend: checkpoint size and snapshot-open time scale roughly
 // linearly with the record count; replay adds time proportional to the
-// log length (so checkpoint cadence bounds it). Rebuild looks similar in
-// wall time at bench scale (training is sample-capped) but it *retrains*:
-// the recovered model differs from the pre-crash one and every wear
-// counter is lost -- snapshot recovery is the only path that brings back
-// identical centroids, metrics, and wear state, which the verified column
+// log length (so checkpoint cadence bounds it). Recovery brings back the
+// pre-crash keys and wear counters exactly, which the verified column
 // checks.
 
 #include <chrono>
@@ -50,7 +45,6 @@ struct CellResult {
   double snapshot_mib = 0.0;
   double open_ms = 0.0;      // snapshot restore only
   double replay_ms = 0.0;    // snapshot restore + records/8 log records
-  double rebuild_ms = 0.0;   // re-index + retrain from the data zone
   bool verified = false;
 };
 
@@ -124,15 +118,6 @@ CellResult RunCell(size_t records, const std::string& snap_path) {
   for (size_t i = 0; result.verified && i < records; i += 7) {
     result.verified = reopened.value()->Get(i).ok();
   }
-
-  // Baseline: the Fig. 2a recovery path -- rebuild the DRAM index from the
-  // data zone and retrain the model from scratch.
-  t0 = std::chrono::steady_clock::now();
-  if (!store->SimulateCrashAndRecover().ok()) {
-    std::fprintf(stderr, "rebuild failed (n=%zu)\n", records);
-    std::exit(1);
-  }
-  result.rebuild_ms = MsSince(t0);
   return result;
 }
 
@@ -147,7 +132,7 @@ int main() {
               "time vs record count, %zuB values ===\n",
               kValueBytes);
   pnw::TablePrinter table({"records", "ckpt_ms", "snap_MiB", "open_ms",
-                           "replay_ms", "rebuild_ms", "verified"});
+                           "replay_ms", "verified"});
   bool all_verified = true;
   for (size_t records :
        {pnw::bench::SmokeScaled(2048, 256), pnw::bench::SmokeScaled(8192, 512),
@@ -161,15 +146,12 @@ int main() {
                   pnw::TablePrinter::Fmt(cell.snapshot_mib, 2),
                   pnw::TablePrinter::Fmt(cell.open_ms, 2),
                   pnw::TablePrinter::Fmt(cell.replay_ms, 2),
-                  pnw::TablePrinter::Fmt(cell.rebuild_ms, 2),
                   cell.verified ? "yes" : "NO"});
   }
   table.Print();
   std::printf("\n(open_ms = snapshot restore alone; replay_ms = restore + "
-              "records/8 logged updates;\n rebuild_ms = re-index + retrain "
-              "from the data zone. Only the snapshot path recovers the\n "
-              "exact pre-crash model, metrics, and wear counters -- rebuild "
-              "retrains and forgets wear.)\n");
+              "records/8 logged updates;\n verified = same size, sampled keys "
+              "served, wear counters identical after recovery.)\n");
   fs::remove_all(dir);
   return all_verified ? 0 : 1;
 }

@@ -8,32 +8,21 @@
 //
 // Sweep: reader threads {1, 2, 4, 8} x shards {1, 4, 16}, each cell run
 // without and with one concurrent writer hammering PUTs. Reported per
-// cell:
-//   - wall-clock read kops/s and measured wall ns per Get call. These are
-//     the *measured* columns: on a multi-core machine, readers that
-//     serialize (an exclusive-lock read path) show ns/get growing with
-//     the thread count, while shared-lock readers stay flat -- a fail-able
-//     observable, independent of the model below. (On a single-core CI
-//     box wall numbers cannot show parallelism either way; the locking
-//     discipline itself is machine-checked by the TSan test suite.)
-//   - modeled read kops/s under the shared-lock discipline (makespan of
-//     the busiest reader thread: readers never wait for each other), its
-//     scaling over the 1-thread row, and the same model under the old
-//     exclusive-lock design (readers of one shard serialized: makespan >=
-//     total read time / min(threads, shards)). These columns translate
-//     the locking discipline into throughput; the gap between them is
-//     what the shared-lock read path buys on the simulated device.
+// cell: wall-clock read kops/s, measured wall ns per Get call, and the
+// misses. On a multi-core machine, readers that serialize (an
+// exclusive-lock read path) show ns/get growing with the thread count,
+// while shared-lock readers stay flat. (On a single-core box wall numbers
+// cannot show parallelism either way; the locking discipline itself is
+// machine-checked by the TSan test suite.)
 //
 // The bench also asserts the read books balance -- every issued read is
 // either a `gets` hit or a `get_misses` miss -- and exits nonzero on any
 // mismatch or hard failure.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <thread>
 #include <vector>
 
@@ -61,9 +50,6 @@ struct CellResult {
   /// Measured wall time per Get call (grows with threads if readers
   /// serialize on a multi-core machine; flat under shared locks).
   double wall_ns_per_get = 0.0;
-  double sim_kops = 0.0;
-  /// The makespan an exclusive-per-shard-lock design could not beat.
-  double sim_kops_excl_bound = 0.0;
   uint64_t misses = 0;
   uint64_t hard_failures = 0;
   bool reconciled = true;
@@ -164,11 +150,9 @@ CellResult RunCell(size_t threads, size_t shards, bool with_writer,
 
   const pnw::core::ShardedMetrics agg = store->AggregatedMetrics();
   uint64_t issued = 0;
-  uint64_t busiest_thread_reads = 0;
   double total_in_get_ns = 0.0;
   for (size_t t = 0; t < threads; ++t) {
     issued += reads_done[t];
-    busiest_thread_reads = std::max(busiest_thread_reads, reads_done[t]);
     total_in_get_ns += in_get_wall_ns[t];
   }
 
@@ -183,30 +167,6 @@ CellResult RunCell(size_t threads, size_t shards, bool with_writer,
       static_cast<double>(issued) / wall_s / 1000.0;
   result.wall_ns_per_get =
       issued > 0 ? total_in_get_ns / static_cast<double>(issued) : 0.0;
-
-  // Simulated makespans. YCSB-C reads are fixed-size, so per-read device
-  // cost is uniform and per-thread busy time is reads * avg cost.
-  const uint64_t hits = agg.totals.gets;
-  const double avg_read_ns =
-      hits > 0 ? agg.totals.get_device_ns / static_cast<double>(hits) : 0.0;
-  // Shared locks: readers never wait for each other, so the makespan is
-  // the busiest thread's own busy time.
-  const double shared_ns =
-      static_cast<double>(busiest_thread_reads) * avg_read_ns;
-  result.sim_kops =
-      shared_ns > 0.0
-          ? static_cast<double>(issued) / (shared_ns / 1e9) / 1000.0
-          : 0.0;
-  // Exclusive per-shard locks (the pre-PR-4 design): reads of one shard
-  // serialize, so the makespan is at least total read time spread over
-  // min(threads, shards) lanes.
-  const double excl_ns =
-      agg.totals.get_device_ns /
-      static_cast<double>(std::min(threads, shards));
-  result.sim_kops_excl_bound =
-      excl_ns > 0.0
-          ? static_cast<double>(issued) / (excl_ns / 1e9) / 1000.0
-          : 0.0;
   return result;
 }
 
@@ -219,32 +179,22 @@ int main() {
               "%zu records, %zu reads, %zuB values ===\n",
               records, reads, kValueBytes);
 
-  pnw::TablePrinter table({"shards", "writer", "threads", "kops/s",
-                           "ns/get", "kops/s(model)", "model x1",
-                           "kops/s(model excl)", "misses"});
+  pnw::TablePrinter table(
+      {"shards", "writer", "threads", "kops/s", "ns/get", "misses"});
   uint64_t total_hard_failures = 0;
   bool all_reconciled = true;
   for (size_t shards : {1, 4, 16}) {
     for (bool with_writer : {false, true}) {
-      double sim_baseline = 0.0;  // the 1-thread row of this configuration
       for (size_t threads : {1, 2, 4, 8}) {
         const CellResult cell =
             RunCell(threads, shards, with_writer, records, reads);
         total_hard_failures += cell.hard_failures;
         all_reconciled = all_reconciled && cell.reconciled;
-        if (threads == 1) {
-          sim_baseline = cell.sim_kops;
-        }
-        const double speedup =
-            sim_baseline > 0.0 ? cell.sim_kops / sim_baseline : 0.0;
         table.AddRow({pnw::TablePrinter::Fmt(static_cast<double>(shards), 0),
                       with_writer ? "yes" : "no",
                       pnw::TablePrinter::Fmt(static_cast<double>(threads), 0),
                       pnw::TablePrinter::Fmt(cell.wall_kops, 1),
                       pnw::TablePrinter::Fmt(cell.wall_ns_per_get, 0),
-                      pnw::TablePrinter::Fmt(cell.sim_kops, 1),
-                      pnw::TablePrinter::Fmt(speedup, 2),
-                      pnw::TablePrinter::Fmt(cell.sim_kops_excl_bound, 1),
                       pnw::TablePrinter::Fmt(
                           static_cast<double>(cell.misses), 0)});
       }
@@ -254,11 +204,7 @@ int main() {
   std::printf(
       "\n(measured: kops/s + ns/get -- on a multi-core machine, ns/get "
       "growing along the thread axis means readers serialize, flat means "
-      "shared locks work;\n modeled: kops/s(model) is the makespan the "
-      "shared-lock discipline implies (busiest reader's device time; "
-      "'model x1' = its scaling over the 1-thread row),\n kops/s(model "
-      "excl) the ceiling of the old exclusive-lock design, total read "
-      "time / min(threads, shards).\n reads reconcile: %s)\n",
+      "shared locks work;\n reads reconcile: %s)\n",
       all_reconciled ? "gets + get_misses == issued reads in every cell"
                      : "RECONCILIATION FAILED");
   return (total_hard_failures == 0 && all_reconciled) ? 0 : 1;

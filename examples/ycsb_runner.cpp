@@ -10,12 +10,9 @@
 //
 // --threads/--shards drive the concurrent ShardedPnwStore front-end: each
 // thread runs its own operation stream (own generator seed, own value RNG)
-// and the per-shard metrics are merged into one report. Two throughput
-// numbers are printed: wall-clock kops/s (honest about this machine's core
-// count) and simulated kops/s, which spreads exclusive-lock busy time
-// (writes, deletes, prediction) over min(threads, shards) lanes and
-// shared-lock read time over all reader threads -- the number the rest of
-// this repo's latency accounting speaks in.
+// and the per-shard metrics are merged into one report. Throughput is
+// wall-clock kops/s; the simulated NVM device time per PUT is printed as
+// its own labeled column (sim us/put) and never folded into it.
 //
 // --batch=N routes plain reads through ShardedPnwStore::MultiGet and
 // writes (updates, inserts, and the write half of every RMW) through
@@ -98,9 +95,7 @@ void PrintUsage(const char* argv0) {
       "  --ops=N                operations per mix (default 8192)\n"
       "  --threads=N            client threads, each with its own op\n"
       "                         stream (default 1)\n"
-      "  --shards=N             ShardedPnwStore shards, power of two;\n"
-      "                         writes scale only as far as shards, reads\n"
-      "                         scale with threads (shared locks)\n"
+      "  --shards=N             ShardedPnwStore shards, power of two\n"
       "                         (default 1)\n"
       "  --batch=N              issue plain reads through MultiGet and\n"
       "                         writes (incl. RMW write halves) through\n"
@@ -138,8 +133,9 @@ void PrintUsage(const char* argv0) {
       "                         --start-gap, --wear-report\n"
       "  --help                 this text\n"
       "\n"
-      "--flag N is accepted as well as --flag=N. Exits nonzero if any\n"
-      "operation fails.\n",
+      "--flag N is accepted as well as --flag=N. Each mix row prints\n"
+      "wall-clock kops/s and, separately, the simulated NVM device time\n"
+      "per PUT (sim us/put). Exits nonzero if any operation fails.\n",
       argv0);
 }
 
@@ -233,15 +229,10 @@ pnw::Status StatusFromCode(pnw::Status::Code code) {
 
 /// The store-shaped facade over one Client connection: exactly the member
 /// surface RunOpStream touches, so the same op-stream code drives an
-/// in-process ShardedPnwStore or a pnw_server across the wire. Sharding
-/// is the server's business -- the facade reports one "shard" so the
-/// batching bookkeeping degenerates to one lock-equivalent per batch.
+/// in-process ShardedPnwStore or a pnw_server across the wire.
 class RemoteStore {
  public:
   explicit RemoteStore(pnw::server::Client* client) : client_(client) {}
-
-  size_t num_shards() const { return 1; }
-  size_t ShardOf(uint64_t /*key*/) const { return 0; }
 
   pnw::Status Put(uint64_t key, std::span<const uint8_t> value) {
     return client_->Put(key, value);
@@ -308,10 +299,6 @@ struct ThreadCounts {
   /// counted at most once per client op (an RMW whose halves both fail is
   /// still one failed client op).
   uint64_t hard_failures = 0;
-  /// Exclusive per-shard lock acquisitions this thread's writes cost: one
-  /// per Put at batch=1, one per involved shard per flushed MultiPut
-  /// batch. Input to the amortized-write term of the kops/s(sim) model.
-  uint64_t excl_acquisitions = 0;
 };
 
 /// Live-checkpoint accounting (thread 0 only; see --checkpoint-every).
@@ -382,7 +369,6 @@ ThreadCounts RunOpStream(Store& store,
   std::vector<PendingWrite> pending_writes;
   std::vector<uint64_t> write_keys;
   std::vector<std::span<const uint8_t>> write_values;
-  std::vector<uint8_t> shard_touched(store.num_shards(), 0);
   if (kBatch > 1) {
     pending_reads.reserve(kBatch);
     pending_writes.reserve(kBatch);
@@ -403,7 +389,7 @@ ThreadCounts RunOpStream(Store& store,
     pending_reads.clear();
   };
   auto flush_writes = [&store, &counts, &pending_writes, &write_keys,
-                       &write_values, &shard_touched] {
+                       &write_values] {
     if (pending_writes.empty()) {
       return;
     }
@@ -418,16 +404,6 @@ ThreadCounts RunOpStream(Store& store,
       if (!statuses[i].ok() && !statuses[i].IsNotFound() &&
           pending_writes[i].count_fail) {
         ++counts.hard_failures;
-      }
-    }
-    // One exclusive-lock acquisition per *involved shard*, not per write:
-    // tally the distinct shards this batch touched for the sim model.
-    std::fill(shard_touched.begin(), shard_touched.end(), 0);
-    for (const uint64_t key : write_keys) {
-      const size_t s = store.ShardOf(key);
-      if (!shard_touched[s]) {
-        shard_touched[s] = 1;
-        ++counts.excl_acquisitions;
       }
     }
     pending_writes.clear();
@@ -447,7 +423,6 @@ ThreadCounts RunOpStream(Store& store,
       }
       return;
     }
-    ++counts.excl_acquisitions;
     const pnw::Status s = store.Put(key, value);
     if (count_fail) {
       check(s);
@@ -549,6 +524,38 @@ ThreadCounts RunOpStream(Store& store,
   return counts;
 }
 
+/// The per-mix table shared by the local and --remote modes. `sim us/put`
+/// is simulated NVM device time per PUT (StoreMetrics::put_device_ns /
+/// puts), the paper's Fig. 7 quantity; kops/s is the only throughput and
+/// comes from the wall clock.
+void PrintHeader() {
+  std::printf("%-18s %8s %8s %8s %7s %10s %10s %10s %7s\n", "workload",
+              "reads", "writes", "inserts", "failed", "bits/512b",
+              "sim us/put", "kops/s", "imbal");
+}
+
+double SimUsPerPut(double put_device_ns, uint64_t puts) {
+  return puts != 0 ? put_device_ns / static_cast<double>(puts) / 1000.0
+                   : 0.0;
+}
+
+void PrintRow(pnw::workloads::YcsbWorkload workload,
+              const ThreadCounts& total, uint64_t failed,
+              double bits_per_512, double sim_us_per_put, double wall_s,
+              double imbalance) {
+  // Client ops: an RMW contributed to both reads and writes but is one
+  // operation, so subtract the double count.
+  const double ops_done = static_cast<double>(
+      total.reads + total.writes + total.inserts - total.rmws);
+  std::printf("%-18s %8llu %8llu %8llu %7llu %10.1f %10.2f %10.1f %7.2f\n",
+              std::string(pnw::workloads::YcsbWorkloadName(workload)).c_str(),
+              static_cast<unsigned long long>(total.reads),
+              static_cast<unsigned long long>(total.writes),
+              static_cast<unsigned long long>(total.inserts),
+              static_cast<unsigned long long>(failed), bits_per_512,
+              sim_us_per_put, ops_done / wall_s / 1000.0, imbalance);
+}
+
 /// Look up one counter from a STATS snapshot by its flat name. Missing
 /// counters are a protocol drift bug, not a soft condition: fail the run.
 uint64_t StatOf(const std::vector<std::pair<std::string, uint64_t>>& stats,
@@ -586,9 +593,7 @@ int RunRemoteMixes(const std::string& host, uint16_t port) {
               "%zuB values, %zu connections, read batch %zu)\n",
               host.c_str(), static_cast<unsigned>(port), kRecords, kOps,
               kValueBytes, kThreads, kBatch);
-  std::printf("%-18s %8s %8s %8s %7s %10s %10s %10s %11s %7s\n", "workload",
-              "reads", "writes", "inserts", "failed", "bits/512b",
-              "us/write", "kops/s", "kops/s(sim)", "imbal");
+  PrintHeader();
 
   bool any_failures = false;
   for (YcsbWorkload workload :
@@ -688,25 +693,15 @@ int RunRemoteMixes(const std::string& host, uint16_t port) {
     const uint64_t d_payload = delta("store.put_payload_bits");
     const uint64_t d_puts = delta("store.puts");
     const uint64_t d_put_ns = delta("store.put_device_ns");
-    const double ops_done = static_cast<double>(
-        total.reads + total.writes + total.inserts - total.rmws);
-    // Same columns as the local rows so downstream parsing is uniform; the
-    // two columns that need per-shard visibility (kops/s(sim), imbal) are
-    // the server's business now and print as 0.
-    std::printf(
-        "%-18s %8llu %8llu %8llu %7llu %10.1f %10.2f %10.1f %11.1f %7.2f\n",
-        std::string(pnw::workloads::YcsbWorkloadName(workload)).c_str(),
-        static_cast<unsigned long long>(total.reads),
-        static_cast<unsigned long long>(total.writes),
-        static_cast<unsigned long long>(total.inserts),
-        static_cast<unsigned long long>(total.hard_failures),
-        d_payload != 0 ? static_cast<double>(d_bits) * 512.0 /
-                             static_cast<double>(d_payload)
-                       : 0.0,
-        d_puts != 0 ? static_cast<double>(d_put_ns) /
-                          static_cast<double>(d_puts) / 1000.0
-                    : 0.0,
-        ops_done / wall_s / 1000.0, 0.0, 0.0);
+    // Same columns as the local rows so downstream parsing is uniform;
+    // imbal needs per-shard visibility, which is the server's business, so
+    // it prints as 0.
+    PrintRow(workload, total, total.hard_failures,
+             d_payload != 0 ? static_cast<double>(d_bits) * 512.0 /
+                                  static_cast<double>(d_payload)
+                            : 0.0,
+             SimUsPerPut(static_cast<double>(d_put_ns), d_puts), wall_s,
+             0.0);
     // Three-way read reconcile: what the clients counted, what the server
     // forwarded, and what the store served must be one number. The runner
     // is the server's sole client between the two snapshots (the snapshots
@@ -826,9 +821,7 @@ int main(int argc, char** argv) {
     std::printf("hot-bucket migration: sweep every %zu thread-0 ops\n",
                 kMigrateEvery);
   }
-  std::printf("%-18s %8s %8s %8s %7s %10s %10s %10s %11s %7s\n", "workload",
-              "reads", "writes", "inserts", "failed", "bits/512b",
-              "us/write", "kops/s", "kops/s(sim)", "imbal");
+  PrintHeader();
 
   bool any_failures = false;
   CheckpointStats total_ckpt;
@@ -907,7 +900,6 @@ int main(int argc, char** argv) {
       total.inserts += c.inserts;
       total.rmws += c.rmws;
       total.hard_failures += c.hard_failures;
-      total.excl_acquisitions += c.excl_acquisitions;
     }
     const pnw::core::ShardedMetrics agg = store->AggregatedMetrics();
     // Client-observed failures subsume the store's failed_ops (every failed
@@ -915,51 +907,9 @@ int main(int argc, char** argv) {
     const uint64_t failed = total.hard_failures;
     any_failures =
         any_failures || failed != 0 || agg.totals.failed_ops != 0;
-    // Client ops: an RMW contributed to both reads and writes above but is
-    // one operation, so subtract the double count.
-    const double ops_done = static_cast<double>(
-        total.reads + total.writes + total.inserts - total.rmws);
-    // Simulated elapsed time, split by lock mode. Writes hold exclusive
-    // per-shard locks: their busy time spreads over at most
-    // min(threads, shards) lanes and no faster than the busiest shard
-    // allows. Reads hold *shared* locks, so their busy time spreads over
-    // all reader threads, even on a single shard. Summing the two phases
-    // is a conservative makespan (reads and writes interleave in reality).
-    double write_busy_ns = 0.0;
-    double max_shard_write_ns = 0.0;
-    for (const auto& s : agg.shards) {
-      const double shard_write_ns = s.device_ns - s.get_device_ns;
-      write_busy_ns += shard_write_ns;
-      max_shard_write_ns = std::max(max_shard_write_ns, shard_write_ns);
-    }
-    const double read_busy_ns = agg.totals.get_device_ns;
-    const double write_lanes =
-        static_cast<double>(std::min(kThreads, kShards));
-    // Amortized exclusive-lock term: every write batch pays one exclusive
-    // acquisition per involved shard (at batch=1, one per write), modeled
-    // at a nominal contended-handoff cost. Batching writes shrinks this
-    // term by up to the batch size; the device busy time itself is
-    // unchanged -- that is exactly the amortization MultiPut buys.
-    constexpr double kModeledExclLockNs = 150.0;
-    const double lock_busy_ns =
-        kModeledExclLockNs * static_cast<double>(total.excl_acquisitions);
-    const double sim_elapsed_ns =
-        std::max(max_shard_write_ns,
-                 (write_busy_ns + lock_busy_ns) / write_lanes) +
-        read_busy_ns / static_cast<double>(kThreads);
-    std::printf(
-        "%-18s %8llu %8llu %8llu %7llu %10.1f %10.2f %10.1f %11.1f %7.2f\n",
-        std::string(pnw::workloads::YcsbWorkloadName(workload)).c_str(),
-        static_cast<unsigned long long>(total.reads),
-        static_cast<unsigned long long>(total.writes),
-        static_cast<unsigned long long>(total.inserts),
-        static_cast<unsigned long long>(failed),
-        agg.totals.BitUpdatesPer512(),
-        agg.totals.AvgPutLatencyNs() / 1000.0,
-        ops_done / wall_s / 1000.0,
-        sim_elapsed_ns > 0.0 ? ops_done / (sim_elapsed_ns / 1e9) / 1000.0
-                             : 0.0,
-        agg.PutImbalance());
+    PrintRow(workload, total, failed, agg.totals.BitUpdatesPer512(),
+             SimUsPerPut(agg.totals.put_device_ns, agg.totals.puts), wall_s,
+             agg.PutImbalance());
     // Honest-accounting check, per mix: every read the clients issued is in
     // the store's books exactly once (a hit in `gets`, a miss in
     // `get_misses`), and every PUT has exactly one placement attribution.
@@ -1076,11 +1026,7 @@ int main(int argc, char** argv) {
     any_failures = any_failures || total_migrate.failed != 0;
   }
   std::printf("\n(update-heavy mixes benefit most from PNW: every update is "
-              "re-steered to a similar residue;\n kops/s(sim) spreads write "
-              "busy time over min(threads, shards) exclusive lanes and read\n"
-              " busy time over all threads -- reads take shared locks -- and "
-              "charges one modeled exclusive-lock\n acquisition per write "
-              "batch per involved shard, so --batch amortizes the write-side "
-              "lock cost)\n");
+              "re-steered to a similar residue;\n kops/s is wall clock, sim "
+              "us/put the simulated NVM device time per PUT)\n");
   return any_failures ? 1 : 0;
 }

@@ -151,10 +151,9 @@ Status PnwStore::Init() {
     index_ = std::make_unique<index::PathHashIndex>(
         device_.get(), index_base_, options_.capacity_buckets * 2,
         /*num_levels=*/8);
-    opt_index_.store(nullptr, std::memory_order_release);
   } else {
     auto dram = std::make_unique<index::DramHashIndex>();
-    opt_index_.store(dram.get(), std::memory_order_release);
+    opt_index_ = dram.get();
     index_ = std::move(dram);
   }
 
@@ -611,13 +610,12 @@ std::optional<Result<std::vector<uint8_t>>> PnwStore::TryGetOptimistic(
     uint64_t key) {
   // Thread-safety analysis is off for this function by design: it runs
   // with NO lock held. Every shared structure it touches is safe by
-  // construction -- the index mirror and remapper registers are atomics,
-  // the device bytes are copied with relaxed-atomic byte loads, and any
-  // value observed concurrently with a writer is discarded by the seqlock
-  // validation below. device_/remapper_/opt_index_ as *pointers* are set
-  // in Init (or, for the index, reseated only under the exclusive lock
-  // with the old object retired, never freed).
-  index::DramHashIndex* idx = opt_index_.load(std::memory_order_acquire);
+  // construction -- the index lookup is lock-free, the remapper registers
+  // are atomics, the device bytes are copied with relaxed-atomic byte
+  // loads, and any value observed concurrently with a writer is discarded
+  // by the seqlock validation below. device_/remapper_/opt_index_ as
+  // *pointers* are set once in Init and never reseated.
+  const index::DramHashIndex* idx = opt_index_;
   if (!options_.optimistic_reads || idx == nullptr) {
     return std::nullopt;
   }
@@ -631,7 +629,6 @@ std::optional<Result<std::vector<uint8_t>>> PnwStore::TryGetOptimistic(
       ++metrics_.optimistic_retries;
       continue;
     }
-    idx = opt_index_.load(std::memory_order_acquire);
     uint64_t addr = 0;
     const auto lookup = idx->TryGetOptimistic(key, &addr);
     if (lookup == index::DramHashIndex::OptLookup::kOverflow) {
@@ -965,49 +962,6 @@ Result<size_t> PnwStore::MigrateHotBuckets(size_t max_buckets) {
     PNW_RETURN_IF_ERROR(LogOp(persist::OpType::kMigrate, b, {}));
   }
   return migrated;
-}
-
-Status PnwStore::SimulateCrashAndRecover() {
-  if (!options_.occupancy_flags_on_nvm) {
-    return Status::FailedPrecondition(
-        "crash recovery requires occupancy_flags_on_nvm (DRAM-side flags "
-        "do not survive a crash)");
-  }
-  // DRAM state is lost: model, pool, and (in the Fig. 2a design) the index.
-  model_ = nullptr;
-  pool_.Clear();
-  if (options_.index_placement == IndexPlacement::kDram) {
-    if (key_bytes_ == 0) {
-      return Status::FailedPrecondition(
-          "DRAM-index recovery requires store_keys_in_data_zone "
-          "(the Fig. 2a design rebuilds the index from bucket keys)");
-    }
-    // Retire the lost index instead of freeing it: a concurrent optimistic
-    // reader may still be traversing its arena. Liveness of both objects
-    // is all that matters -- whichever pointer such a reader grabbed, its
-    // seqlock validation rejects the lookup (this exclusive section
-    // bumped the sequence), so it never acts on either index's contents.
-    index_graveyard_.push_back(std::move(index_));
-    auto fresh = std::make_unique<index::DramHashIndex>();
-    opt_index_.store(fresh.get(), std::memory_order_release);
-    index_ = std::move(fresh);
-    used_buckets_ = 0;
-    for (size_t b = 0; b < active_buckets_; ++b) {
-      if (!GetBucketFlag(b)) {
-        continue;
-      }
-      uint64_t key = 0;
-      // The remapper registers survive the simulated crash like any other
-      // NV controller register, so translation still finds each bucket.
-      std::memcpy(&key, device_->Peek(PhysBucketAddr(b), key_bytes_).data(),
-                  key_bytes_);
-      PNW_RETURN_IF_ERROR(index_->Put(key, BucketAddr(b)));
-      ++used_buckets_;
-    }
-  }
-  // Retrain the model from the data zone; AdoptModel rebuilds the pool
-  // from the occupancy bitmap.
-  return TrainModel();
 }
 
 Status PnwStore::Checkpoint(const std::string& path) {
@@ -1512,8 +1466,8 @@ void PnwStore::RefreshArenaStats() {
     total.allocations += s.allocations;
     total.freelist_hits += s.freelist_hits;
   };
-  if (const auto* idx = opt_index_.load(std::memory_order_acquire)) {
-    fold(idx->arena_stats());
+  if (opt_index_ != nullptr) {
+    fold(opt_index_->arena_stats());
   }
   fold(staging_arena_.Stats());
   metrics_.arena_slabs = total.slabs;

@@ -1,7 +1,6 @@
 #ifndef PNW_CORE_PNW_STORE_H_
 #define PNW_CORE_PNW_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -76,7 +75,9 @@ class PnwStore {
   /// v5: raw-speed ceiling -- StoreMetrics gained the optimistic-read
   ///     split (optimistic_gets/locked_gets/optimistic_retries). The
   ///     arena gauges are snapshots of process RAM and are NOT serialized.
-  static constexpr uint32_t kSnapshotVersion = 5;
+  /// v6: the encoded PnwOptions lost LatencyParams' predict-overhead knob
+  ///     (never read), so the options section is one double shorter.
+  static constexpr uint32_t kSnapshotVersion = 6;
   /// The op-log of a checkpoint at `path` lives at `path + kOpLogSuffix`.
   static constexpr const char* kOpLogSuffix = ".oplog";
 
@@ -239,10 +240,6 @@ class PnwStore {
   /// serialize like any mutating op (ShardedPnwStore's migrator holds the
   /// shard's exclusive lock). Returns the number of buckets relocated.
   Result<size_t> MigrateHotBuckets(size_t max_buckets) PNW_REQUIRES(mu_);
-
-  /// Drop all DRAM state (index if DRAM-resident, model, pool) and rebuild
-  /// it from the NVM data zone -- the recovery path of the Fig. 2a design.
-  Status SimulateCrashAndRecover() PNW_REQUIRES(mu_);
 
   /// Number of K/V pairs currently stored.
   size_t size() const PNW_REQUIRES_SHARED(mu_) { return used_buckets_; }
@@ -455,19 +452,13 @@ class PnwStore {
   /// them alone and checkpoints serialize them (kSectionRemap).
   std::unique_ptr<nvm::StartGapRemapper> remapper_ PNW_GUARDED_BY(mu_);
   std::unique_ptr<index::KeyIndex> index_ PNW_GUARDED_BY(mu_);
-  /// Lock-free mirror of index_ for the optimistic read path: points at
+  /// Lock-free view of index_ for the optimistic read path: points at
   /// index_'s object when it is the arena-backed DRAM index (whose
   /// TryGetOptimistic is safe against concurrent mutators), nullptr when
   /// it is NVM path hashing (optimistic reads unsupported -> callers fall
-  /// back to the locked path). Reseated only under the exclusive lock.
-  std::atomic<index::DramHashIndex*> opt_index_{nullptr};
-  /// Indexes replaced by SimulateCrashAndRecover are retired here instead
-  /// of freed: a concurrent optimistic reader may still be traversing the
-  /// old one, and its seqlock validation (not a use-after-free crash) is
-  /// what must reject the stale lookup. Bounded by the number of simulated
-  /// crashes in the store's lifetime.
-  std::vector<std::unique_ptr<index::KeyIndex>> index_graveyard_
-      PNW_GUARDED_BY(mu_);
+  /// back to the locked path). Set once in Init, like index_ itself, so
+  /// the optimistic read path dereferences it without the capability.
+  index::DramHashIndex* opt_index_ = nullptr;
   std::unique_ptr<ModelManager> manager_ PNW_GUARDED_BY(mu_);
   std::shared_ptr<const ValueModel> model_ PNW_GUARDED_BY(mu_);
   DynamicAddressPool pool_ PNW_GUARDED_BY(mu_);

@@ -66,14 +66,6 @@ uint32_t ShardedMetrics::MaxBucketWrites() const {
   return max_writes;
 }
 
-double ShardedMetrics::MaxShardDeviceNs() const {
-  double max_ns = 0.0;
-  for (const auto& s : shards) {
-    max_ns = std::max(max_ns, s.device_ns);
-  }
-  return max_ns;
-}
-
 std::string ShardedMetrics::ToString() const {
   std::ostringstream os;
   os << totals.ToString() << " shards=" << shards.size()
@@ -627,10 +619,6 @@ ShardedMetrics ShardedPnwStore::AggregatedMetrics() const {
     summary.free_addresses = store.pool().FreeCount();
     summary.max_bucket_writes = store.wear_tracker().MaxBucketWrites();
     summary.device_bits_written = store.device().counters().total_bits_written;
-    summary.device_ns =
-        m.put_device_ns + m.get_device_ns + m.delete_device_ns +
-        m.predict_wall_ns + m.log_wall_ns + m.wear_device_ns;
-    summary.get_device_ns = m.get_device_ns;
     summary.max_physical_writes = store.wear_tracker().MaxPhysicalWrites();
     summary.physical_bucket_writes = store.wear_tracker().TotalPhysicalWrites();
     summary.migrations = m.migrations;

@@ -73,15 +73,6 @@ struct ShardSummary {
   uint32_t max_bucket_writes = 0;
   /// NVM cells this shard's device updated in total.
   uint64_t device_bits_written = 0;
-  /// This shard's total busy time: simulated device time plus the
-  /// measured wall time of prediction and op-log capture -- the full
-  /// write-path cost split (predict + device + durability) lands here.
-  double device_ns = 0.0;
-  /// The read share of `device_ns`. Callers modeling parallel service
-  /// split on this: reads hold shared locks (they spread over all reader
-  /// threads), the `device_ns - get_device_ns` remainder is exclusive
-  /// write/delete/predict time (it spreads over min(threads, shards)).
-  double get_device_ns = 0.0;
   /// Endurance-layer view of the same shard: hottest *physical* bucket
   /// slot, total physical bucket writes (client + migration + gap moves),
   /// and how much endurance work produced them.
@@ -102,9 +93,6 @@ struct ShardedMetrics {
   double PutImbalance() const;
   /// Hottest bucket across all shards (cross-shard wear ceiling).
   uint32_t MaxBucketWrites() const;
-  /// Largest per-shard simulated busy time -- the makespan lower bound of
-  /// a run where shards execute in parallel.
-  double MaxShardDeviceNs() const;
 
   /// Summed totals plus the shard count and imbalance measures, one line.
   std::string ToString() const;
@@ -145,7 +133,9 @@ class ShardedPnwStore {
   /// their own version, PnwStore::kSnapshotVersion).
   ///   v2: background-migration options (enabled flag, interval, per-pass
   ///       victim budget) follow the encoded store options.
-  static constexpr uint32_t kManifestVersion = 2;
+  ///   v3: the encoded store options lost LatencyParams' predict-overhead
+  ///       knob (never read), so they are one double shorter.
+  static constexpr uint32_t kManifestVersion = 3;
   /// Checkpoint-directory file names: the manifest, and one snapshot (plus
   /// its `.oplog`) per shard, named by ShardSnapshotName().
   static constexpr const char* kManifestName = "MANIFEST";

@@ -12,9 +12,9 @@
 namespace pnw::index {
 
 /// The Fig. 2a design: the index lives in DRAM, so it adds no NVM bit flips
-/// (at the cost of a rebuild on recovery, which `PnwStore` exercises in its
-/// crash-recovery test). Deletions keep a tombstone to mirror the paper's
-/// flag-bit semantics.
+/// (at the cost of a rebuild on recovery: `PnwStore::Open(path)` reloads it
+/// from the snapshot's live entries). Deletions keep a tombstone to mirror
+/// the paper's flag-bit semantics.
 ///
 /// Layout: an open-chaining hash whose nodes and bucket arrays live in an
 /// owned arena. This buys two things over the previous unordered_map:
@@ -77,8 +77,12 @@ class DramHashIndex final : public KeyIndex {
   void Rehash();
 
   util::Arena arena_;
-  std::atomic<Table*> table_;
-  size_t nodes_ = 0;  // live + tombstoned (rehash threshold)
+  /// table_ is read by every lookup, lock-free ones included, while
+  /// nodes_/live_ change on every Put/Delete. Separate cache lines keep
+  /// concurrent readers from missing on table_ after each write, whatever
+  /// address the index object lands at.
+  alignas(64) std::atomic<Table*> table_;
+  alignas(64) size_t nodes_ = 0;  // live + tombstoned (rehash threshold)
   size_t live_ = 0;
 };
 

@@ -14,9 +14,6 @@ struct LatencyParams {
   double dram_write_ns = 60.0;
   double nvm_read_ns = 70.0;
   double nvm_write_ns = 600.0;
-  /// Cost of one K-means Predict() call is measured, not modeled; this knob
-  /// exists for what-if studies with accelerator-assisted inference.
-  double predict_overhead_ns = 0.0;
 };
 
 /// Converts line-level access counts into simulated time. The simulator
@@ -33,12 +30,6 @@ class LatencyModel {
   }
   double NvmWriteCostNs(uint64_t lines) const {
     return params_.nvm_write_ns * static_cast<double>(lines);
-  }
-  double DramReadCostNs(uint64_t lines) const {
-    return params_.dram_read_ns * static_cast<double>(lines);
-  }
-  double DramWriteCostNs(uint64_t lines) const {
-    return params_.dram_write_ns * static_cast<double>(lines);
   }
 
   const LatencyParams& params() const { return params_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <type_traits>
 
 #include "src/util/atomic_bytes.h"
 #include "src/util/hamming.h"
@@ -25,8 +24,7 @@ NvmDevice::NvmDevice(const NvmConfig& config)
     : config_(config),
       latency_model_(config.latency),
       arena_(DeviceArenaOptions(config)),
-      word_write_counts_((config.size_bytes + config.word_bytes - 1) /
-                             config.word_bytes,
+      word_write_counts_((config.size_bytes + kWordBytes - 1) / kWordBytes,
                          0),
       line_write_counts_(
           (config.size_bytes + config.cache_line_bytes - 1) /
@@ -98,10 +96,9 @@ Result<WriteResult> NvmDevice::WriteConventional(
   result.bits_written = data.size() * 8;
 
   // Every word and line covered by the range is rewritten.
-  const uint64_t first_word = addr / config_.word_bytes;
-  const uint64_t last_word = data.empty()
-                                 ? first_word
-                                 : (addr + data.size() - 1) / config_.word_bytes;
+  const uint64_t first_word = addr / kWordBytes;
+  const uint64_t last_word =
+      data.empty() ? first_word : (addr + data.size() - 1) / kWordBytes;
   const uint64_t first_line = addr / config_.cache_line_bytes;
   const uint64_t last_line =
       data.empty() ? first_line
@@ -142,7 +139,7 @@ Result<WriteResult> NvmDevice::WriteConventional(
 
 void NvmDevice::DiffWords(uint64_t addr, std::span<const uint8_t> data,
                           WriteResult* result) {
-  // Word-at-a-time: the span is walked in word_bytes(=8) units aligned to
+  // Word-at-a-time: the span is walked in kWordBytes(=8) units aligned to
   // the device's word grid -- a partial head/tail unit is loaded through a
   // short zero-padded memcpy (equal padding XORs to zero), a full unit
   // through a single unaligned 8-byte load. One XOR + popcount decides a
@@ -151,10 +148,10 @@ void NvmDevice::DiffWords(uint64_t addr, std::span<const uint8_t> data,
   // next_dirty_word kernel (32 bytes per compare on AVX2), which only ever
   // skips words this loop would `continue` over -- the accounting below is
   // bit-identical to visiting every word. Because a word unit never
-  // straddles a cache line here (8 | cache_line_bytes), per-unit line
+  // straddles a cache line (kWordBytes | cache_line_bytes), per-unit line
   // attribution is exact, and because units are visited in address order
-  // the `prev_line` dedup reproduces the byte loop's line counting.
-  const size_t wb = config_.word_bytes;
+  // the `prev_line` dedup counts each dirtied line once.
+  constexpr size_t wb = kWordBytes;
   const uint64_t end = addr + data.size();
   const bool track_bits = config_.track_bit_wear;
   uint64_t prev_line = UINT64_MAX;
@@ -223,53 +220,6 @@ void NvmDevice::DiffWords(uint64_t addr, std::span<const uint8_t> data,
   }
 }
 
-void NvmDevice::DiffBytesReference(uint64_t addr,
-                                   std::span<const uint8_t> data,
-                                   WriteResult* result) {
-  // The track_bit_wear branch is hoisted out of the per-byte loop: the
-  // shared loop body is stamped out twice via a compile-time flag, so the
-  // common (untracked) configuration never tests the predicate per byte.
-  auto diff_bytes = [&](auto track_bits) {
-    uint64_t prev_word = UINT64_MAX;
-    uint64_t prev_line = UINT64_MAX;
-    for (size_t i = 0; i < data.size(); ++i) {
-      const uint8_t old_byte = data_[addr + i];
-      const uint8_t new_byte = data[i];
-      const uint8_t diff = old_byte ^ new_byte;
-      if (diff == 0) {
-        continue;
-      }
-      result->bits_written += std::popcount(diff);
-      const uint64_t word = (addr + i) / config_.word_bytes;
-      if (word != prev_word) {
-        ++result->words_written;
-        ++word_write_counts_[word];
-        prev_word = word;
-      }
-      const uint64_t line = (addr + i) / config_.cache_line_bytes;
-      if (line != prev_line) {
-        ++result->lines_written;
-        ++line_write_counts_[line];
-        prev_line = line;
-      }
-      if constexpr (track_bits.value) {
-        uint8_t d = diff;
-        while (d) {
-          const int bit = std::countr_zero(d);
-          ++bit_write_counts_[(addr + i) * 8 + static_cast<uint64_t>(bit)];
-          d = static_cast<uint8_t>(d & (d - 1));
-        }
-      }
-      util::AtomicStoreBytes(&data_[addr + i], &new_byte, 1);
-    }
-  };
-  if (config_.track_bit_wear) {
-    diff_bytes(std::true_type{});
-  } else {
-    diff_bytes(std::false_type{});
-  }
-}
-
 Result<WriteResult> NvmDevice::WriteDifferential(
     uint64_t addr, std::span<const uint8_t> data) {
   PNW_RETURN_IF_ERROR(CheckRange(addr, data.size()));
@@ -284,12 +234,7 @@ Result<WriteResult> NvmDevice::WriteDifferential(
   // Read-before-write: the old content of every covered line is read once.
   result.lines_read = last_line - first_line + 1;
 
-  if (config_.word_diff_writes && config_.word_bytes == 8 &&
-      config_.cache_line_bytes % 8 == 0 && config_.cache_line_bytes >= 8) {
-    DiffWords(addr, data, &result);
-  } else {
-    DiffBytesReference(addr, data, &result);
-  }
+  DiffWords(addr, data, &result);
 
   result.latency_ns = latency_model_.NvmReadCostNs(result.lines_read) +
                       latency_model_.NvmWriteCostNs(result.lines_written);

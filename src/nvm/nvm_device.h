@@ -12,25 +12,21 @@
 
 namespace pnw::nvm {
 
+/// Word size for "NVM word writes" accounting (the paper counts modified
+/// words within a cache line): one uint64_t, which is also the unit the
+/// differential write diffs in.
+inline constexpr size_t kWordBytes = 8;
+
 /// Configuration of a simulated PCM device.
 struct NvmConfig {
   /// Capacity in bytes.
   size_t size_bytes = 1 << 20;
-  /// Cache line size; every write is accounted at this granularity.
+  /// Cache line size; every write is accounted at this granularity. Must
+  /// be a positive multiple of kWordBytes, so no word straddles a line.
   size_t cache_line_bytes = 64;
-  /// Word size for "NVM word writes" accounting (the paper counts modified
-  /// words within a cache line).
-  size_t word_bytes = 8;
   /// Keep a per-bit write counter (memory-heavy: 2 bytes per stored bit).
   /// Needed only by the wear-leveling experiments (paper Fig. 13).
   bool track_bit_wear = false;
-  /// Use the word-at-a-time differential-write inner loop (uint64_t loads,
-  /// XOR, popcount; unaligned head/tail handled bytewise). Accounting is
-  /// bit-identical to the byte-at-a-time reference loop, which is retained
-  /// and used when this is false -- the equivalence property tests compare
-  /// the two -- or when the geometry rules the fast path out
-  /// (word_bytes != 8, or a cache line not a multiple of a word).
-  bool word_diff_writes = true;
   /// Advise the kernel to back the simulated array with transparent huge
   /// pages (best effort; see util::Arena::Options::huge_pages). Real PM is
   /// mapped with huge pages too, so this is both a perf knob and fidelity.
@@ -158,8 +154,8 @@ class NvmDevice {
     fault_count_ = count;
   }
 
-  /// Per-word cumulative write counts (one entry per `word_bytes` of the
-  /// device). Index = addr / word_bytes.
+  /// Per-word cumulative write counts (one entry per kWordBytes of the
+  /// device). Index = addr / kWordBytes.
   const std::vector<uint32_t>& word_write_counts() const {
     return word_write_counts_;
   }
@@ -182,16 +178,11 @@ class NvmDevice {
   /// Consumes one armed write fault, if any (see InjectWriteFaults).
   Status ConsumeWriteFault();
 
-  /// Differential inner loops: diff `data` against the resident bytes,
-  /// store the changed bytes, and account bits/words/lines (plus wear
-  /// histograms) into `result`. `DiffWords` is the word-at-a-time fast
-  /// path (requires word_bytes == 8 and 8 | cache_line_bytes);
-  /// `DiffBytesReference` is the byte-at-a-time reference kept for odd
-  /// geometries and for the equivalence property tests.
+  /// Differential inner loop, word at a time: diff `data` against the
+  /// resident bytes, store the changed bytes, and account bits/words/lines
+  /// (plus wear histograms) into `result`.
   void DiffWords(uint64_t addr, std::span<const uint8_t> data,
                  WriteResult* result);
-  void DiffBytesReference(uint64_t addr, std::span<const uint8_t> data,
-                          WriteResult* result);
 
   uint64_t fault_skip_ = 0;
   uint64_t fault_count_ = 0;

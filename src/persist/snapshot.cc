@@ -102,15 +102,6 @@ Result<SnapshotReader> SnapshotReader::FromFile(
   return Parse(std::move(bytes.value()), expected_payload_version);
 }
 
-bool SnapshotReader::HasSection(uint32_t id) const {
-  for (const auto& s : sections_) {
-    if (s.id == id) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Result<BufferReader> SnapshotReader::Section(uint32_t id) const {
   for (const auto& s : sections_) {
     if (s.id == id) {

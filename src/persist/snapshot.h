@@ -72,7 +72,6 @@ class SnapshotReader {
                                          uint32_t expected_payload_version);
 
   uint32_t payload_version() const { return payload_version_; }
-  bool HasSection(uint32_t id) const;
 
   /// Reader positioned over the payload of section `id`; NotFound if the
   /// snapshot has no such section.

@@ -37,7 +37,6 @@ void EncodePnwOptions(const core::PnwOptions& options, BufferWriter& w) {
   w.PutDouble(options.latency.dram_write_ns);
   w.PutDouble(options.latency.nvm_read_ns);
   w.PutDouble(options.latency.nvm_write_ns);
-  w.PutDouble(options.latency.predict_overhead_ns);
 }
 
 Status DecodePnwOptions(BufferReader& r, core::PnwOptions* options) {
@@ -96,7 +95,6 @@ Status DecodePnwOptions(BufferReader& r, core::PnwOptions* options) {
   PNW_RETURN_IF_ERROR(r.GetDouble(&o.latency.dram_write_ns));
   PNW_RETURN_IF_ERROR(r.GetDouble(&o.latency.nvm_read_ns));
   PNW_RETURN_IF_ERROR(r.GetDouble(&o.latency.nvm_write_ns));
-  PNW_RETURN_IF_ERROR(r.GetDouble(&o.latency.predict_overhead_ns));
   *options = o;
   return Status::OK();
 }

@@ -39,13 +39,6 @@ inline void AtomicLoadBytes(uint8_t* dst, const uint8_t* src, size_t n) {
   }
 }
 
-/// Fill dst[0, n) with `value` via relaxed-atomic byte stores.
-inline void AtomicFillBytes(uint8_t* dst, uint8_t value, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    std::atomic_ref<uint8_t>(dst[i]).store(value, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace pnw::util
 
 #endif  // PNW_UTIL_ATOMIC_BYTES_H_

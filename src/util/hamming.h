@@ -35,11 +35,6 @@ inline uint32_t HammingDistance64(uint64_t a, uint64_t b) {
   return static_cast<uint32_t>(std::popcount(a ^ b));
 }
 
-/// Rotate a 64-bit word left by `s` bits (s may be 0..63).
-inline uint64_t RotateLeft64(uint64_t w, unsigned s) {
-  return std::rotl(w, static_cast<int>(s));
-}
-
 }  // namespace pnw
 
 #endif  // PNW_UTIL_HAMMING_H_

@@ -57,7 +57,6 @@ class PNW_CAPABILITY("mutex") Mutex {
 
   void Lock() PNW_ACQUIRE() { mu_.lock(); }
   void Unlock() PNW_RELEASE() { mu_.unlock(); }
-  bool TryLock() PNW_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // Escape hatch for interop with std:: wait primitives; the holder of
   // the native handle is responsible for the capability bookkeeping.
@@ -206,12 +205,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(UniqueLock& lock) { cv_.wait(lock.native()); }
-
-  template <typename Rep, typename Period>
-  std::cv_status WaitFor(UniqueLock& lock,
-                         const std::chrono::duration<Rep, Period>& d) {
-    return cv_.wait_for(lock.native(), d);
-  }
 
   template <typename Clock, typename Duration>
   std::cv_status WaitUntil(

@@ -348,20 +348,6 @@ TEST(PnwStoreTest, MultiPutFaultInjectionFailsSlotAndRollsBack) {
   EXPECT_TRUE(store->metrics().PlacementAttributionConsistent());
 }
 
-TEST(PnwStoreTest, CrashRecoveryRestoresDramIndex) {
-  auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Put(700, GroupValue(0, 4)).ok());
-  ASSERT_TRUE(store->Delete(3).ok());
-  const size_t size_before = store->size();
-  ASSERT_TRUE(store->SimulateCrashAndRecover().ok());
-  EXPECT_EQ(store->size(), size_before);
-  EXPECT_EQ(store->Get(700).value(), GroupValue(0, 4));
-  EXPECT_TRUE(store->Get(3).status().IsNotFound());
-  EXPECT_NE(store->model(), nullptr);
-  // Freed bucket is usable again post-recovery.
-  EXPECT_TRUE(store->Put(701, GroupValue(1, 4)).ok());
-}
-
 TEST(PnwStoreTest, NvmIndexPlacementChargesIndexWrites) {
   PnwOptions dram = SmallOptions();
   PnwOptions nvm_index = SmallOptions();

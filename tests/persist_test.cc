@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -228,6 +229,28 @@ TEST_F(PersistTest, OpLogReplayRecoversPostCheckpointWrites) {
     EXPECT_EQ(reopened.Get(200 + i).value(),
               GroupValue(i % 2, static_cast<uint8_t>(i)));
   }
+
+  // The replayed DELETE handed key 201's bucket back to the pool: a PUT of
+  // the value it still holds predicts the same cluster, whose free-list
+  // pops last-in-first-out, so the new key lands in exactly that bucket.
+  const auto key_in_bucket = [&reopened](size_t bucket) {
+    uint64_t key = 0;
+    std::memcpy(&key,
+                reopened.device().Peek(reopened.PhysBucketAddr(bucket),
+                                       sizeof(key)).data(),
+                sizeof(key));
+    return key;
+  };
+  size_t freed = SIZE_MAX;
+  for (size_t b = 0; b < reopened.active_buckets(); ++b) {
+    if (key_in_bucket(b) == 201) {
+      freed = b;
+    }
+  }
+  ASSERT_NE(freed, SIZE_MAX);
+  ASSERT_TRUE(reopened.Put(300, GroupValue(1, 1)).ok());
+  EXPECT_EQ(key_in_bucket(freed), 300u);
+  EXPECT_EQ(reopened.Get(300).value(), GroupValue(1, 1));
 }
 
 PnwOptions EnduranceOptions() {

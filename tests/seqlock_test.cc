@@ -9,7 +9,9 @@
 // lookup that validated against the wrong bucket.
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,14 +111,13 @@ TEST(OptimisticConcurrencyTest, RefreshArenaStatsPopulatesGauges) {
             SmallOptions().capacity_buckets * kValueBytes);
 }
 
+constexpr size_t kTortureKeys = 64;
+
 // Readers hammer the lock-free path while a writer churns values; torn
 // reads must never validate. Also exercised: Start-Gap translation racing
-// gap moves, and index replacement (SimulateCrashAndRecover) racing
-// traversals of the retired index.
-void RunTorture(PnwOptions options, bool crash_recover) {
-  constexpr size_t kKeys = 64;
+// gap moves, and lock-free lookups in an index that recovery rebuilt.
+void RunTorture(PnwStore& store) {
   constexpr uint64_t kWriterOps = 1500;
-  auto store = BootstrappedStore(options, kKeys);
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> torn{0};
@@ -124,11 +125,11 @@ void RunTorture(PnwOptions options, bool crash_recover) {
   const auto reader = [&]() {
     uint64_t key = 1;
     while (!done.load(std::memory_order_acquire)) {
-      key = (key * 2654435761u + 1) % kKeys;
-      auto fast = store->TryGetOptimistic(key);
+      key = (key * 2654435761u + 1) % kTortureKeys;
+      auto fast = store.TryGetOptimistic(key);
       if (!fast.has_value()) {
-        util::ReaderLock lock(store->mu());
-        fast = store->Get(key);
+        util::ReaderLock lock(store.mu());
+        fast = store.Get(key);
       }
       if (!fast->ok()) {
         continue;  // transiently deleted
@@ -146,20 +147,15 @@ void RunTorture(PnwOptions options, bool crash_recover) {
   std::thread r1(reader), r2(reader);
   uint64_t version = 0;
   for (uint64_t op = 0; op < kWriterOps; ++op) {
-    const uint64_t key = (op * 7) % kKeys;
-    if (crash_recover && op % 500 == 499) {
-      util::WriterLock lock(store->mu());
-      ASSERT_TRUE(store->SimulateCrashAndRecover().ok());
-      continue;
-    }
-    util::WriterLock lock(store->mu());
+    const uint64_t key = (op * 7) % kTortureKeys;
+    util::WriterLock lock(store.mu());
     if (op % 13 == 12) {
       // status-dropped: NotFound when racing a prior delete of this key
       // is part of the churn, not a failure.
-      (void)store->Delete(key);
+      (void)store.Delete(key);
     } else {
       ++version;
-      ASSERT_TRUE(store->Put(key, SolidValue(key, version)).ok());
+      ASSERT_TRUE(store.Put(key, SolidValue(key, version)).ok());
     }
   }
   done.store(true, std::memory_order_release);
@@ -167,24 +163,57 @@ void RunTorture(PnwOptions options, bool crash_recover) {
   r2.join();
 
   EXPECT_EQ(torn.load(), 0u) << "seqlock validated a torn value";
-  util::ReaderLock lock(store->mu());
-  const StoreMetrics& m = store->metrics();
+  util::ReaderLock lock(store.mu());
+  const StoreMetrics& m = store.metrics();
   EXPECT_EQ(m.gets.load(), m.optimistic_gets.load() + m.locked_gets.load());
 }
 
 TEST(OptimisticConcurrencyTest, TortureReadersVsWriter) {
-  RunTorture(SmallOptions(), /*crash_recover=*/false);
+  auto store = BootstrappedStore(SmallOptions(), kTortureKeys);
+  RunTorture(*store);
 }
 
 TEST(OptimisticConcurrencyTest, TortureWithStartGapRotation) {
   PnwOptions options = SmallOptions();
   options.start_gap_wear_leveling = true;
   options.gap_write_interval = 8;  // rotate aggressively under the readers
-  RunTorture(options, /*crash_recover=*/false);
+  auto store = BootstrappedStore(options, kTortureKeys);
+  RunTorture(*store);
 }
 
-TEST(OptimisticConcurrencyTest, TortureAcrossIndexReplacement) {
-  RunTorture(SmallOptions(), /*crash_recover=*/true);
+// Recovery's index under the readers: checkpoint, write through the
+// op-log, reopen with PnwStore::Open(path) -- which rebuilds the DRAM
+// index from the snapshot and replays the log into it -- and torture the
+// lock-free path on the rebuilt index.
+TEST(OptimisticConcurrencyTest, TortureOnRecoveredStore) {
+  const std::string path =
+      ::testing::TempDir() + "/seqlock_torture_recovered.snap";
+  {
+    auto store = BootstrappedStore(SmallOptions(), kTortureKeys);
+    util::WriterLock lock(store->mu());
+    ASSERT_TRUE(store->Checkpoint(path).ok());
+    for (uint64_t key = 0; key < kTortureKeys; key += 3) {
+      ASSERT_TRUE(store->Put(key, SolidValue(key, 1)).ok());
+    }
+    ASSERT_TRUE(store->Delete(1).ok());
+  }
+  auto reopened = PnwStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  PnwStore& store = *reopened.value();
+  // The replayed writes are served by the lock-free path before any churn.
+  for (uint64_t key = 0; key < kTortureKeys; key += 3) {
+    auto fast = store.TryGetOptimistic(key);
+    ASSERT_TRUE(fast.has_value()) << "recovered store declined key " << key;
+    ASSERT_TRUE(fast->ok());
+    EXPECT_EQ(fast->value(), SolidValue(key, 1));
+  }
+  auto deleted = store.TryGetOptimistic(1);
+  ASSERT_TRUE(deleted.has_value());
+  EXPECT_TRUE(deleted->status().IsNotFound());
+
+  RunTorture(store);
+  std::remove(path.c_str());
+  std::remove((path + PnwStore::kOpLogSuffix).c_str());
 }
 
 TEST(OptimisticConcurrencyTest, ShardedGetUsesOptimisticPath) {
