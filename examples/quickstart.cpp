@@ -69,11 +69,12 @@ int main() {
   std::printf("  bit updates / 512 bits: %.1f  (conventional would be 512)\n",
               m.BitUpdatesPer512());
   std::printf("  avg lines per PUT     : %.2f\n", m.AvgLinesPerPut());
-  std::printf("  avg PUT latency       : %.0f ns (model predict: %.0f ns)\n",
-              m.AvgPutLatencyNs(), m.AvgPredictNs());
-  // Placement attribution: with prediction ~2/3 of PUT latency, make sure
-  // the numbers above actually came from the model and not from the
-  // silent model-less DCW fallback.
+  std::printf("  sim device ns per PUT : %.0f (simulated NVM)\n",
+              m.AvgPutDeviceNs());
+  std::printf("  predict ns per PUT    : %.0f (measured wall clock)\n",
+              m.AvgPredictNs());
+  // Placement attribution: make sure the numbers above actually came from
+  // the model and not from the silent model-less DCW fallback.
   std::printf("  placements            : %llu predicted, %llu model-less\n",
               static_cast<unsigned long long>(m.predicted_placements),
               static_cast<unsigned long long>(m.fallback_placements));

@@ -22,10 +22,11 @@
 // Read-your-write order is preserved by flushing the opposite buffer
 // before switching direction: enqueueing a read flushes pending writes,
 // enqueueing a write flushes pending reads. Each mix row is followed by
-// two reconciliation lines proving the books balance: the read side
-// (gets + get_misses == client reads, placement attribution sums to puts)
-// and the write side (puts + inplace_updates + failed_ops == client
-// writes). The run exits nonzero if any of them ever fails.
+// reconciliation lines proving the books balance: the read side
+// (gets + get_misses == client reads, placement attribution sums to puts,
+// optimistic + locked gets == gets), the arena gauges, and the write side
+// (puts + failed_ops == client writes). The run exits nonzero if any of
+// them ever fails.
 //
 // --checkpoint-every=N makes thread 0 checkpoint the whole sharded store
 // into --checkpoint-dir every N of its operations (PR 3 durability: shard
@@ -35,11 +36,12 @@
 //
 // --remote=HOST:PORT runs the same mixes against a pnw_server over the
 // binary wire protocol instead of an in-process store: every thread opens
-// its own connection (src/server/client.h), --batch=N rides the MULTI_GET
-// / MULTI_PUT frames, and the per-mix reconcile lines become *three*-way
-// -- client tallies == the server's ServerMetrics key counts == the
-// store's StoreMetrics, all fetched over the STATS opcode as before/after
-// deltas. Exits nonzero on any mismatch, exactly like the local mode.
+// its own connection (src/server/client.h) and --batch=N rides the
+// MULTI_GET / MULTI_PUT frames. Each mix's StoreMetrics is rebuilt from
+// the STATS frames before and after it and checked by the same reconcile
+// lines as the local mode, plus one three-way line: client tallies == the
+// server's ServerMetrics key counts == the store's StoreMetrics. Exits
+// nonzero on any mismatch, exactly like the local mode.
 // Local-only machinery (--checkpoint-every, --migrate-every, --start-gap,
 // --wear-report) is rejected with --remote (exit 2).
 //
@@ -299,6 +301,15 @@ struct ThreadCounts {
   /// counted at most once per client op (an RMW whose halves both fail is
   /// still one failed client op).
   uint64_t hard_failures = 0;
+
+  ThreadCounts& operator+=(const ThreadCounts& other) {
+    reads += other.reads;
+    writes += other.writes;
+    inserts += other.inserts;
+    rmws += other.rmws;
+    hard_failures += other.hard_failures;
+    return *this;
+  }
 };
 
 /// Live-checkpoint accounting (thread 0 only; see --checkpoint-every).
@@ -524,27 +535,46 @@ ThreadCounts RunOpStream(Store& store,
   return counts;
 }
 
+/// Run one op stream per client thread -- `stream(t, ops)` on thread t,
+/// each with ceil(kOps / kThreads) ops -- and sum their tallies.
+template <typename Stream>
+ThreadCounts RunThreads(const Stream& stream) {
+  std::vector<ThreadCounts> counts(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  const size_t per_thread = (kOps + kThreads - 1) / kThreads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counts, &stream, t, per_thread] {
+      counts[t] = stream(t, per_thread);
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  ThreadCounts total;
+  for (const auto& c : counts) {
+    total += c;
+  }
+  return total;
+}
+
 /// The per-mix table shared by the local and --remote modes. `sim us/put`
-/// is simulated NVM device time per PUT (StoreMetrics::put_device_ns /
-/// puts), the paper's Fig. 7 quantity; kops/s is the only throughput and
-/// comes from the wall clock.
+/// is simulated NVM device time per PUT (StoreMetrics::AvgPutDeviceNs),
+/// the paper's Fig. 7 quantity; kops/s is the only throughput and comes
+/// from the wall clock.
 void PrintHeader() {
   std::printf("%-18s %8s %8s %8s %7s %10s %10s %10s %7s\n", "workload",
               "reads", "writes", "inserts", "failed", "bits/512b",
               "sim us/put", "kops/s", "imbal");
 }
 
-double SimUsPerPut(double put_device_ns, uint64_t puts) {
-  return puts != 0 ? put_device_ns / static_cast<double>(puts) / 1000.0
-                   : 0.0;
-}
-
 void PrintRow(pnw::workloads::YcsbWorkload workload,
-              const ThreadCounts& total, uint64_t failed,
-              double bits_per_512, double sim_us_per_put, double wall_s,
-              double imbalance) {
+              const ThreadCounts& total, const pnw::core::StoreMetrics& m,
+              double wall_s, double imbalance) {
   // Client ops: an RMW contributed to both reads and writes but is one
-  // operation, so subtract the double count.
+  // operation, so subtract the double count. The failed column counts
+  // client-observed failures, which subsume the store's failed_ops (every
+  // failed write surfaced its status to the issuing thread).
   const double ops_done = static_cast<double>(
       total.reads + total.writes + total.inserts - total.rmws);
   std::printf("%-18s %8llu %8llu %8llu %7llu %10.1f %10.2f %10.1f %7.2f\n",
@@ -552,14 +582,84 @@ void PrintRow(pnw::workloads::YcsbWorkload workload,
               static_cast<unsigned long long>(total.reads),
               static_cast<unsigned long long>(total.writes),
               static_cast<unsigned long long>(total.inserts),
-              static_cast<unsigned long long>(failed), bits_per_512,
-              sim_us_per_put, ops_done / wall_s / 1000.0, imbalance);
+              static_cast<unsigned long long>(total.hard_failures),
+              m.BitUpdatesPer512(), m.AvgPutDeviceNs() / 1000.0,
+              ops_done / wall_s / 1000.0, imbalance);
 }
+
+/// The books every mix must balance, in process or over the wire. Prints
+/// one line per identity and returns true when all of them hold.
+bool ReconcileMix(const pnw::core::StoreMetrics& m,
+                  const ThreadCounts& total) {
+  // Every read the clients issued is in the store's books exactly once (a
+  // hit in `gets`, a miss in `get_misses`), and every PUT has exactly one
+  // placement attribution.
+  const bool reads_reconcile = m.gets + m.get_misses == total.reads;
+  const bool placement_consistent = m.PlacementAttributionConsistent();
+  std::printf(
+      "  reconcile: gets=%llu + get_misses=%llu == client reads=%llu "
+      "[%s]; predicted+fallback+inplace == puts [%s]\n",
+      static_cast<unsigned long long>(m.gets.load()),
+      static_cast<unsigned long long>(m.get_misses.load()),
+      static_cast<unsigned long long>(total.reads),
+      reads_reconcile ? "ok" : "MISMATCH",
+      placement_consistent ? "ok" : "MISMATCH");
+  // Seqlock read-path split: every hit was served by exactly one of the
+  // optimistic (lock-free, seqlock-validated) or locked paths.
+  // optimistic_retries counts discarded conflicting attempts, which are
+  // not reads, so it reconciles with nothing -- it is reported as the
+  // contention gauge.
+  const bool split_reconciles =
+      m.gets == m.optimistic_gets + m.locked_gets;
+  std::printf(
+      "  reconcile: optimistic_gets=%llu + locked_gets=%llu == "
+      "gets=%llu [%s] (optimistic_retries=%llu)\n",
+      static_cast<unsigned long long>(m.optimistic_gets.load()),
+      static_cast<unsigned long long>(m.locked_gets.load()),
+      static_cast<unsigned long long>(m.gets.load()),
+      split_reconciles ? "ok" : "MISMATCH",
+      static_cast<unsigned long long>(m.optimistic_retries.load()));
+  // Arena footprint gauges (device data array + DRAM index + staging):
+  // live never exceeds the high-water mark, which never exceeds what the
+  // slabs actually map.
+  const bool arena_sane = m.arena_live_bytes <= m.arena_high_water_bytes &&
+                          m.arena_high_water_bytes <= m.arena_slab_bytes;
+  std::printf(
+      "  arena: slabs=%llu mapped=%llu live=%llu high_water=%llu [%s]\n",
+      static_cast<unsigned long long>(m.arena_slabs.load()),
+      static_cast<unsigned long long>(m.arena_slab_bytes.load()),
+      static_cast<unsigned long long>(m.arena_live_bytes.load()),
+      static_cast<unsigned long long>(m.arena_high_water_bytes.load()),
+      arena_sane ? "ok" : "MISMATCH");
+  // Write-side books, the mirror of the read contract: every write the
+  // clients issued is in the store's ledger exactly once -- as a counted
+  // PUT (`puts`; endurance-first updates and latency-first in-place
+  // updates both land there, the latter *also* tallied in
+  // `inplace_updates`) or as a failed operation. Because inplace is a
+  // subset of puts, the balance is puts + failed_ops == client writes;
+  // this runner's stores run endurance-first, so the gate additionally
+  // pins inplace_updates to 0 -- a future mode change trips loudly here
+  // instead of quietly skewing the printed breakdown.
+  const uint64_t client_writes = total.writes + total.inserts;
+  const bool writes_reconcile =
+      m.puts + m.failed_ops == client_writes && m.inplace_updates == 0;
+  std::printf(
+      "  reconcile: puts=%llu (of which inplace_updates=%llu) + "
+      "failed_ops=%llu == client writes=%llu [%s]\n",
+      static_cast<unsigned long long>(m.puts),
+      static_cast<unsigned long long>(m.inplace_updates),
+      static_cast<unsigned long long>(m.failed_ops),
+      static_cast<unsigned long long>(client_writes),
+      writes_reconcile ? "ok" : "MISMATCH");
+  return reads_reconcile && placement_consistent && split_reconciles &&
+         arena_sane && writes_reconcile;
+}
+
+using StatsFrame = std::vector<std::pair<std::string, uint64_t>>;
 
 /// Look up one counter from a STATS snapshot by its flat name. Missing
 /// counters are a protocol drift bug, not a soft condition: fail the run.
-uint64_t StatOf(const std::vector<std::pair<std::string, uint64_t>>& stats,
-                const std::string& name) {
+uint64_t StatOf(const StatsFrame& stats, const std::string& name) {
   for (const auto& [stat_name, value] : stats) {
     if (stat_name == name) {
       return value;
@@ -570,14 +670,30 @@ uint64_t StatOf(const std::vector<std::pair<std::string, uint64_t>>& stats,
   std::exit(1);
 }
 
+/// Rebuild the StoreMetrics of one remote mix from the STATS frames taken
+/// around it: counters are after minus before, gauges come from the after
+/// frame (times travel as whole nanoseconds).
+pnw::core::StoreMetrics MetricsFromStats(const StatsFrame& before,
+                                         const StatsFrame& after) {
+  pnw::core::StoreMetrics m;
+#define PNW_COUNTER_DELTA(type, name) \
+  m.name = StatOf(after, "store." #name) - StatOf(before, "store." #name);
+  PNW_STORE_COUNTERS(PNW_COUNTER_DELTA)
+#undef PNW_COUNTER_DELTA
+#define PNW_GAUGE_VALUE(type, name) m.name = StatOf(after, "store." #name);
+  PNW_STORE_GAUGES(PNW_GAUGE_VALUE)
+#undef PNW_GAUGE_VALUE
+  return m;
+}
+
 /// The --remote mode: the same five mixes, driven over the wire. Each mix
 /// preloads its key range through the control connection (the server store
 /// persists across mixes, so re-preloads are plain updates -- the server
 /// must be sized with insert headroom), snapshots STATS, runs one client
 /// connection per thread through the shared RunOpStream, snapshots STATS
-/// again, and reconciles the deltas three ways: client tallies ==
-/// ServerMetrics key counts == StoreMetrics ops. Exits nonzero on any
-/// mismatch or hard failure, exactly like the local mode.
+/// again, and reconciles the deltas: the same store books as the local
+/// mode, plus client tallies == ServerMetrics key counts. Exits nonzero on
+/// any mismatch or hard failure, exactly like the local mode.
 int RunRemoteMixes(const std::string& host, uint16_t port) {
   using pnw::workloads::YcsbWorkload;
   auto control_r = pnw::server::Client::Connect(host, port);
@@ -588,6 +704,16 @@ int RunRemoteMixes(const std::string& host, uint16_t port) {
     return 1;
   }
   auto control = std::move(control_r).value();
+  auto stats = [&control](StatsFrame* out) {
+    auto frame = control->Stats();
+    if (!frame.ok()) {
+      std::fprintf(stderr, "remote STATS failed: %s\n",
+                   frame.status().ToString().c_str());
+      return false;
+    }
+    *out = std::move(frame).value();
+    return true;
+  };
 
   std::printf("YCSB core mixes on PNW via %s:%u (%zu records, %zu ops, "
               "%zuB values, %zu connections, read batch %zu)\n",
@@ -628,13 +754,10 @@ int RunRemoteMixes(const std::string& host, uint16_t port) {
         }
       }
     }
-    const auto before_r = control->Stats();
-    if (!before_r.ok()) {
-      std::fprintf(stderr, "remote STATS failed: %s\n",
-                   before_r.status().ToString().c_str());
+    StatsFrame before;
+    if (!stats(&before)) {
       return 1;
     }
-    const auto& before = before_r.value();
 
     // One connection per thread, opened up front so a refused connect
     // fails the run before any stream starts.
@@ -649,93 +772,46 @@ int RunRemoteMixes(const std::string& host, uint16_t port) {
       }
       clients.push_back(std::move(c).value());
     }
-    std::vector<ThreadCounts> counts(kThreads);
-    const size_t per_thread = (kOps + kThreads - 1) / kThreads;
     const auto t0 = std::chrono::steady_clock::now();
-    if (kThreads == 1) {
-      RemoteStore remote(clients[0].get());
-      counts[0] = RunOpStream(remote, workload, 0, kOps);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(kThreads);
-      for (size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&clients, &counts, workload, t, per_thread] {
+    const ThreadCounts total =
+        RunThreads([&clients, workload](size_t t, size_t ops) {
           RemoteStore remote(clients[t].get());
-          counts[t] = RunOpStream(remote, workload, t, per_thread);
+          return RunOpStream(remote, workload, t, ops);
         });
-      }
-      for (auto& thread : threads) {
-        thread.join();
-      }
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall_s = std::chrono::duration<double>(t1 - t0).count();
-    const auto after_r = control->Stats();
-    if (!after_r.ok()) {
-      std::fprintf(stderr, "remote STATS failed: %s\n",
-                   after_r.status().ToString().c_str());
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    StatsFrame after;
+    if (!stats(&after)) {
       return 1;
     }
-    const auto& after = after_r.value();
-    const auto delta = [&before, &after](const char* name) {
-      return StatOf(after, name) - StatOf(before, name);
-    };
-
-    ThreadCounts total;
-    for (const auto& c : counts) {
-      total.reads += c.reads;
-      total.writes += c.writes;
-      total.inserts += c.inserts;
-      total.rmws += c.rmws;
-      total.hard_failures += c.hard_failures;
-    }
-    const uint64_t d_bits = delta("store.put_bits_written");
-    const uint64_t d_payload = delta("store.put_payload_bits");
-    const uint64_t d_puts = delta("store.puts");
-    const uint64_t d_put_ns = delta("store.put_device_ns");
-    // Same columns as the local rows so downstream parsing is uniform;
+    const pnw::core::StoreMetrics m = MetricsFromStats(before, after);
     // imbal needs per-shard visibility, which is the server's business, so
     // it prints as 0.
-    PrintRow(workload, total, total.hard_failures,
-             d_payload != 0 ? static_cast<double>(d_bits) * 512.0 /
-                                  static_cast<double>(d_payload)
-                            : 0.0,
-             SimUsPerPut(static_cast<double>(d_put_ns), d_puts), wall_s,
-             0.0);
-    // Three-way read reconcile: what the clients counted, what the server
-    // forwarded, and what the store served must be one number. The runner
-    // is the server's sole client between the two snapshots (the snapshots
-    // themselves are STATS frames, which touch no key counters).
-    const uint64_t server_reads = delta("server.get_keys");
-    const uint64_t store_reads =
-        delta("store.gets") + delta("store.get_misses");
-    const bool reads_reconcile =
-        total.reads == server_reads && server_reads == store_reads;
+    PrintRow(workload, total, m, wall_s, 0.0);
+    const bool store_reconciles = ReconcileMix(m, total);
+    // The server's own books: it forwarded exactly the keys the clients
+    // sent and the store served. The runner is the server's sole client
+    // between the two snapshots (STATS frames touch no key counters).
+    const uint64_t server_reads = StatOf(after, "server.get_keys") -
+                                  StatOf(before, "server.get_keys");
+    const uint64_t server_writes = StatOf(after, "server.put_keys") -
+                                   StatOf(before, "server.put_keys");
+    const bool server_reconciles =
+        server_reads == total.reads &&
+        server_reads == m.gets + m.get_misses &&
+        server_writes == total.writes + total.inserts &&
+        server_writes == m.puts + m.failed_ops;
     std::printf(
-        "  reconcile: client reads=%llu == server get_keys=%llu == store "
-        "gets+get_misses=%llu [%s]\n",
-        static_cast<unsigned long long>(total.reads),
+        "  reconcile: server get_keys=%llu == client reads == store "
+        "gets+get_misses; server put_keys=%llu == client writes == store "
+        "puts+failed_ops [%s]\n",
         static_cast<unsigned long long>(server_reads),
-        static_cast<unsigned long long>(store_reads),
-        reads_reconcile ? "ok" : "MISMATCH");
-    // Write side, same shape; the store half is puts + failed_ops (every
-    // forwarded key lands in exactly one), with the endurance-first pin
-    // (inplace_updates must stay 0) carried over from the local gate.
-    const uint64_t client_writes = total.writes + total.inserts;
-    const uint64_t server_writes = delta("server.put_keys");
-    const uint64_t store_writes = d_puts + delta("store.failed_ops");
-    const bool writes_reconcile =
-        client_writes == server_writes && server_writes == store_writes &&
-        delta("store.inplace_updates") == 0;
-    std::printf(
-        "  reconcile: client writes=%llu == server put_keys=%llu == store "
-        "puts+failed_ops=%llu [%s]\n",
-        static_cast<unsigned long long>(client_writes),
         static_cast<unsigned long long>(server_writes),
-        static_cast<unsigned long long>(store_writes),
-        writes_reconcile ? "ok" : "MISMATCH");
+        server_reconciles ? "ok" : "MISMATCH");
     any_failures = any_failures || total.hard_failures != 0 ||
-                   !reads_reconcile || !writes_reconcile;
+                   m.failed_ops != 0 || !store_reconciles ||
+                   !server_reconciles;
   }
   std::printf("\n(remote mode: every row rode the wire protocol; --batch "
               "rides MULTI_GET/MULTI_PUT frames and\n pipelining across "
@@ -862,125 +938,22 @@ int main(int argc, char** argv) {
     }
     store->ResetWearAndMetrics();
 
-    std::vector<ThreadCounts> counts(kThreads);
-    CheckpointStats ckpt;
-    MigrateStats migrate;
     const auto t0 = std::chrono::steady_clock::now();
-    if (kThreads == 1) {
-      counts[0] = RunOpStream(*store, workload, 0, kOps, &ckpt, &migrate);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(kThreads);
-      const size_t per_thread = (kOps + kThreads - 1) / kThreads;
-      for (size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back(
-            [&store, &counts, &ckpt, &migrate, workload, t, per_thread] {
-              counts[t] = RunOpStream(*store, workload, t, per_thread,
-                                      t == 0 ? &ckpt : nullptr,
-                                      t == 0 ? &migrate : nullptr);
-            });
-      }
-      for (auto& thread : threads) {
-        thread.join();
-      }
-    }
-    total_ckpt.taken += ckpt.taken;
-    total_ckpt.failed += ckpt.failed;
-    total_ckpt.wall_ms += ckpt.wall_ms;
-    total_migrate.passes += migrate.passes;
-    total_migrate.moved += migrate.moved;
-    total_migrate.failed += migrate.failed;
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall_s = std::chrono::duration<double>(t1 - t0).count();
-
-    ThreadCounts total;
-    for (const auto& c : counts) {
-      total.reads += c.reads;
-      total.writes += c.writes;
-      total.inserts += c.inserts;
-      total.rmws += c.rmws;
-      total.hard_failures += c.hard_failures;
-    }
+    const ThreadCounts total = RunThreads(
+        [&store, &total_ckpt, &total_migrate, workload](size_t t,
+                                                        size_t ops) {
+          return RunOpStream(*store, workload, t, ops,
+                             t == 0 ? &total_ckpt : nullptr,
+                             t == 0 ? &total_migrate : nullptr);
+        });
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
     const pnw::core::ShardedMetrics agg = store->AggregatedMetrics();
-    // Client-observed failures subsume the store's failed_ops (every failed
-    // write surfaced its status to the issuing thread), so don't sum them.
-    const uint64_t failed = total.hard_failures;
-    any_failures =
-        any_failures || failed != 0 || agg.totals.failed_ops != 0;
-    PrintRow(workload, total, failed, agg.totals.BitUpdatesPer512(),
-             SimUsPerPut(agg.totals.put_device_ns, agg.totals.puts), wall_s,
-             agg.PutImbalance());
-    // Honest-accounting check, per mix: every read the clients issued is in
-    // the store's books exactly once (a hit in `gets`, a miss in
-    // `get_misses`), and every PUT has exactly one placement attribution.
-    const uint64_t store_reads =
-        agg.totals.gets + agg.totals.get_misses;
-    const bool reads_reconcile = store_reads == total.reads;
-    const bool placement_consistent =
-        agg.totals.PlacementAttributionConsistent();
-    std::printf(
-        "  reconcile: gets=%llu + get_misses=%llu == client reads=%llu "
-        "[%s]; predicted+fallback+inplace == puts [%s]\n",
-        static_cast<unsigned long long>(agg.totals.gets.load()),
-        static_cast<unsigned long long>(agg.totals.get_misses.load()),
-        static_cast<unsigned long long>(total.reads),
-        reads_reconcile ? "ok" : "MISMATCH",
-        placement_consistent ? "ok" : "MISMATCH");
-    // Seqlock read-path split: every hit was served by exactly one of the
-    // optimistic (lock-free, seqlock-validated) or locked paths.
-    // optimistic_retries counts discarded conflicting attempts, which are
-    // not reads, so it reconciles with nothing -- it is reported as the
-    // contention gauge.
-    const bool split_reconciles =
-        agg.totals.gets ==
-        agg.totals.optimistic_gets + agg.totals.locked_gets;
-    std::printf(
-        "  reconcile: optimistic_gets=%llu + locked_gets=%llu == "
-        "gets=%llu [%s] (optimistic_retries=%llu)\n",
-        static_cast<unsigned long long>(agg.totals.optimistic_gets.load()),
-        static_cast<unsigned long long>(agg.totals.locked_gets.load()),
-        static_cast<unsigned long long>(agg.totals.gets.load()),
-        split_reconciles ? "ok" : "MISMATCH",
-        static_cast<unsigned long long>(
-            agg.totals.optimistic_retries.load()));
-    // Arena footprint gauges (device data array + DRAM index + staging):
-    // live never exceeds the high-water mark, which never exceeds what the
-    // slabs actually map.
-    const bool arena_sane =
-        agg.totals.arena_live_bytes <= agg.totals.arena_high_water_bytes &&
-        agg.totals.arena_high_water_bytes <= agg.totals.arena_slab_bytes;
-    std::printf(
-        "  arena: slabs=%llu mapped=%llu live=%llu high_water=%llu [%s]\n",
-        static_cast<unsigned long long>(agg.totals.arena_slabs.load()),
-        static_cast<unsigned long long>(agg.totals.arena_slab_bytes.load()),
-        static_cast<unsigned long long>(agg.totals.arena_live_bytes.load()),
-        static_cast<unsigned long long>(
-            agg.totals.arena_high_water_bytes.load()),
-        arena_sane ? "ok" : "MISMATCH");
-    // Write-side books, the mirror of PR 4's read contract: every write
-    // the clients issued is in the store's ledger exactly once -- as a
-    // counted PUT (`puts`; endurance-first updates and latency-first
-    // in-place updates both land there, the latter *also* tallied in
-    // `inplace_updates`) or as a failed operation. Because inplace is a
-    // subset of puts, the balance is puts + failed_ops == client writes;
-    // this runner's stores run endurance-first, so the gate additionally
-    // pins inplace_updates to 0 -- a future mode change trips loudly here
-    // instead of quietly skewing the printed breakdown.
-    const uint64_t client_writes = total.writes + total.inserts;
-    const bool writes_reconcile =
-        agg.totals.puts + agg.totals.failed_ops == client_writes &&
-        agg.totals.inplace_updates == 0;
-    std::printf(
-        "  reconcile: puts=%llu (of which inplace_updates=%llu) + "
-        "failed_ops=%llu == client writes=%llu [%s]\n",
-        static_cast<unsigned long long>(agg.totals.puts),
-        static_cast<unsigned long long>(agg.totals.inplace_updates),
-        static_cast<unsigned long long>(agg.totals.failed_ops),
-        static_cast<unsigned long long>(client_writes),
-        writes_reconcile ? "ok" : "MISMATCH");
-    any_failures = any_failures || !reads_reconcile ||
-                   !placement_consistent || !writes_reconcile ||
-                   !split_reconciles || !arena_sane;
+    PrintRow(workload, total, agg.totals, wall_s, agg.PutImbalance());
+    const bool store_reconciles = ReconcileMix(agg.totals, total);
+    any_failures = any_failures || total.hard_failures != 0 ||
+                   agg.totals.failed_ops != 0 || !store_reconciles;
     if (kWearReport) {
       // Endurance ledger, per shard: the clients' successful writes plus
       // the endurance layer's own copies (hot-bucket migrations, Start-Gap
@@ -989,7 +962,8 @@ int main(int argc, char** argv) {
       const size_t slots =
           options.store.capacity_buckets + (kStartGap != 0 ? 1 : 0);
       for (const auto& s : agg.shards) {
-        const uint64_t accounted = s.puts + s.migrations + s.gap_moves;
+        const pnw::core::StoreMetrics& sm = s.metrics;
+        const uint64_t accounted = sm.puts + sm.migrations + sm.gap_moves;
         const bool wear_reconciles = s.physical_bucket_writes == accounted;
         std::printf(
             "  wear[shard %zu]: max=%u mean=%.2f rotations=%llu "
@@ -999,9 +973,9 @@ int main(int argc, char** argv) {
             static_cast<double>(s.physical_bucket_writes) /
                 static_cast<double>(slots),
             static_cast<unsigned long long>(s.start_gap_rotations),
-            static_cast<unsigned long long>(s.migrations),
-            static_cast<unsigned long long>(s.gap_moves),
-            static_cast<unsigned long long>(s.puts),
+            static_cast<unsigned long long>(sm.migrations),
+            static_cast<unsigned long long>(sm.gap_moves),
+            static_cast<unsigned long long>(sm.puts),
             static_cast<unsigned long long>(s.physical_bucket_writes),
             wear_reconciles ? "ok" : "MISMATCH");
         any_failures = any_failures || !wear_reconciles;

@@ -1,39 +1,33 @@
 #!/usr/bin/env python3
-"""Shared framework for the AST-level architecture lints (generation two).
+"""Shared framework for the second-generation architecture lints.
 
 The first-generation lints (address_domain_lint.py, metrics_reconcile_lint.py)
-are pure-regex checkers. This module is the substrate for the second
-generation -- lints that reason about *program structure*: discarded return
-values, codec write/read symmetry, enum/dispatch exhaustiveness. It provides:
+are standalone regex checkers. This module is the substrate for the lints
+that reason about *program structure* -- discarded return values, codec
+write/read symmetry, enum/dispatch exhaustiveness. Every lint has one
+engine: a deterministic tokenizer over comment-stripped source, with no
+third-party imports, so the lints and their self-test run the same on any
+machine and in CI. What a tokenizer cannot see (the result type of an
+arbitrary call) the compiler already enforces: Status and Result are
+``[[nodiscard]]`` and every build uses -Werror. The module provides:
 
-  * **Engine selection.** Every lint runs on one of two engines producing
-    the same facts:
-      - ``ast``: libclang (clang.cindex) over real translation units,
-        driven by compile_commands.json where available. Precise: return
-        types, enum values, and call order come from clang, not regexes.
-      - ``text``: a deterministic tokenizer over comment-stripped source.
-        No third-party imports, so the self-tests and the local ctest run
-        keep their teeth on machines without libclang; the compiler's own
-        ``[[nodiscard]]`` + -Werror backstops what the text engine cannot
-        see (see status_discipline_lint.py).
-    ``--engine auto`` (the default) picks ``ast`` when libclang loads and
-    falls back to ``text``; CI pins ``--engine ast`` so the AST paths are
-    exercised on every PR.
+  * **Text utilities**: comment stripping that preserves line numbers,
+    brace-matched function-body extraction, enum parsing with value
+    assignment, ordered call-sequence extraction.
 
-  * **TU loading** from compile_commands.json (compile flags are reused,
-    never guessed) with a standalone-header fallback for fixtures.
+  * **X-macro field lists**: the `X(type, name)` entries of the metric
+    ledgers' `#define LIST(X)` lists, which the metrics-reconcile and
+    snapshot-schema lints read.
 
-  * **Text utilities** shared by both engines and all lints: comment
-    stripping that preserves line numbers, brace-matched function-body
-    extraction, enum parsing with value assignment, ordered call-sequence
-    extraction.
+  * **The fallible-call registry**: Status/Result-returning names harvested
+    from src/ headers.
 
   * **Stable fingerprints** (sha256 over normalized structures) and the
     committed-baseline gate used by the snapshot-schema lint.
 
   * **Diagnostics** in the house format (``path:line: message`` under a
     counted header), so tests/lint_selftest/run_selftest.py can assert on
-    engine-independent substrings.
+    stable substrings.
 """
 
 import hashlib
@@ -47,260 +41,7 @@ class LintError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Engine selection / libclang loading
-# ---------------------------------------------------------------------------
-
-_AST_STATE = {"checked": False, "available": False, "reason": ""}
-
-
-def _try_load_libclang():
-    """Best-effort libclang configuration; True when Index.create works."""
-    try:
-        from clang import cindex  # noqa: F401  (python3-clang)
-    except ImportError as exc:
-        _AST_STATE["reason"] = f"python clang bindings unavailable ({exc})"
-        return False
-    from clang import cindex
-    try:
-        cindex.Index.create()
-        return True
-    except Exception:  # LibclangError: the .so was not found by default
-        pass
-    import glob as globmod
-    candidates = []
-    for pattern in ("/usr/lib/llvm-*/lib/libclang.so*",
-                    "/usr/lib/llvm-*/lib/libclang-*.so*",
-                    "/usr/lib/x86_64-linux-gnu/libclang-*.so*"):
-        candidates.extend(sorted(globmod.glob(pattern), reverse=True))
-    candidates.extend(["libclang.so", "libclang-18.so", "libclang-16.so",
-                       "libclang-14.so"])
-    for candidate in candidates:
-        if candidate.endswith("-cpp.so") or "-cpp.so" in candidate:
-            continue  # libclang-cpp is the C++ API, not the C API cindex needs
-        try:
-            cindex.Config.set_library_file(candidate)
-            cindex.Index.create()
-            return True
-        except Exception:
-            continue
-    _AST_STATE["reason"] = "no loadable libclang shared library found"
-    return False
-
-
-def ast_available():
-    if not _AST_STATE["checked"]:
-        _AST_STATE["available"] = _try_load_libclang()
-        _AST_STATE["checked"] = True
-    return _AST_STATE["available"]
-
-
-def resolve_engine(requested):
-    """Map --engine {auto,ast,text} to the engine that will actually run."""
-    if requested == "text":
-        return "text"
-    if requested == "ast":
-        if not ast_available():
-            raise LintError(
-                f"--engine ast requested but {_AST_STATE['reason'] or 'libclang failed to load'}; "
-                "install libclang + python3-clang or use --engine text")
-        return "ast"
-    if requested == "auto":
-        return "ast" if ast_available() else "text"
-    raise LintError(f"unknown engine {requested!r}")
-
-
-def add_engine_argument(parser):
-    parser.add_argument(
-        "--engine", choices=("auto", "ast", "text"), default="auto",
-        help="fact-extraction engine: libclang AST, text tokenizer, or "
-             "auto (AST when libclang loads, text otherwise)")
-    parser.add_argument(
-        "--build-dir", default="build",
-        help="build dir containing compile_commands.json (AST engine)")
-
-
-# ---------------------------------------------------------------------------
-# AST engine: TU loading + fact extraction
-# ---------------------------------------------------------------------------
-
-class AstEngine:
-    """libclang wrapper: compile_commands-driven TU loading + cursor walks."""
-
-    def __init__(self, root, build_dir=None):
-        from clang import cindex
-        self.cindex = cindex
-        self.root = root
-        self.index = cindex.Index.create()
-        self.db = None
-        if build_dir:
-            db_path = os.path.join(build_dir, "compile_commands.json")
-            if os.path.exists(db_path):
-                self.db = cindex.CompilationDatabase.fromDirectory(build_dir)
-        self._tus = {}
-
-    def _args_for(self, path):
-        """Compile flags for `path`: from the compilation database when the
-        TU is part of the build, else a conservative standalone parse."""
-        if self.db is not None:
-            commands = self.db.getCompileCommands(path)
-            if commands:
-                raw = list(commands[0].arguments)
-                args = []
-                skip_next = False
-                for arg in raw[1:]:  # drop the compiler itself
-                    if skip_next:
-                        skip_next = False
-                        continue
-                    if arg in ("-c", path):
-                        continue
-                    if arg == "-o":
-                        skip_next = True
-                        continue
-                    if arg.startswith("-W"):  # warnings are not facts
-                        continue
-                    args.append(arg)
-                return args
-        return ["-x", "c++", "-std=c++20", f"-I{self.root}"]
-
-    def parse(self, path):
-        if path in self._tus:
-            return self._tus[path]
-        tu = self.index.parse(path, args=self._args_for(path))
-        if tu is None:
-            raise LintError(f"libclang failed to parse {path}")
-        severe = [d for d in tu.diagnostics
-                  if d.severity >= self.cindex.Diagnostic.Fatal]
-        if severe:
-            raise LintError(
-                f"libclang fatal diagnostics parsing {path}: "
-                + "; ".join(str(d) for d in severe[:3]))
-        self._tus[path] = tu
-        return tu
-
-    def _walk(self, cursor, path):
-        """Preorder walk over cursors defined in `path` itself."""
-        for child in cursor.get_children():
-            loc = child.location
-            if loc.file is not None and os.path.normpath(
-                    loc.file.name) != os.path.normpath(path):
-                continue
-            yield child
-            yield from self._walk(child, path)
-
-    def enum_members(self, path, enum_name):
-        """Ordered [(member, value)] of `enum_name` declared in `path`."""
-        tu = self.parse(path)
-        kind = self.cindex.CursorKind
-        for cursor in self._walk(tu.cursor, path):
-            if cursor.kind == kind.ENUM_DECL and cursor.spelling == enum_name:
-                return [(c.spelling, c.enum_value)
-                        for c in cursor.get_children()
-                        if c.kind == kind.ENUM_CONSTANT_DECL]
-        return None
-
-    def function_cursors(self, path):
-        """All function/method definition cursors in `path`."""
-        tu = self.parse(path)
-        kind = self.cindex.CursorKind
-        out = []
-        for cursor in self._walk(tu.cursor, path):
-            if cursor.kind in (kind.FUNCTION_DECL, kind.CXX_METHOD,
-                               kind.FUNCTION_TEMPLATE) \
-                    and cursor.is_definition():
-                out.append(cursor)
-        return out
-
-    def function_names(self, path):
-        """Names of all functions *declared or defined* in `path`."""
-        tu = self.parse(path)
-        kind = self.cindex.CursorKind
-        names = set()
-        for cursor in self._walk(tu.cursor, path):
-            if cursor.kind in (kind.FUNCTION_DECL, kind.CXX_METHOD):
-                names.add(cursor.spelling)
-        return names
-
-    def call_sequence(self, fn_cursor, names_re):
-        """Ordered (callee, line) of calls under `fn_cursor` whose callee
-        name matches `names_re` (preorder == source order)."""
-        kind = self.cindex.CursorKind
-        out = []
-
-        def visit(cursor):
-            for child in cursor.get_children():
-                if child.kind == kind.CALL_EXPR and child.spelling \
-                        and names_re.match(child.spelling):
-                    out.append((child.spelling, child.location.line))
-                visit(child)
-
-        visit(fn_cursor)
-        return out
-
-    def case_labels(self, path, fn_name):
-        """Enum-constant names used as case labels inside `fn_name`."""
-        kind = self.cindex.CursorKind
-        labels = set()
-        for fn in self.function_cursors(path):
-            if fn.spelling != fn_name:
-                continue
-
-            def visit(cursor):
-                for child in cursor.get_children():
-                    if child.kind == kind.CASE_STMT:
-                        for ref in child.walk_preorder():
-                            if ref.kind == kind.DECL_REF_EXPR and \
-                                    ref.referenced is not None and \
-                                    ref.referenced.kind == \
-                                    kind.ENUM_CONSTANT_DECL:
-                                labels.add(ref.referenced.spelling)
-                                break
-                    visit(child)
-
-            visit(fn)
-        return labels
-
-    def discarded_calls(self, path, fallible_type_re):
-        """(line, callee, kind) for every call whose result is discarded.
-
-        kind is 'bare' (expression statement) or 'void' ((void)-cast).
-        A call is fallible when its *result type* matches fallible_type_re
-        -- the precision the text engine cannot offer.
-        """
-        kind = self.cindex.CursorKind
-        findings = []
-
-        def record(call, how):
-            type_name = call.type.spelling or ""
-            if fallible_type_re.search(type_name):
-                findings.append((call.location.line, call.spelling or
-                                 "<call>", how))
-
-        def visit(cursor):
-            children = list(cursor.get_children())
-            if cursor.kind == kind.COMPOUND_STMT:
-                for stmt in children:
-                    if stmt.kind == kind.CALL_EXPR:
-                        record(stmt, "bare")
-                    elif stmt.kind == kind.CSTYLE_CAST_EXPR and \
-                            stmt.type.spelling == "void":
-                        for sub in stmt.walk_preorder():
-                            if sub.kind == kind.CALL_EXPR:
-                                record(sub, "void")
-                                break
-            for child in children:
-                visit(child)
-
-        for fn in self.function_cursors(path):
-            visit(fn)
-        return findings
-
-
-def make_ast_engine(root, build_dir):
-    return AstEngine(root, build_dir)
-
-
-# ---------------------------------------------------------------------------
-# Text utilities (shared: the text engine, and line-level checks in ast mode)
+# Text utilities
 # ---------------------------------------------------------------------------
 
 def read_text(path):
@@ -458,11 +199,56 @@ def text_call_sequence(stripped, start, end, names_re):
 
 
 # ---------------------------------------------------------------------------
-# Fallible-call registry (text engine)
+# X-macro field lists
+# ---------------------------------------------------------------------------
+
+# A `#define LIST(X)` body (continuation lines already spliced), and one
+# item of it: an `X(type, name)` field entry or an `OTHER(X)` reference to
+# another list.
+_LIST_DEFINE_RE = re.compile(
+    r"^[ \t]*#[ \t]*define[ \t]+(\w+)\(\s*X\s*\)(.*)$", re.MULTILINE)
+_LIST_ITEM_RE = re.compile(
+    r"\bX\(\s*([^,()]+?)\s*,\s*(\w+)\s*\)|\b(\w+)\(\s*X\s*\)")
+
+
+def field_lists(text):
+    """{list: [(type, name), ...]} for every X-macro field list defined in
+    `text` -- a `#define LIST(X)` whose body holds one `X(type, name)` entry
+    per field. A list that expands another (`OTHER(X)`) gets its entries
+    inline, in order."""
+    spliced = strip_comments(text).replace("\\\n", " ")
+    bodies = {m.group(1): m.group(2)
+              for m in _LIST_DEFINE_RE.finditer(spliced)}
+
+    def expand(name):
+        entries = []
+        for item in _LIST_ITEM_RE.finditer(bodies[name]):
+            if item.group(2):
+                entries.append((item.group(1), item.group(2)))
+            elif item.group(3) in bodies:
+                entries.extend(expand(item.group(3)))
+        return entries
+
+    return {name: expand(name) for name in bodies}
+
+
+def header_field_lists(root):
+    """field_lists() merged over every header under root/src."""
+    lists = {}
+    for dirpath, _, filenames in os.walk(os.path.join(root, "src")):
+        for filename in sorted(filenames):
+            if filename.endswith(".h"):
+                lists.update(field_lists(
+                    read_text(os.path.join(dirpath, filename))))
+    return lists
+
+
+# ---------------------------------------------------------------------------
+# Fallible-call registry
 # ---------------------------------------------------------------------------
 
 # A declaration returning Status or Result<...>: the registry of names the
-# text engine treats as fallible. Covers free functions, methods, and
+# lints treat as fallible. Covers free functions, methods, and
 # `static Result<T> Open(...)`-style factories.
 _FALLIBLE_DECL_RE = re.compile(
     r"\b(?:Status|Result\s*<[^;{}()]*>)\s+"
@@ -554,15 +340,14 @@ class Diagnostic:
         return f"{self.rel}:{self.line}: {self.message}"
 
 
-def finish(noun, diagnostics, ok_message, engine=None):
+def finish(noun, diagnostics, ok_message):
     """Print findings in the house format and return the exit code."""
-    suffix = f" [engine={engine}]" if engine else ""
     if diagnostics:
-        print(f"{len(diagnostics)} {noun}(s):{suffix}")
+        print(f"{len(diagnostics)} {noun}(s):")
         for diag in sorted(diagnostics, key=lambda d: (d.rel, d.line)):
             print(f"  {diag.render()}")
         return 1
-    print(f"OK: {ok_message}{suffix}")
+    print(f"OK: {ok_message}")
     return 0
 
 

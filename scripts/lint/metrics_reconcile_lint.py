@@ -7,21 +7,25 @@ repo's discipline is that a counter only earns its slot if some
 reconciliation identity checks it -- `gets + get_misses == reads served`,
 `frames_in == frames_out + dropped_responses`, `live_bytes <=
 high_water_bytes <= slab_bytes`, and so on (see the field comments in
-src/core/metrics.h, src/server/server.h, and src/util/arena.h). A counter
-nothing reconciles is worse than dead code: it drifts silently and the
-paper-figure pipelines keep printing it.
+src/core/store_metrics_fields.h, src/server/server_metrics_fields.h, and
+src/util/arena.h). A counter nothing reconciles is worse than dead code:
+it drifts silently and the paper-figure pipelines keep printing it.
 
-This lint parses each struct's field list out of its header and fails if
-any field is never referenced by the reconciliation surfaces:
+StoreMetrics and ServerMetrics are declared from X-macro field lists
+(src/core/store_metrics_fields.h, src/server/server_metrics_fields.h); the
+lint reads their `X(type, name)` entries -- the same lists the struct, the
+codec and STATS expand. ArenaStats is a plain struct, parsed from its body.
+It fails if any field is never referenced by the reconciliation surfaces:
 examples/ycsb_runner.cpp (the workload driver's accounting checks, local
-and --remote) or any test under tests/. Adding a counter therefore
-*forces* adding the check that keeps it honest.
+and --remote) or any test under tests/. Expansions of the list do not
+count: only a check that names the field keeps it honest. Adding a counter
+therefore *forces* adding that check.
 
 Usage: python3 scripts/lint/metrics_reconcile_lint.py
            [--root DIR] [--metrics-header FILE] [--server-header FILE]
            [--arena-header FILE] [--surface PATH ...]
 The overrides exist for the self-test, which points the lint at fixture
-copies with a seeded orphan counter (an override checks only its struct).
+copies with a seeded orphan counter (an override checks only its ledger).
 """
 
 import argparse
@@ -29,22 +33,31 @@ import os
 import re
 import sys
 
-# `uint64_t puts = 0;` / `RelaxedCounter<double> get_device_ns;` /
-# `Counter frames_in;` (ServerMetrics' alias) -- a type token then a name,
-# terminated without '(' so methods never match.
-FIELD_RE = re.compile(
-    r"^\s*(?:uint64_t|uint32_t|double|bool|Counter|RelaxedCounter<[^>]+>)\s+"
-    r"(\w+)\s*(?:=[^;]*)?;", re.MULTILINE)
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import lint_framework as fw  # noqa: E402
+
+# `uint64_t slabs = 0;` -- a type token then a name, terminated without
+# '(' so methods never match.
+STRUCT_FIELD_RE = re.compile(
+    r"^\s*(?:uint64_t|uint32_t|double|bool)\s+(\w+)\s*(?:=[^;]*)?;",
+    re.MULTILINE)
 
 
-def metrics_fields(header_path, struct_name):
-    with open(header_path, encoding="utf-8") as handle:
-        text = handle.read()
+def list_fields(header_path):
+    """Field names of every X-macro list in the header, in order."""
+    names = {}
+    for entries in fw.field_lists(fw.read_text(header_path)).values():
+        names.update((name, None) for _, name in entries)
+    return list(names)
+
+
+def struct_fields(header_path, struct_name):
+    text = fw.read_text(header_path)
     match = re.search(r"struct " + struct_name + r" \{(.*?)\n\};",
                       text, re.DOTALL)
     if not match:
         raise SystemExit(f"no `struct {struct_name}` in {header_path}")
-    return FIELD_RE.findall(match.group(1))
+    return STRUCT_FIELD_RE.findall(match.group(1))
 
 
 def surface_files(root, overrides):
@@ -58,8 +71,9 @@ def surface_files(root, overrides):
     return files
 
 
-def check_struct(struct_name, header, surface_text):
-    fields = metrics_fields(header, struct_name)
+def check_ledger(struct_name, header, surface_text):
+    fields = (struct_fields(header, struct_name)
+              if struct_name == "ArenaStats" else list_fields(header))
     if not fields:
         print(f"no fields parsed from {header}")
         return 1
@@ -80,11 +94,11 @@ def main():
     parser.add_argument("--root", default=None,
                         help="repo root (default: two levels up)")
     parser.add_argument("--metrics-header", default=None,
-                        help="override src/core/metrics.h (self-test; "
-                             "checks StoreMetrics only)")
+                        help="override src/core/store_metrics_fields.h "
+                             "(self-test; checks StoreMetrics only)")
     parser.add_argument("--server-header", default=None,
-                        help="override src/server/server.h (self-test; "
-                             "checks ServerMetrics only)")
+                        help="override src/server/server_metrics_fields.h "
+                             "(self-test; checks ServerMetrics only)")
     parser.add_argument("--arena-header", default=None,
                         help="override src/util/arena.h (self-test; "
                              "checks ArenaStats only)")
@@ -107,9 +121,10 @@ def main():
         targets.append(("ArenaStats", args.arena_header))
     if not targets:
         targets = [
-            ("StoreMetrics", os.path.join(root, "src", "core", "metrics.h")),
-            ("ServerMetrics",
-             os.path.join(root, "src", "server", "server.h")),
+            ("StoreMetrics", os.path.join(root, "src", "core",
+                                          "store_metrics_fields.h")),
+            ("ServerMetrics", os.path.join(root, "src", "server",
+                                           "server_metrics_fields.h")),
             ("ArenaStats", os.path.join(root, "src", "util", "arena.h")),
         ]
 
@@ -121,7 +136,7 @@ def main():
 
     result = 0
     for struct_name, header in targets:
-        result |= check_struct(struct_name, header, text)
+        result |= check_ledger(struct_name, header, text)
     return result
 
 

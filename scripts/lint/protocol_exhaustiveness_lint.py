@@ -28,7 +28,6 @@ error category is added:
 
 Usage:
   python3 scripts/lint/protocol_exhaustiveness_lint.py [--root DIR]
-      [--engine auto|ast|text] [--build-dir DIR]
       [--protocol-header H] [--protocol-source CC] [--server-source CC]
       [--status-header H]
 
@@ -61,15 +60,6 @@ _RAW_STATUS_CMP_RE = re.compile(
     r">\s*static_cast<\s*uint8_t\s*>\s*\(\s*Status::Code::")
 
 
-def parse_enum_any(engine, ast, path, stripped, enum_name):
-    """Ordered [(member, value)] via the active engine."""
-    if engine == "ast":
-        members = ast.enum_members(path, enum_name)
-        if members is not None:
-            return members
-    return fw.parse_enum(stripped, enum_name)
-
-
 def find_bodies(stripped, fn_name):
     """Definitions of `fn_name`, free or out-of-class qualified
     (PnwServer::ExecuteOne defines ExecuteOne)."""
@@ -80,7 +70,7 @@ def find_bodies(stripped, fn_name):
     return bodies
 
 
-def case_labels_text(stripped, fn_name):
+def case_labels(stripped, fn_name):
     labels = set()
     for start, end, _ in find_bodies(stripped, fn_name):
         for match in _CASE_RE.finditer(stripped, start, end):
@@ -108,7 +98,6 @@ def main():
     parser.add_argument("--protocol-source", default=None)
     parser.add_argument("--server-source", default=None)
     parser.add_argument("--status-header", default=None)
-    fw.add_engine_argument(parser)
     args = parser.parse_args()
     root = os.path.abspath(args.root or os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", ".."))
@@ -125,17 +114,13 @@ def main():
     }
 
     try:
-        engine = fw.resolve_engine(args.engine)
-        ast = fw.make_ast_engine(root, args.build_dir) \
-            if engine == "ast" else None
         stripped = {key: fw.strip_comments(fw.read_text(path))
                     for key, path in paths.items()}
         rel = {key: fw.rel_path(path, root) for key, path in paths.items()}
         diagnostics = []
 
         # --- Opcode enum ---------------------------------------------------
-        opcodes = parse_enum_any(engine, ast, paths["protocol_header"],
-                                 stripped["protocol_header"], "Opcode")
+        opcodes = fw.parse_enum(stripped["protocol_header"], "Opcode")
         if not opcodes:
             raise fw.LintError(
                 f"enum Opcode not found in {rel['protocol_header']}")
@@ -163,12 +148,7 @@ def main():
 
         # P3: every opcode switch handles every member.
         for key, fn_name in OPCODE_SWITCHES:
-            if engine == "ast":
-                labels = ast.case_labels(paths[key], fn_name)
-                if not labels:  # e.g. method not visible standalone
-                    labels = case_labels_text(stripped[key], fn_name)
-            else:
-                labels = case_labels_text(stripped[key], fn_name)
+            labels = case_labels(stripped[key], fn_name)
             if not labels:
                 diagnostics.append(fw.Diagnostic(
                     rel[key], 1,
@@ -196,8 +176,7 @@ def main():
                     f"cannot be emitted or round-trip tested"))
 
         # --- Status::Code / wire status ------------------------------------
-        codes = parse_enum_any(engine, ast, paths["status_header"],
-                               stripped["status_header"], "Code")
+        codes = fw.parse_enum(stripped["status_header"], "Code")
         if not codes:
             raise fw.LintError(
                 f"enum Status::Code not found in {rel['status_header']}")
@@ -243,7 +222,7 @@ def main():
     return fw.finish(
         "protocol-exhaustiveness violation", diagnostics,
         f"{len(opcodes)} opcode(s) x {len(OPCODE_SWITCHES)} switch(es) "
-        f"handled, {len(codes)} status code(s) wire-mappable", engine)
+        f"handled, {len(codes)} status code(s) wire-mappable")
 
 
 if __name__ == "__main__":

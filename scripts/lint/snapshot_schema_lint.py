@@ -19,7 +19,10 @@ Two rules close them:
       element for element (PutU64<->GetU64, nested Encode<->Decode, in
       order). The same holds per snapshot section: each
       `AddSection(kSectionX)` write block against its `Section(kSectionX)`
-      read block, and the sharded manifest likewise.
+      read block, and the sharded manifest likewise. Where a codec body
+      expands an X-macro field list (src/core/store_metrics_fields.h), the
+      list's entries stand in for the calls, one per field: u64 types as
+      PutU64/GetU64, double types as PutDouble/GetDouble.
 
   C2 (fingerprint gate). A sha256 over all normalized sequences -- codec
       pairs, snapshot sections, manifest, plus the *asymmetric-by-design*
@@ -31,7 +34,6 @@ Two rules close them:
 
 Usage:
   python3 scripts/lint/snapshot_schema_lint.py [--root DIR] [--update]
-      [--engine auto|ast|text] [--build-dir DIR]
       [--codec FILE] [--sections FILE ...] [--versions-from FILE ...]
       [--fingerprint FILE] [--no-fingerprint]
 
@@ -78,6 +80,17 @@ _DECODE_RE = re.compile(r"\b(?:[A-Za-z_]\w*::)*(Decode\w+)\s*\(")
 _ANY_CODEC_RE = re.compile(
     r"\b[A-Za-z_]\w*\s*\.\s*((?:Put|Get)\w+)\s*\(")
 
+# The codec call each field-list type stands for (Put side; the Get side
+# is the same suffix).
+FIELD_CODEC = {
+    "uint64_t": "U64",
+    "RelaxedCounter<uint64_t>": "U64",
+    "double": "Double",
+    "RelaxedCounter<double>": "Double",
+}
+# `LIST(FIELD_MACRO)`: an X-macro list expanded with a one-argument macro.
+_LIST_USE_RE = re.compile(r"\b(\w+)\s*\(\s*\w+\s*\)")
+
 _ADD_SECTION_RE = re.compile(r"\bAddSection\s*\(\s*(k\w+)")
 _READ_SECTION_RE = re.compile(r"\b(?<!Add)(?:\w+\s*\.\s*)?Section\s*\(\s*(k\w+)")
 
@@ -91,13 +104,21 @@ def normalize(name):
     return name
 
 
-def calls_in(stripped, start, end, regexes):
-    """Ordered (pos, name) of calls matching any regex in the span."""
+def calls_in(stripped, start, end, regexes, lists=None, prefix="Put"):
+    """Ordered (pos, name) of calls matching any regex in the span, with
+    every field-list expansion replaced by one `prefix`-call per field."""
     out = []
     for regex in regexes:
         for match in regex.finditer(stripped, start, end):
             out.append((match.start(1), match.group(1)))
-    out.sort()
+    for match in _LIST_USE_RE.finditer(stripped, start, end):
+        for field_type, name in (lists or {}).get(match.group(1), ()):
+            if field_type not in FIELD_CODEC:
+                raise fw.LintError(
+                    f"field list {match.group(1)}: {name} has type "
+                    f"{field_type!r}, which has no codec mapping")
+            out.append((match.start(1), prefix + FIELD_CODEC[field_type]))
+    out.sort(key=lambda call: call[0])  # stable: list entries keep order
     return out
 
 
@@ -118,9 +139,9 @@ def enclosing_block(stripped, pos):
     return (0, len(stripped))
 
 
-def codec_pairs_text(stripped):
-    """{name: (encode_seq, decode_seq, encode_line, decode_line)} for every
-    Encode<Name>/Decode<Name> definition pair (text engine)."""
+def codec_pairs(stripped, lists):
+    """{name: {"Encode": (seq, line), "Decode": (seq, line)}} for every
+    Encode<Name>/Decode<Name> definition, field lists expanded."""
     pairs = {}
     for kind in ("Encode", "Decode"):
         for match in re.finditer(r"\b(" + kind + r"\w+)\s*\(", stripped):
@@ -129,30 +150,13 @@ def codec_pairs_text(stripped):
             for start, end, line in fw.find_function_bodies(stripped, full):
                 if kind == "Encode":
                     seq = [n for _, n in calls_in(
-                        stripped, start, end, (_PUT_RE, _ENCODE_RE))]
+                        stripped, start, end, (_PUT_RE, _ENCODE_RE), lists)]
                 else:
                     seq = [normalize(n) for _, n in calls_in(
-                        stripped, start, end, (_GET_RE, _DECODE_RE))]
+                        stripped, start, end, (_GET_RE, _DECODE_RE), lists,
+                        "Get")]
                 entry = pairs.setdefault(name, {})
                 entry[kind] = (seq, line)
-    return pairs
-
-
-def codec_pairs_ast(ast, path):
-    """Same shape as codec_pairs_text, but call order comes from clang."""
-    names_re = re.compile(r"^(?:Put|Get|Encode|Decode)\w+$")
-    pairs = {}
-    for fn in ast.function_cursors(path):
-        spelling = fn.spelling
-        for kind in ("Encode", "Decode"):
-            if not spelling.startswith(kind):
-                continue
-            seq = [c for c, _ in ast.call_sequence(fn, names_re)]
-            if kind == "Decode":
-                seq = [normalize(n) for n in seq]
-            entry = pairs.setdefault(spelling[len(kind):], {})
-            entry[kind] = (seq, fn.location.line)
-            break
     return pairs
 
 
@@ -337,7 +341,6 @@ def main():
                         help="skip the baseline gate (fixture mode)")
     parser.add_argument("--update", action="store_true",
                         help="re-commit the baseline from the current tree")
-    fw.add_engine_argument(parser)
     args = parser.parse_args()
     root = os.path.abspath(args.root or os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", ".."))
@@ -350,14 +353,9 @@ def main():
         args.fingerprint or os.path.join(root, DEFAULT_FINGERPRINT))
 
     try:
-        engine = fw.resolve_engine(args.engine)
         diagnostics = []
-
-        if engine == "ast":
-            ast = fw.make_ast_engine(root, args.build_dir)
-            pairs = codec_pairs_ast(ast, codec)
-        else:
-            pairs = codec_pairs_text(fw.strip_comments(fw.read_text(codec)))
+        pairs = codec_pairs(fw.strip_comments(fw.read_text(codec)),
+                            fw.header_field_lists(root))
         check_codec_pairs(pairs, fw.rel_path(codec, root), diagnostics)
 
         schema = {"codec": {
@@ -386,7 +384,7 @@ def main():
         "schema-symmetry violation", diagnostics,
         f"{len(pairs)} codec pair(s) and "
         f"{sum(len(v) for k, v in schema.items() if k != 'framing' and k != 'codec')} "
-        f"snapshot section(s) are write/read symmetric", engine)
+        f"snapshot section(s) are write/read symmetric")
 
 
 if __name__ == "__main__":

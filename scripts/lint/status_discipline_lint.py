@@ -18,9 +18,9 @@ and this lint is the analysis-time keystone of the stack:
      including best-effort POSIX calls (fsync, setsockopt, ...) whose int
      result encodes failure.
   3. Rule S3 rejects bare discarded calls outright (belt to S1's braces:
-     it holds even in builds without -Werror). On the AST engine this is
-     type-precise via libclang; on the text engine it matches calls to a
-     registry of fallible names harvested from src/ headers.
+     it holds even in builds without -Werror). It matches calls to a
+     registry of fallible names harvested from src/ headers; the
+     compiler's type-precise [[nodiscard]] check covers the rest.
 
 Rule S4 keeps the vocabulary itself closed: every `Status::Code` member
 must have its factory (`static Status X(...)`) and predicate
@@ -29,7 +29,6 @@ day it is added.
 
 Usage:
   python3 scripts/lint/status_discipline_lint.py [--root DIR]
-      [--engine auto|ast|text] [--build-dir DIR]
       [--status-header H] [files...]
 
 Passing explicit files (the self-test) lints only those; the fallible-name
@@ -47,7 +46,6 @@ import lint_framework as fw  # noqa: E402
 
 JUSTIFICATION_MARKER = "status-dropped:"
 DEFAULT_DIRS = ("src", "bench", "examples", "tests")
-FALLIBLE_TYPE_RE = re.compile(r"\b(?:pnw::)?(?:Status|Result<)")
 
 # (void) cast of a call: capture the receiver chain and final callee name.
 VOID_DROP_RE = re.compile(
@@ -146,8 +144,9 @@ def check_code_vocabulary(status_header, root, diagnostics):
                 f"-- callers cannot dispatch on the category"))
 
 
-def text_discards(stripped, fallible):
-    """[(line, name, kind)] from the text engine."""
+def discards(stripped, fallible):
+    """[(line, name, kind)] of discarded calls to `fallible` names; kind is
+    'bare' (expression statement) or 'void' ((void)-cast)."""
     stripped = fw.blank_unevaluated(stripped)
     out = []
     for match in VOID_DROP_RE.finditer(stripped):
@@ -168,27 +167,14 @@ def text_discards(stripped, fallible):
     return out
 
 
-def lint_file(path, root, engine, ast, fallible, diagnostics):
+def lint_file(path, root, fallible, diagnostics):
     rel = fw.rel_path(path, root)
     original = fw.read_text(path)
     original_lines = original.split("\n")
     stripped = fw.strip_comments(original)
 
-    found = []
-    if engine == "ast" and path.endswith((".cc", ".cpp")):
-        # Type-precise Status/Result discards from clang; the best-effort
-        # syscall sweep stays textual (their int results are not
-        # Status-typed, but dropping them still needs a justification).
-        found.extend(ast.discarded_calls(path, FALLIBLE_TYPE_RE))
-        found.extend(
-            (line, name, kind)
-            for line, name, kind in text_discards(
-                stripped, fw.BEST_EFFORT_SYSCALLS))
-    else:
-        found.extend(text_discards(stripped, fallible))
-
     seen = set()
-    for line, name, kind in found:
+    for line, name, kind in discards(stripped, fallible):
         if (line, name) in seen:
             continue
         seen.add((line, name))
@@ -213,15 +199,10 @@ def main():
     parser.add_argument("--status-header", default=None,
                         help="override the Status header (self-test mode)")
     parser.add_argument("files", nargs="*")
-    fw.add_engine_argument(parser)
     args = parser.parse_args()
     root = os.path.abspath(args.root or os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", ".."))
     try:
-        engine = fw.resolve_engine(args.engine)
-        ast = fw.make_ast_engine(root, args.build_dir) \
-            if engine == "ast" else None
-
         targets = ([os.path.abspath(f) for f in args.files]
                    if args.files else default_targets(root))
         status_header = os.path.abspath(
@@ -236,14 +217,14 @@ def main():
         check_attributes(status_header, root, diagnostics)
         check_code_vocabulary(status_header, root, diagnostics)
         for path in targets:
-            lint_file(path, root, engine, ast, fallible, diagnostics)
+            lint_file(path, root, fallible, diagnostics)
     except fw.LintError as exc:
         print(f"status_discipline_lint: {exc}")
         return 2
     return fw.finish(
         "status-discipline violation", diagnostics,
         f"{len(targets)} file(s) drop no Status silently "
-        f"({len(fallible)} fallible APIs tracked)", engine)
+        f"({len(fallible)} fallible APIs tracked)")
 
 
 if __name__ == "__main__":

@@ -12,11 +12,11 @@ double StoreMetrics::BitUpdatesPer512() const {
          static_cast<double>(put_payload_bits);
 }
 
-double StoreMetrics::AvgPutLatencyNs() const {
+double StoreMetrics::AvgPutDeviceNs() const {
   if (puts == 0) {
     return 0.0;
   }
-  return (put_device_ns + predict_wall_ns) / static_cast<double>(puts);
+  return put_device_ns / static_cast<double>(puts);
 }
 
 double StoreMetrics::AvgLinesPerPut() const {
@@ -34,62 +34,19 @@ double StoreMetrics::AvgPredictNs() const {
 }
 
 void StoreMetrics::Accumulate(const StoreMetrics& other) {
-  puts += other.puts;
-  gets += other.gets.load();
-  get_misses += other.get_misses.load();
-  optimistic_gets += other.optimistic_gets.load();
-  locked_gets += other.locked_gets.load();
-  optimistic_retries += other.optimistic_retries.load();
-  deletes += other.deletes;
-  updates += other.updates;
-  failed_ops += other.failed_ops;
-  put_bits_written += other.put_bits_written;
-  put_payload_bits += other.put_payload_bits;
-  put_lines_written += other.put_lines_written;
-  put_words_written += other.put_words_written;
-  put_device_ns += other.put_device_ns;
-  get_device_ns += other.get_device_ns.load();
-  delete_device_ns += other.delete_device_ns;
-  predict_wall_ns += other.predict_wall_ns;
-  log_wall_ns += other.log_wall_ns;
-  predicted_placements += other.predicted_placements;
-  fallback_placements += other.fallback_placements;
-  inplace_updates += other.inplace_updates;
-  pool_fallbacks += other.pool_fallbacks;
-  retrains += other.retrains;
-  failed_retrains += other.failed_retrains;
-  extensions += other.extensions;
-  migrations += other.migrations;
-  gap_moves += other.gap_moves;
-  wear_device_ns += other.wear_device_ns;
-  arena_slabs += other.arena_slabs.load();
-  arena_slab_bytes += other.arena_slab_bytes.load();
-  arena_live_bytes += other.arena_live_bytes.load();
-  arena_high_water_bytes += other.arena_high_water_bytes.load();
+#define PNW_ADD_FIELD(type, name) name += other.name;
+  PNW_STORE_METRICS(PNW_ADD_FIELD)
+#undef PNW_ADD_FIELD
 }
 
 std::string StoreMetrics::ToString() const {
   std::ostringstream os;
-  os << "puts=" << puts << " gets=" << gets
-     << " optimistic_gets=" << optimistic_gets
-     << " locked_gets=" << locked_gets
-     << " optimistic_retries=" << optimistic_retries
-     << " get_misses=" << get_misses << " deletes=" << deletes
-     << " updates=" << updates << " failed=" << failed_ops
-     << " bit_updates/512b=" << BitUpdatesPer512()
-     << " avg_put_ns=" << AvgPutLatencyNs()
-     << " lines/put=" << AvgLinesPerPut()
-     << " predicted_placements=" << predicted_placements
-     << " fallback_placements=" << fallback_placements
-     << " inplace_updates=" << inplace_updates
-     << " fallbacks=" << pool_fallbacks << " retrains=" << retrains
-     << " failed_retrains=" << failed_retrains
-     << " extensions=" << extensions << " migrations=" << migrations
-     << " gap_moves=" << gap_moves
-     << " arena_slabs=" << arena_slabs
-     << " arena_slab_bytes=" << arena_slab_bytes
-     << " arena_live_bytes=" << arena_live_bytes
-     << " arena_high_water=" << arena_high_water_bytes;
+#define PNW_PRINT_FIELD(type, name) os << #name "=" << (name) << ' ';
+  PNW_STORE_METRICS(PNW_PRINT_FIELD)
+#undef PNW_PRINT_FIELD
+  os << "bit_updates/512b=" << BitUpdatesPer512()
+     << " sim_device_ns/put=" << AvgPutDeviceNs()
+     << " lines/put=" << AvgLinesPerPut();
   return os.str();
 }
 

@@ -7,6 +7,8 @@
 #include <string>
 #include <type_traits>
 
+#include "src/core/store_metrics_fields.h"
+
 namespace pnw::core {
 
 /// Copyable relaxed-atomic counter for StoreMetrics' read-side slots.
@@ -66,74 +68,12 @@ inline std::ostream& operator<<(std::ostream& os,
 /// in nvm::NvmCounters; this struct tracks what the *store* did and how the
 /// simulated time breaks down, which the paper's latency figures need.
 ///
-/// Thread-safety: the read-side slots (`gets`, `get_misses`,
-/// `get_device_ns`) are relaxed atomics because GET/MultiGet run under a
-/// shared lock; every other field is written only by mutating operations,
-/// which hold the exclusive lock.
+/// The fields come from the X-macro lists in store_metrics_fields.h, which
+/// also document each field and its reconciliation identity.
 struct StoreMetrics {
-  uint64_t puts = 0;
-  /// GETs that returned a value. A GET that found nothing lands in
-  /// `get_misses` instead, so `gets + get_misses` equals every read the
-  /// store served -- the reconciliation ycsb_runner checks per mix.
-  RelaxedCounter<uint64_t> gets;
-  /// GETs that returned no value: index NotFound, or an index entry whose
-  /// data-zone bucket held a different key (surfaced as Internal). Misses
-  /// are an expected workload outcome, not an operation failure, so they
-  /// are deliberately *not* folded into `failed_ops` (which the write path
-  /// owns exclusively).
-  RelaxedCounter<uint64_t> get_misses;
-  /// Read-path split of `gets`: hits served by the seqlock optimistic path
-  /// (no lock taken) vs hits served under the shared lock. The identity
-  /// `gets == optimistic_gets + locked_gets` holds at all times -- every
-  /// hit bumps exactly one of the two alongside `gets` (ycsb_runner
-  /// reconciles this after each mix). Optimistic *misses* validate the
-  /// seqlock too and land in `get_misses` like any other miss.
-  RelaxedCounter<uint64_t> optimistic_gets;
-  RelaxedCounter<uint64_t> locked_gets;
-  /// Seqlock conflicts on the optimistic path: a validation failure or an
-  /// index-traversal overflow, each of which retries or falls back to the
-  /// locked path. Retries are not reads -- they never touch gets/misses --
-  /// so this counter has no reconciliation identity with them; it is the
-  /// contention gauge bench_fig20 reports.
-  RelaxedCounter<uint64_t> optimistic_retries;
-  uint64_t deletes = 0;
-  uint64_t updates = 0;
-  uint64_t failed_ops = 0;
-
-  /// NVM cells updated by PUT traffic (payload + flag + index), and the
-  /// payload bits those PUTs carried: the ratio gives the paper's
-  /// "bit updates per 512 bits" metric.
-  uint64_t put_bits_written = 0;
-  uint64_t put_payload_bits = 0;
-  uint64_t put_lines_written = 0;
-  uint64_t put_words_written = 0;
-
-  /// Simulated device time attributed to PUTs / GETs / DELETEs. GET time
-  /// is charged on every exit that touched the device -- a key-mismatch
-  /// miss has already paid for its bucket read.
-  double put_device_ns = 0.0;
-  RelaxedCounter<double> get_device_ns;
-  double delete_device_ns = 0.0;
-  /// Measured wall-clock time spent in model Predict() calls (the paper
-  /// reports "the latency of prediction per item").
-  double predict_wall_ns = 0.0;
-  /// Measured wall-clock time spent appending operations to the attached
-  /// op-log (zero while no log is attached). Together with
-  /// predict_wall_ns and put_device_ns this completes the write-path cost
-  /// split: predict vs simulated device vs durability capture.
-  double log_wall_ns = 0.0;
-
-  /// Placement attribution: PUTs placed by a trained model's prediction vs
-  /// PUTs placed model-less (cluster 0, i.e. DCW behaviour). A store whose
-  /// bootstrap model never trained shows up here instead of silently
-  /// serving DCW while the operator reads PNW numbers.
-  uint64_t predicted_placements = 0;
-  uint64_t fallback_placements = 0;
-  /// Latency-first in-place updates. These count as `puts` (they write a
-  /// full value through the PUT accounting scopes) but are *not*
-  /// placements -- the address pool was never consulted -- so they get
-  /// their own bucket instead of polluting the predicted/fallback split.
-  uint64_t inplace_updates = 0;
+#define PNW_DECLARE_FIELD(type, name) type name{};
+  PNW_STORE_METRICS(PNW_DECLARE_FIELD)
+#undef PNW_DECLARE_FIELD
 
   /// The PUT-attribution invariant: every counted PUT was either placed by
   /// the model, placed model-less, or written in place. Tests assert this
@@ -144,54 +84,22 @@ struct StoreMetrics {
            puts;
   }
 
-  /// Pool behaviour.
-  uint64_t pool_fallbacks = 0;   // predicted cluster empty, used next-nearest
-  uint64_t retrains = 0;
-  /// Background retraining runs that completed with an error (the stale
-  /// model stays in service; see ModelManager::last_background_status()).
-  uint64_t failed_retrains = 0;
-  uint64_t extensions = 0;
-
-  /// Endurance layer (Start-Gap + hot-bucket migration). Together with
-  /// `puts` these reconcile against the device's physical view: every
-  /// data-zone block write is a client PUT, a migration copy, or a gap
-  /// move, so puts + migrations + gap_moves == total physical bucket
-  /// writes (ycsb_runner --wear-report checks exactly this).
-  uint64_t migrations = 0;  // hot buckets re-placed into colder addresses
-  uint64_t gap_moves = 0;   // Start-Gap copies since the last reset
-  /// Simulated device time of migration copies and gap moves -- the
-  /// endurance layer's own cost, kept out of the client-op latency split.
-  double wear_device_ns = 0.0;
-
-  /// Arena-allocator gauges, summed over the store's arenas (the device's
-  /// data array + the DRAM index's nodes and tables). These are *snapshots*
-  /// refreshed by PnwStore::Metrics()/ShardedPnwStore aggregation, not
-  /// monotonic counters, and they describe process RAM rather than store
-  /// state -- so they are deliberately NOT serialized by the checkpoint
-  /// codec. Accumulate() sums them so a sharded store reports fleet-wide
-  /// footprint. Reconciliation: arena_live_bytes <= arena_high_water_bytes
-  /// <= arena_slab_bytes, and arena_slab_bytes is a multiple of nothing in
-  /// general (slabs may differ per arena) but is zero iff arena_slabs is.
-  RelaxedCounter<uint64_t> arena_slabs;
-  RelaxedCounter<uint64_t> arena_slab_bytes;
-  RelaxedCounter<uint64_t> arena_live_bytes;
-  RelaxedCounter<uint64_t> arena_high_water_bytes;
-
   /// Average bit updates per 512 payload bits written (paper Fig. 6 y-axis).
   double BitUpdatesPer512() const;
-  /// Average end-to-end PUT latency in ns: prediction + simulated device
-  /// time (paper Fig. 7/8).
-  double AvgPutLatencyNs() const;
+  /// Average simulated device time per PUT in ns (paper Fig. 7/8). Measured
+  /// prediction time is reported apart, by AvgPredictNs().
+  double AvgPutDeviceNs() const;
   /// Average written cache lines per PUT (paper Fig. 9 y-axis).
   double AvgLinesPerPut() const;
-  /// Average prediction latency per PUT in ns.
+  /// Average measured prediction wall time per PUT in ns.
   double AvgPredictNs() const;
 
-  /// Fold another store's counters into this one (ShardedPnwStore sums its
-  /// shards' metrics through this).
+  /// Fold another store's metrics into this one, field by field
+  /// (ShardedPnwStore sums its shards' metrics through this).
   void Accumulate(const StoreMetrics& other);
 
-  /// One-line "key=value" rendering of every counter, for logs and CLIs.
+  /// One-line rendering: every field as "name=value", then the derived
+  /// ratios, for logs and CLIs.
   std::string ToString() const;
 };
 

@@ -51,7 +51,7 @@ double ShardedMetrics::PutImbalance() const {
   }
   uint64_t max_puts = 0;
   for (const auto& s : shards) {
-    max_puts = std::max(max_puts, s.puts);
+    max_puts = std::max(max_puts, s.metrics.puts);
   }
   const double mean = static_cast<double>(totals.puts) /
                       static_cast<double>(shards.size());
@@ -605,15 +605,10 @@ ShardedMetrics ShardedPnwStore::AggregatedMetrics() const {
     // Re-snapshot the arena gauges before summing them: they describe
     // current allocator state, not accumulated history.
     mutable_store.RefreshArenaStats();
-    const StoreMetrics& m = store.metrics();
-    aggregated.totals.Accumulate(m);
     ShardSummary summary;
     summary.shard = i;
-    summary.puts = m.puts;
-    summary.gets = m.gets;
-    summary.get_misses = m.get_misses;
-    summary.deletes = m.deletes;
-    summary.failed_ops = m.failed_ops;
+    summary.metrics = store.metrics();
+    aggregated.totals.Accumulate(summary.metrics);
     summary.used_buckets = store.size();
     summary.active_buckets = store.active_buckets();
     summary.free_addresses = store.pool().FreeCount();
@@ -621,8 +616,6 @@ ShardedMetrics ShardedPnwStore::AggregatedMetrics() const {
     summary.device_bits_written = store.device().counters().total_bits_written;
     summary.max_physical_writes = store.wear_tracker().MaxPhysicalWrites();
     summary.physical_bucket_writes = store.wear_tracker().TotalPhysicalWrites();
-    summary.migrations = m.migrations;
-    summary.gap_moves = m.gap_moves;
     summary.start_gap_rotations =
         store.remapper() != nullptr ? store.remapper()->rotations() : 0;
     aggregated.shards.push_back(summary);

@@ -61,11 +61,8 @@ struct ShardedOptions {
 /// (hottest bucket, device bits) across shards at a glance.
 struct ShardSummary {
   size_t shard = 0;
-  uint64_t puts = 0;
-  uint64_t gets = 0;
-  uint64_t get_misses = 0;
-  uint64_t deletes = 0;
-  uint64_t failed_ops = 0;
+  /// The shard's own ledger (the totals are the Accumulate of these).
+  StoreMetrics metrics;
   size_t used_buckets = 0;
   size_t active_buckets = 0;
   size_t free_addresses = 0;
@@ -78,8 +75,6 @@ struct ShardSummary {
   /// and how much endurance work produced them.
   uint32_t max_physical_writes = 0;
   uint64_t physical_bucket_writes = 0;
-  uint64_t migrations = 0;
-  uint64_t gap_moves = 0;
   uint64_t start_gap_rotations = 0;
 };
 

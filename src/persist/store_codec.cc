@@ -6,6 +6,31 @@
 
 namespace pnw::persist {
 
+namespace {
+
+// StoreMetrics field codecs: u64 counters travel as U64, simulated and
+// measured times as Double (snapshot_schema_lint maps the list's types the
+// same way). The read-side slots are relaxed atomics wrapped for
+// copyability, so they decode through a plain temporary.
+void WriteField(uint64_t value, BufferWriter& w) { w.PutU64(value); }
+void WriteField(double value, BufferWriter& w) { w.PutDouble(value); }
+template <typename T>
+void WriteField(const core::RelaxedCounter<T>& counter, BufferWriter& w) {
+  WriteField(counter.load(), w);
+}
+
+Status ReadField(BufferReader& r, uint64_t* value) { return r.GetU64(value); }
+Status ReadField(BufferReader& r, double* value) { return r.GetDouble(value); }
+template <typename T>
+Status ReadField(BufferReader& r, core::RelaxedCounter<T>* counter) {
+  T value{};
+  PNW_RETURN_IF_ERROR(ReadField(r, &value));
+  *counter = value;
+  return Status::OK();
+}
+
+}  // namespace
+
 void EncodePnwOptions(const core::PnwOptions& options, BufferWriter& w) {
   w.PutU64(options.value_bytes);
   w.PutU64(options.initial_buckets);
@@ -215,82 +240,16 @@ Result<std::shared_ptr<const core::ValueModel>> DecodeValueModel(
 }
 
 void EncodeStoreMetrics(const core::StoreMetrics& m, BufferWriter& w) {
-  w.PutU64(m.puts);
-  w.PutU64(m.gets);
-  w.PutU64(m.optimistic_gets);
-  w.PutU64(m.locked_gets);
-  w.PutU64(m.optimistic_retries);
-  w.PutU64(m.get_misses);
-  w.PutU64(m.deletes);
-  w.PutU64(m.updates);
-  w.PutU64(m.failed_ops);
-  w.PutU64(m.put_bits_written);
-  w.PutU64(m.put_payload_bits);
-  w.PutU64(m.put_lines_written);
-  w.PutU64(m.put_words_written);
-  w.PutDouble(m.put_device_ns);
-  w.PutDouble(m.get_device_ns);
-  w.PutDouble(m.delete_device_ns);
-  w.PutDouble(m.predict_wall_ns);
-  w.PutDouble(m.log_wall_ns);
-  w.PutU64(m.predicted_placements);
-  w.PutU64(m.fallback_placements);
-  w.PutU64(m.inplace_updates);
-  w.PutU64(m.pool_fallbacks);
-  w.PutU64(m.retrains);
-  w.PutU64(m.failed_retrains);
-  w.PutU64(m.extensions);
-  w.PutU64(m.migrations);
-  w.PutU64(m.gap_moves);
-  w.PutDouble(m.wear_device_ns);
+#define PNW_WRITE_FIELD(type, name) WriteField(m.name, w);
+  PNW_STORE_COUNTERS(PNW_WRITE_FIELD)
+#undef PNW_WRITE_FIELD
 }
 
 Status DecodeStoreMetrics(BufferReader& r, core::StoreMetrics* m) {
   core::StoreMetrics out;
-  // The read-side slots are relaxed atomics wrapped for copyability, so
-  // they decode through plain temporaries.
-  uint64_t gets = 0;
-  uint64_t optimistic_gets = 0;
-  uint64_t locked_gets = 0;
-  uint64_t optimistic_retries = 0;
-  uint64_t get_misses = 0;
-  double get_device_ns = 0.0;
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.puts));
-  PNW_RETURN_IF_ERROR(r.GetU64(&gets));
-  PNW_RETURN_IF_ERROR(r.GetU64(&optimistic_gets));
-  PNW_RETURN_IF_ERROR(r.GetU64(&locked_gets));
-  PNW_RETURN_IF_ERROR(r.GetU64(&optimistic_retries));
-  PNW_RETURN_IF_ERROR(r.GetU64(&get_misses));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.deletes));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.updates));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.failed_ops));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.put_bits_written));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.put_payload_bits));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.put_lines_written));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.put_words_written));
-  PNW_RETURN_IF_ERROR(r.GetDouble(&out.put_device_ns));
-  PNW_RETURN_IF_ERROR(r.GetDouble(&get_device_ns));
-  PNW_RETURN_IF_ERROR(r.GetDouble(&out.delete_device_ns));
-  PNW_RETURN_IF_ERROR(r.GetDouble(&out.predict_wall_ns));
-  PNW_RETURN_IF_ERROR(r.GetDouble(&out.log_wall_ns));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.predicted_placements));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.fallback_placements));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.inplace_updates));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.pool_fallbacks));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.retrains));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.failed_retrains));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.extensions));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.migrations));
-  PNW_RETURN_IF_ERROR(r.GetU64(&out.gap_moves));
-  PNW_RETURN_IF_ERROR(r.GetDouble(&out.wear_device_ns));
-  out.gets = gets;
-  out.optimistic_gets = optimistic_gets;
-  out.locked_gets = locked_gets;
-  out.optimistic_retries = optimistic_retries;
-  out.get_misses = get_misses;
-  out.get_device_ns = get_device_ns;
-  // The arena gauges (metrics().arena_*) are deliberately not serialized:
-  // they snapshot the reopened process's allocators, not store history.
+#define PNW_READ_FIELD(type, name) PNW_RETURN_IF_ERROR(ReadField(r, &out.name));
+  PNW_STORE_COUNTERS(PNW_READ_FIELD)
+#undef PNW_READ_FIELD
   *m = out;
   return Status::OK();
 }

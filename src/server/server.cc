@@ -33,18 +33,10 @@ void BumpMax(core::RelaxedCounter<uint64_t>& slot, uint64_t candidate) {
 
 std::string ServerMetrics::ToString() const {
   std::ostringstream os;
-  os << "conns=" << connections_accepted << "/" << connections_closed
-     << " frames_in=" << frames_in << " frames_out=" << frames_out
-     << " dropped=" << dropped_responses << " bytes_in=" << bytes_in
-     << " bytes_out=" << bytes_out << " get_keys=" << get_keys
-     << " put_keys=" << put_keys << " delete_keys=" << delete_keys
-     << " stats=" << stats_frames << " batches=" << store_batches
-     << " batched_keys=" << batched_keys << " max_batch=" << max_batch_keys
-     << " overload_rejects=" << overload_rejects
-     << " protocol_errors=" << protocol_errors
-     << " decode_errors=" << decode_errors
-     << " stalls=" << slow_reader_stalls << "/" << slow_reader_resumes;
-  return os.str();
+#define PNW_PRINT_FIELD(type, name) os << " " #name "=" << (name);
+  PNW_SERVER_METRICS(PNW_PRINT_FIELD)
+#undef PNW_PRINT_FIELD
+  return os.str().substr(1);
 }
 
 PnwServer::PnwServer(core::ShardedPnwStore* store,
@@ -513,46 +505,16 @@ void PnwServer::RespondStats(Connection& conn, const Request& request) {
   auto add = [&response](const char* name, uint64_t value) {
     response.stats.emplace_back(name, value);
   };
-  add("store.puts", t.puts);
-  add("store.gets", t.gets.load());
-  add("store.get_misses", t.get_misses.load());
-  add("store.deletes", t.deletes);
-  add("store.updates", t.updates);
-  add("store.failed_ops", t.failed_ops);
-  add("store.inplace_updates", t.inplace_updates);
-  add("store.predicted_placements", t.predicted_placements);
-  add("store.fallback_placements", t.fallback_placements);
-  add("store.pool_fallbacks", t.pool_fallbacks);
-  add("store.extensions", t.extensions);
-  add("store.migrations", t.migrations);
-  add("store.gap_moves", t.gap_moves);
-  add("store.put_bits_written", t.put_bits_written);
-  add("store.put_payload_bits", t.put_payload_bits);
-  add("store.put_lines_written", t.put_lines_written);
-  add("store.put_device_ns", static_cast<uint64_t>(t.put_device_ns));
-  add("store.get_device_ns", static_cast<uint64_t>(t.get_device_ns.load()));
-  add("store.predict_wall_ns", static_cast<uint64_t>(t.predict_wall_ns));
-  add("store.log_wall_ns", static_cast<uint64_t>(t.log_wall_ns));
+  // The whole ledger, one stat per field; simulated and measured times
+  // travel as whole nanoseconds.
+#define PNW_ADD_STORE_FIELD(type, name) \
+  add("store." #name, static_cast<uint64_t>(t.name));
+  PNW_STORE_METRICS(PNW_ADD_STORE_FIELD)
+#undef PNW_ADD_STORE_FIELD
   add("store.num_shards", store_->num_shards());
-  add("server.connections_accepted", metrics_.connections_accepted.load());
-  add("server.connections_closed", metrics_.connections_closed.load());
-  add("server.frames_in", metrics_.frames_in.load());
-  add("server.frames_out", metrics_.frames_out.load());
-  add("server.bytes_in", metrics_.bytes_in.load());
-  add("server.bytes_out", metrics_.bytes_out.load());
-  add("server.dropped_responses", metrics_.dropped_responses.load());
-  add("server.get_keys", metrics_.get_keys.load());
-  add("server.put_keys", metrics_.put_keys.load());
-  add("server.delete_keys", metrics_.delete_keys.load());
-  add("server.stats_frames", metrics_.stats_frames.load());
-  add("server.store_batches", metrics_.store_batches.load());
-  add("server.batched_keys", metrics_.batched_keys.load());
-  add("server.max_batch_keys", metrics_.max_batch_keys.load());
-  add("server.overload_rejects", metrics_.overload_rejects.load());
-  add("server.protocol_errors", metrics_.protocol_errors.load());
-  add("server.decode_errors", metrics_.decode_errors.load());
-  add("server.slow_reader_stalls", metrics_.slow_reader_stalls.load());
-  add("server.slow_reader_resumes", metrics_.slow_reader_resumes.load());
+#define PNW_ADD_SERVER_FIELD(type, name) add("server." #name, metrics_.name);
+  PNW_SERVER_METRICS(PNW_ADD_SERVER_FIELD)
+#undef PNW_ADD_SERVER_FIELD
   Enqueue(conn, response);
 }
 

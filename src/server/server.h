@@ -24,6 +24,7 @@
 #include "src/core/metrics.h"
 #include "src/core/sharded_store.h"
 #include "src/server/protocol.h"
+#include "src/server/server_metrics_fields.h"
 #include "src/util/mutex.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
@@ -62,67 +63,18 @@ struct ServerOptions {
   int so_sndbuf = 0;
 };
 
-/// Event-loop counters. All slots are relaxed atomics: the loop thread is
-/// the only writer, but tests and the STATS opcode read them live from
-/// other threads. Reconciliation identities (asserted by
-/// tests/server_e2e_test.cc and the ycsb_runner --remote reconcile lines,
-/// enforced by scripts/lint/metrics_reconcile_lint.py):
-///   frames_in == frames_out + dropped_responses      (every decoded frame
-///       gets exactly one response, delivered or dropped with its
-///       connection)
-///   get_keys == StoreMetrics gets + get_misses       (sole-client server)
-///   put_keys == StoreMetrics puts + failed_ops
-///   delete_keys == client delete hits + misses; store deletes ==
-///       client delete hits + store updates (endurance-first updates are
-///       internally DELETE + PUT)
-///   batched_keys == get_keys + put_keys + delete_keys (every forwarded
-///       key went through exactly one store call; batched_keys /
-///       store_batches is the amortization the group commit actually saw).
+/// Event-loop counters, declared from the list in server_metrics_fields.h
+/// (which documents each counter and the reconciliation identities). All
+/// slots are relaxed atomics: the loop thread is the only writer, but
+/// tests and the STATS opcode read them live from other threads.
 struct ServerMetrics {
   using Counter = core::RelaxedCounter<uint64_t>;
 
-  Counter connections_accepted;
-  Counter connections_closed;
+#define PNW_DECLARE_FIELD(type, name) type name;
+  PNW_SERVER_METRICS(PNW_DECLARE_FIELD)
+#undef PNW_DECLARE_FIELD
 
-  Counter frames_in;   // frames decoded (valid frame + known opcode)
-  Counter frames_out;  // response frames fully written to a socket
-  Counter bytes_in;
-  Counter bytes_out;
-  /// Responses that were enqueued but whose connection died before the
-  /// bytes left: frames_in == frames_out + dropped_responses.
-  Counter dropped_responses;
-
-  /// Keys forwarded to the store, by operation (MULTI_* frames count each
-  /// of their keys; a rejected frame counts none).
-  Counter get_keys;
-  Counter put_keys;
-  Counter delete_keys;
-  Counter stats_frames;
-
-  /// Pipelining observability: store calls issued, the keys they
-  /// carried, and the largest one -- mean batch size is
-  /// batched_keys / store_batches, the amortization the group commit
-  /// actually saw (single-key frames that arrived pipelined group into
-  /// one call; a MULTI_* frame is one call carrying its whole batch).
-  Counter store_batches;
-  Counter batched_keys;
-  Counter max_batch_keys;
-
-  /// Frames answered kOverloaded under the global budget (typed reject;
-  /// the store was never touched).
-  Counter overload_rejects;
-  /// Streams that died to a framing error (bad length/version/flags) --
-  /// the connection closes, nothing is answered.
-  Counter protocol_errors;
-  /// Well-framed frames whose payload failed to decode (unknown opcode,
-  /// structural payload rot): answered with the typed error, stream kept.
-  Counter decode_errors;
-
-  /// Slow-reader valve engagements / releases (reads paused past
-  /// per_conn_outbuf_limit, resumed on drain).
-  Counter slow_reader_stalls;
-  Counter slow_reader_resumes;
-
+  /// Every counter as "name=value", for logs.
   std::string ToString() const;
 };
 

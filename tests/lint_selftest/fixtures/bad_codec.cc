@@ -1,5 +1,5 @@
 // Seeded violations for snapshot_schema_lint.py codec symmetry (fixture:
-// linted, never built). Self-contained so the AST engine can parse it.
+// linted, never built).
 struct BufferWriter {
   void PutU64(unsigned long v);
   void PutU32(unsigned v);

@@ -1,16 +1,16 @@
-// Lint self-test fixture: a StoreMetrics clone with one counter
+// Lint self-test fixture: a StoreMetrics field list with one counter
 // (`orphan_counter`) that the paired surface fixture never references.
-// The metrics-reconcile lint must report exactly that field. Never
-// compiled; consumed only by tests/lint_selftest/run_selftest.py.
+// The metrics-reconcile lint must report exactly that field, across both
+// lists and including the list that expands the others. Never compiled;
+// consumed only by tests/lint_selftest/run_selftest.py.
 
-#include <cstdint>
+#define FIXTURE_STORE_COUNTERS(X) \
+  X(uint64_t, puts)               \
+  X(RelaxedCounter<uint64_t>, gets) \
+  /* Seeded violation: no reconciliation identity checks this. */ \
+  X(uint64_t, orphan_counter)
 
-struct StoreMetrics {
-  uint64_t puts = 0;
-  RelaxedCounter<uint64_t> gets;
-  double put_device_ns = 0.0;
-  // Seeded violation: no reconciliation identity ever checks this.
-  uint64_t orphan_counter = 0;
+#define FIXTURE_STORE_GAUGES(X) X(double, put_device_ns)
 
-  bool PlacementAttributionConsistent() const;  // methods are not fields
-};
+#define FIXTURE_STORE_METRICS(X) \
+  FIXTURE_STORE_COUNTERS(X) FIXTURE_STORE_GAUGES(X)

@@ -1,5 +1,5 @@
 // Seeded violations for protocol_exhaustiveness_lint.py (fixture: linted,
-// never built; self-contained so the AST engine can parse it).
+// never built).
 //
 // Seeds: OpcodeKnown's upper bound is stale (kPut, not the last member
 // kPing), DecodeRequest's switch does not handle kPing, and DecodeResponse

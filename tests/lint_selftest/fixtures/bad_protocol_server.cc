@@ -1,6 +1,6 @@
 // Seeded violation for protocol_exhaustiveness_lint.py: the server
 // dispatch switch does not handle Opcode::kPing (fixture: linted, never
-// built; self-contained so the AST engine can parse it).
+// built).
 enum class Opcode : unsigned char {
   kGet = 1,
   kPut = 2,

@@ -1,6 +1,5 @@
 // Seeded violations for snapshot_schema_lint.py section symmetry (fixture:
-// linted, never built; the section checks run on the text engine, so this
-// file does not need to compile standalone).
+// linted, never built, so it need not compile standalone).
 namespace {
 constexpr unsigned kSectionAlpha = 1;
 constexpr unsigned kSectionGhost = 2;

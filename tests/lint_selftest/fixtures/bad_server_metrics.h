@@ -1,19 +1,11 @@
-// Lint self-test fixture: a ServerMetrics clone with one counter
+// Lint self-test fixture: a ServerMetrics field list with one counter
 // (`orphan_server_counter`) that the paired surface fixture never
-// references. The metrics-reconcile lint must report exactly that field,
-// including fields declared through the struct's `Counter` alias. Never
-// compiled; consumed only by tests/lint_selftest/run_selftest.py.
+// references. The metrics-reconcile lint must report exactly that field.
+// Never compiled; consumed only by tests/lint_selftest/run_selftest.py.
 
-#include <cstdint>
-
-struct ServerMetrics {
-  using Counter = RelaxedCounter<uint64_t>;
-
-  Counter frames_in;
-  Counter frames_out;
-  uint64_t dropped_responses = 0;
-  // Seeded violation: no reconciliation identity ever checks this.
-  Counter orphan_server_counter;
-
-  std::string ToString() const;  // methods are not fields
-};
+#define FIXTURE_SERVER_METRICS(X) \
+  X(Counter, frames_in)           \
+  X(Counter, frames_out)          \
+  X(Counter, dropped_responses)   \
+  /* Seeded violation: no reconciliation identity checks this. */ \
+  X(Counter, orphan_server_counter)

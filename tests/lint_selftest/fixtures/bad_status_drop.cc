@@ -1,6 +1,5 @@
 // Seeded violations for status_discipline_lint.py (fixture: linted, never
-// built). Self-contained so the AST engine can parse it standalone -- the
-// mini Status/Result here stand in for src/util/status.h.
+// built). The mini Status/Result here stand in for src/util/status.h.
 namespace pnw {
 
 class Status {

@@ -16,6 +16,8 @@ works from CTest, CI, or by hand.
 """
 
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -79,8 +81,9 @@ def main():
     code, out = run([address_lint, "--root", ROOT])
     check("address_domain passes on the tree", code, out, want_fail=False)
 
-    # 4. Metrics-reconcile lint flags the seeded orphan counter (and only
-    #    it: the referenced fields must not appear as orphans).
+    # 4. Metrics-reconcile lint flags the seeded orphan counter of a field
+    #    list (and only it: the referenced fields, including those of a
+    #    list expanded by another, must not appear as orphans).
     code, out = run([metrics_lint, "--root", ROOT,
                      "--metrics-header",
                      os.path.join(FIXTURES, "bad_metrics.h"),
@@ -91,8 +94,7 @@ def main():
           want_substrings=["1 unreconciled StoreMetrics counter(s)",
                            "orphan_counter"])
 
-    # 5. ... flags the seeded ServerMetrics orphan too (including fields
-    #    declared via the struct's `Counter` alias).
+    # 5. ... flags the seeded ServerMetrics orphan too.
     code, out = run([metrics_lint, "--root", ROOT,
                      "--server-header",
                      os.path.join(FIXTURES, "bad_server_metrics.h"),
@@ -201,6 +203,35 @@ def main():
         code, out = run([schema_lint, "--root", ROOT, "--fingerprint", fp])
         check("snapshot_schema accepts its own baseline", code, out,
               want_fail=False)
+
+    # 13b. The codec expands the StoreMetrics field list, so the schema
+    #      moves with the list: in a copy of the tree, swapping a uint64_t
+    #      entry with a double entry must trip the gate. The unmodified
+    #      copy passes first, so the swap is what fires it.
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(os.path.join(ROOT, "src"), os.path.join(tmp, "src"))
+        os.makedirs(os.path.join(tmp, "scripts", "lint"))
+        shutil.copy(os.path.join(LINT_DIR, "snapshot_schema.fingerprint"),
+                    os.path.join(tmp, "scripts", "lint"))
+        code, out = run([schema_lint, "--root", tmp])
+        check("snapshot_schema passes on a copy of the tree", code, out,
+              want_fail=False)
+        fields = os.path.join(tmp, "src", "core", "store_metrics_fields.h")
+        with open(fields, encoding="utf-8") as handle:
+            text = handle.read()
+        entries = list(re.finditer(r"X\((uint64_t|double), \w+\)", text))
+        a, b = sorted((next(m for m in entries if m.group(1) == kind)
+                       for kind in ("uint64_t", "double")),
+                      key=lambda m: m.start())
+        with open(fields, "w", encoding="utf-8") as handle:
+            handle.write(text[:a.start()] + b.group(0)
+                         + text[a.end():b.start()] + a.group(0)
+                         + text[b.end():])
+        code, out = run([schema_lint, "--root", tmp])
+        check("snapshot_schema gate fires on a swapped field-list entry",
+              code, out, want_fail=True,
+              want_substrings=["neither kSnapshotVersion nor "
+                               "kManifestVersion was bumped"])
 
     # 14. ... and the real tree (including the committed fingerprint) is
     #     clean.

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "src/persist/op_log.h"
 #include "src/persist/serializer.h"
 #include "src/persist/snapshot.h"
+#include "src/persist/store_codec.h"
 
 namespace pnw::core {
 namespace {
@@ -845,6 +847,60 @@ TEST_F(PersistTest, LogWallTimeRoundTripsInSnapshot) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_DOUBLE_EQ(reopened.value()->metrics().log_wall_ns,
                    store->metrics().log_wall_ns);
+}
+
+// FNV-1a of a field's name: a per-field value that moves with its entry.
+// Shifted below 2^53 so double fields hold it exactly.
+uint64_t NameValue(std::string_view name) {
+  uint64_t h = 14695981039346656037ull;
+  for (const char c : name) {
+    h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ull;
+  }
+  return h >> 11;
+}
+
+std::string Hex(std::span<const uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+TEST_F(PersistTest, StoreMetricsEncodingIsPinned) {
+  // Every field (the unserialized gauges too) gets a value derived from
+  // its name, so reordering, retyping or dropping a list entry changes
+  // the bytes. The literal is the snapshot-v6 metrics encoding: files
+  // written by any v6 build must keep decoding to the same counters.
+  StoreMetrics m;
+#define PNW_SET_FIELD(type, name) m.name = NameValue(#name);
+  PNW_STORE_METRICS(PNW_SET_FIELD)
+#undef PNW_SET_FIELD
+  persist::BufferWriter w;
+  persist::EncodeStoreMetrics(m, w);
+  EXPECT_EQ(Hex(w.data()),
+            "0cebc401a38e0d008ff53deefce40c00f3e0e9753f091a00ef1aaffa23fb0700"
+            "1a6e6a4f87790900c68f04e083050b00378d409cbde40300c1b5585186750800"
+            "574def7fe0eb1000fb6bbb1028d713003a334e3642541000df5b32ee15dc0500"
+            "86ee66e5aa3f0600641b5ea839f123433cdeb0fffa173543d698a6ea86c32843"
+            "a03b7f242281fa42a906be4dc5d53b436f9c6aec20081800c802f130f6850300"
+            "cbe7ddf874fe1900a127e1e14aa215006f5a55f49da60a00a5220e907dd70300"
+            "5d27d34d028803002b411657cef91e00b7bec54c5bc00700ab9efa7442363443");
+
+  persist::BufferReader r(w.data());
+  StoreMetrics decoded;
+  ASSERT_TRUE(persist::DecodeStoreMetrics(r, &decoded).ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  persist::BufferWriter again;
+  persist::EncodeStoreMetrics(decoded, again);
+  EXPECT_EQ(again.data(), w.data());
+  // The gauges describe the decoding process, not the snapshot: they come
+  // back zero.
+#define PNW_EXPECT_ZERO(type, name) EXPECT_EQ(decoded.name, 0u) << #name;
+  PNW_STORE_GAUGES(PNW_EXPECT_ZERO)
+#undef PNW_EXPECT_ZERO
 }
 
 }  // namespace

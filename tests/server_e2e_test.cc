@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -245,15 +246,34 @@ TEST(ServerE2eTest, StatsOpcodeMatchesInProcessMetrics) {
   }
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  uint64_t store_puts = 0, server_put_keys = 0, num_shards = 0;
+  std::map<std::string, uint64_t> value_of;
+  std::map<std::string, size_t> times_seen;
   for (const auto& [name, value] : stats.value()) {
-    if (name == "store.puts") store_puts = value;
-    if (name == "server.put_keys") server_put_keys = value;
-    if (name == "store.num_shards") num_shards = value;
+    value_of[name] = value;
+    ++times_seen[name];
   }
-  EXPECT_EQ(store_puts, 10u);
-  EXPECT_EQ(server_put_keys, 10u);
-  EXPECT_EQ(num_shards, 2u);
+  EXPECT_EQ(value_of["store.puts"], 10u);
+  EXPECT_EQ(value_of["server.put_keys"], 10u);
+  EXPECT_EQ(value_of["store.num_shards"], 2u);
+  // STATS carries both ledgers whole, driven by their field lists: every
+  // store field equals the quiesced server's in-process aggregate (times
+  // travel as whole ns), and every server field appears exactly once.
+  const core::StoreMetrics totals = store->AggregatedMetrics().totals;
+#define PNW_EXPECT_STORE_STAT(type, name)                 \
+  EXPECT_EQ(times_seen["store." #name], 1u) << #name;    \
+  EXPECT_EQ(value_of["store." #name],                     \
+            static_cast<uint64_t>(totals.name)) << #name;
+  PNW_STORE_METRICS(PNW_EXPECT_STORE_STAT)
+#undef PNW_EXPECT_STORE_STAT
+#define PNW_EXPECT_SERVER_STAT(type, name) \
+  EXPECT_EQ(times_seen["server." #name], 1u) << #name;
+  PNW_SERVER_METRICS(PNW_EXPECT_SERVER_STAT)
+#undef PNW_EXPECT_SERVER_STAT
+#define PNW_COUNT_FIELD(type, name) +1
+  EXPECT_EQ(stats.value().size(),
+            size_t{1} PNW_STORE_METRICS(PNW_COUNT_FIELD)
+                PNW_SERVER_METRICS(PNW_COUNT_FIELD));
+#undef PNW_COUNT_FIELD
   // The STATS frame itself is accounted: one stats frame, and frames_in
   // covers the 10 PUTs plus it (STATS forwards no keys, so batched_keys
   // reconciles without it).

@@ -147,8 +147,8 @@ TEST(ShardedPnwStoreTest, AggregatedMetricsSumShards) {
   uint64_t gets = 0;
   size_t used = 0;
   for (const auto& s : aggregated.shards) {
-    puts += s.puts;
-    gets += s.gets;
+    puts += s.metrics.puts;
+    gets += s.metrics.gets;
     used += s.used_buckets;
     EXPECT_EQ(s.max_bucket_writes,
               store->shard(s.shard).wear_tracker().MaxBucketWrites());
@@ -174,10 +174,10 @@ TEST(ShardedPnwStoreTest, PerShardWearSummariesExposeImbalance) {
   const size_t hot_shard = store->ShardOf(hot_key);
   for (const auto& s : aggregated.shards) {
     if (s.shard == hot_shard) {
-      EXPECT_GT(s.puts, 0u);
+      EXPECT_GT(s.metrics.puts, 0u);
       EXPECT_GT(s.device_bits_written, 0u);
     } else {
-      EXPECT_EQ(s.puts, 0u);
+      EXPECT_EQ(s.metrics.puts, 0u);
     }
   }
   EXPECT_NEAR(aggregated.PutImbalance(), 4.0, 1e-9);  // 4 shards, 1 busy
