@@ -208,11 +208,13 @@ BENCHMARK(BM_WriteDifferential)->Args({1, 136})->Args({1, 4096});
 // would pass every correctness test and show up only here).
 //
 // Workload shapes mirror the kernels' real call sites: argmin over the
-// model's centroid matrix at 256 dims, the dirty-word scan over a
-// mostly-clean bucket image (~1/32 words dirty -- endurance-first
-// overwrites touch few words; BM_WriteDifferential's 10% dirty *bytes*
-// stream above is a much denser ~55% dirty-*word* workload and is NOT the
-// SIMD showcase), Hamming/encode at the 784-byte MNIST-ish value size.
+// model's centroid matrix at 256 dims; the block dirty mask over a
+// 3072-byte value image with ~71% of its words dirty, the density a traced
+// paper_replace run measures (the store's writes dirty most words, so the
+// kernel makes one pass per 64-word block); Hamming at the 784-byte
+// MNIST-ish value size; and encode both at 784 bytes into 8 slots (the
+// gather path) and at the store's shape, 3072 bytes into 32 slots (the
+// AVX2 vertical count).
 
 /// Pins kernel dispatch to one ISA for a benchmark run; restores the
 /// startup selection on scope exit. Rows for unreachable ISAs are skipped
@@ -284,35 +286,34 @@ void BM_KernelArgmin(benchmark::State& state, pnw::simd::Isa isa) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
-void BM_KernelDiffScan(benchmark::State& state, pnw::simd::Isa isa) {
+void BM_KernelDirtyMask(benchmark::State& state, pnw::simd::Isa isa) {
   PinnedIsa pin(state, isa);
   if (!pin.ok()) {
     return;
   }
-  // A 4 KiB bucket image with ~1/32 of its words dirty: the scan spends
-  // nearly all its time skipping clean words, which is exactly where the
-  // wide compare pays off.
-  constexpr size_t kWords = 512;
+  // One 3072-byte value image, six 64-word blocks, about 71% of its words
+  // dirty (paper_replace writes 274 of 384 words per PUT).
+  constexpr size_t kWords = 384;
   pnw::Rng rng(41);
   std::vector<uint8_t> resident(kWords * 8), incoming;
   for (auto& byte : resident) {
     byte = static_cast<uint8_t>(rng.Next());
   }
   incoming = resident;
-  for (size_t w = 7; w < kWords; w += 32) {
-    incoming[w * 8 + w % 8] ^= 0x40;
+  for (size_t w = 0; w < kWords; ++w) {
+    if (rng.NextBelow(100) < 71) {
+      incoming[w * 8 + rng.NextBelow(8)] ^=
+          static_cast<uint8_t>(1u << rng.NextBelow(8));
+    }
   }
   const auto& kernels = pnw::simd::Kernels();
   for (auto _ : state) {
-    size_t dirty = 0;
-    size_t w = kernels.next_dirty_word(resident.data(), incoming.data(), 0,
-                                       kWords);
-    while (w < kWords) {
-      ++dirty;
-      w = kernels.next_dirty_word(resident.data(), incoming.data(), w + 1,
-                                  kWords);
+    for (size_t w = 0; w < kWords; w += 64) {
+      uint64_t flipped = 0;
+      benchmark::DoNotOptimize(kernels.dirty_mask64(
+          resident.data() + w * 8, incoming.data() + w * 8, 64, &flipped));
+      benchmark::DoNotOptimize(flipped);
     }
-    benchmark::DoNotOptimize(dirty);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kWords * 8));
@@ -339,29 +340,40 @@ void BM_KernelHamming(benchmark::State& state, pnw::simd::Isa isa) {
                           static_cast<int64_t>(kBytes));
 }
 
-void BM_KernelEncode(benchmark::State& state, pnw::simd::Isa isa) {
+/// One folded-accumulation chunk of `bytes` random bytes into `slots`
+/// slots at stride 1 (bytes <= 255 * slots, so no flush mid-call).
+void RunKernelEncode(benchmark::State& state, pnw::simd::Isa isa,
+                     size_t bytes, size_t slots) {
   PinnedIsa pin(state, isa);
   if (!pin.ok()) {
     return;
   }
-  // One folded-accumulation chunk at the encoder's own slice bound: 784
-  // bytes into 8 slots (<= 255 * 8, so no flush mid-call).
-  constexpr size_t kBytes = 784;
-  constexpr size_t kSlots = 8;
   pnw::Rng rng(47);
-  std::vector<uint8_t> value(kBytes);
+  std::vector<uint8_t> value(bytes);
   for (auto& byte : value) {
     byte = static_cast<uint8_t>(rng.Next());
   }
-  std::vector<uint64_t> lanes(kSlots);
+  std::vector<uint64_t> lanes(slots);
   const auto& kernels = pnw::simd::Kernels();
   for (auto _ : state) {
-    std::memset(lanes.data(), 0, kSlots * sizeof(uint64_t));
-    kernels.encode_accumulate(value.data(), kBytes, 1, kSlots, lanes.data());
+    std::memset(lanes.data(), 0, slots * sizeof(uint64_t));
+    kernels.encode_accumulate(value.data(), bytes, 1, slots, lanes.data());
     benchmark::DoNotOptimize(lanes.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kBytes));
+                          static_cast<int64_t>(bytes));
+}
+
+// 784 bytes into 8 slots: the gather path on AVX2.
+void BM_KernelEncode(benchmark::State& state, pnw::simd::Isa isa) {
+  RunKernelEncode(state, isa, 784, 8);
+}
+
+// The store's shape, 3072 bytes into 32 slots (256 features): the AVX2
+// vertical count.
+void BM_KernelEncode32(benchmark::State& state, pnw::simd::Isa isa) {
+  RunKernelEncode(state, isa, 3072, 32);
 }
 
 /// Registers every kernel row for every ISA reachable on this host. Runtime
@@ -375,9 +387,10 @@ void RegisterKernelBenchmarks() {
   } kKernelBenches[] = {
       {"BM_KernelDot", &BM_KernelDot},
       {"BM_KernelArgmin", &BM_KernelArgmin},
-      {"BM_KernelDiffScan", &BM_KernelDiffScan},
+      {"BM_KernelDirtyMask", &BM_KernelDirtyMask},
       {"BM_KernelHamming", &BM_KernelHamming},
       {"BM_KernelEncode", &BM_KernelEncode},
+      {"BM_KernelEncode32", &BM_KernelEncode32},
   };
   for (const auto& bench : kKernelBenches) {
     for (const pnw::simd::Isa isa : pnw::simd::AvailableIsas()) {

@@ -18,6 +18,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -79,15 +80,97 @@ double DotCenteredAvx2(const float* a, const float* b, size_t n) {
   return ReduceCenteredLanes(lanes);
 }
 
+/// lanes[0..4) += v, as four uint64 adds.
+void AddToLanes(uint64_t* lanes, __m256i v) {
+  __m256i* at = reinterpret_cast<__m256i*>(lanes);
+  _mm256_storeu_si256(at, _mm256_add_epi64(_mm256_loadu_si256(at), v));
+}
+
+/// lanes[s] += the uint64 whose byte b is counts[b][s], for the 32 slots
+/// s of one group: an 8x32 byte transpose by unpacks (bits 0+1, 2+3, ...
+/// pair up per slot, then quads, then octets), then 64-bit adds.
+void AddCountsToLanes(const __m256i (&counts)[8], uint64_t* lanes) {
+  // pairs[k][h]: 16-bit (bit 2k, bit 2k+1) per slot, slots 8h..8h+7 in the
+  // low 128-bit half and 16+8h..16+8h+7 in the high half.
+  __m256i pairs[4][2];
+  for (int k = 0; k < 4; ++k) {
+    pairs[k][0] = _mm256_unpacklo_epi8(counts[2 * k], counts[2 * k + 1]);
+    pairs[k][1] = _mm256_unpackhi_epi8(counts[2 * k], counts[2 * k + 1]);
+  }
+  for (int h = 0; h < 2; ++h) {
+    // quads[q][h2]: 32-bit (bits 4q..4q+3) per slot, slots 8h+4h2..+3 in
+    // the low half (+16 in the high half).
+    const __m256i quads[2][2] = {
+        {_mm256_unpacklo_epi16(pairs[0][h], pairs[1][h]),
+         _mm256_unpackhi_epi16(pairs[0][h], pairs[1][h])},
+        {_mm256_unpacklo_epi16(pairs[2][h], pairs[3][h]),
+         _mm256_unpackhi_epi16(pairs[2][h], pairs[3][h])},
+    };
+    for (int h2 = 0; h2 < 2; ++h2) {
+      // Whole slots: lo holds base, base+1 | base+16, base+17 and hi holds
+      // base+2, base+3 | base+18, base+19.
+      const __m256i lo = _mm256_unpacklo_epi32(quads[0][h2], quads[1][h2]);
+      const __m256i hi = _mm256_unpackhi_epi32(quads[0][h2], quads[1][h2]);
+      uint64_t* base = lanes + 8 * h + 4 * h2;
+      AddToLanes(base, _mm256_permute2x128_si256(lo, hi, 0x20));
+      AddToLanes(base + 16, _mm256_permute2x128_si256(lo, hi, 0x31));
+    }
+  }
+}
+
+/// The vertical count for contiguous input: `rounds` full rounds of
+/// num_slots (a multiple of 32) bytes. One 32-byte load covers 32 slots of
+/// a round, and each bit adds into its own byte-counter vector: after b
+/// 16-bit right shifts, bit b of every byte sits at bit 0, and the and
+/// with 1 drops what crossed in from the neighbouring byte. (One constant
+/// and eight named counters stay in registers; an and/cmpeq per bit needs
+/// eight masks, and a counter array, spills.) A counter holds 255, so a
+/// group is transposed into `lanes` every 255 rounds -- once per call
+/// under the encoder's chunking.
+void CountBitsVertical(const uint8_t* value, size_t rounds, size_t num_slots,
+                       uint64_t* lanes) {
+  const __m256i one = _mm256_set1_epi8(1);
+  for (size_t group = 0; group < num_slots; group += 32) {
+    for (size_t r0 = 0; r0 < rounds; r0 += 255) {
+      const size_t r1 = std::min(rounds, r0 + 255);
+      __m256i c0 = _mm256_setzero_si256();
+      __m256i c1 = c0, c2 = c0, c3 = c0, c4 = c0, c5 = c0, c6 = c0, c7 = c0;
+      for (size_t r = r0; r < r1; ++r) {
+        __m256i v = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(value + r * num_slots + group));
+        const auto count_low_bit = [&](__m256i& counter) {
+          counter = _mm256_add_epi8(counter, _mm256_and_si256(v, one));
+          v = _mm256_srli_epi16(v, 1);
+        };
+        count_low_bit(c0);
+        count_low_bit(c1);
+        count_low_bit(c2);
+        count_low_bit(c3);
+        count_low_bit(c4);
+        count_low_bit(c5);
+        count_low_bit(c6);
+        count_low_bit(c7);
+      }
+      const __m256i counts[8] = {c0, c1, c2, c3, c4, c5, c6, c7};
+      AddCountsToLanes(counts, lanes + group);
+    }
+  }
+}
+
 void EncodeAccumulateAvx2(const uint8_t* value, size_t count, size_t stride,
                           size_t num_slots, uint64_t* lanes) {
-  // The vector form processes one full round (all slots) at a time, four
-  // slots per gather+add. Narrow folds have no room for that; integer adds
-  // are exact either way, so any split is bit-identical.
-  const auto* spread =
-      reinterpret_cast<const long long*>(kBitSpread.data());
+  // Full rounds (all slots) run vectorized: the vertical count for the
+  // store's contiguous 32-slot-multiple shape, else four slots per
+  // gather+add. Narrow folds (< 4 slots) have no room for either. Integer
+  // adds are exact, so any split is bit-identical.
   size_t t = 0;
-  if (num_slots >= 4) {
+  if (stride == 1 && num_slots >= 32 && num_slots % 32 == 0) {
+    const size_t rounds = count / num_slots;
+    CountBitsVertical(value, rounds, num_slots, lanes);
+    t = rounds * num_slots;
+  } else if (num_slots >= 4) {
+    const auto* spread =
+        reinterpret_cast<const long long*>(kBitSpread.data());
     const size_t rounds = count / num_slots;
     const size_t slots4 = num_slots - num_slots % 4;
     for (size_t r = 0; r < rounds; ++r) {
@@ -98,11 +181,7 @@ void EncodeAccumulateAvx2(const uint8_t* value, size_t count, size_t stride,
         const __m128i idx = _mm_set_epi32(
             value[v + 3 * stride], value[v + 2 * stride], value[v + stride],
             value[v]);
-        const __m256i gathered = _mm256_i32gather_epi64(spread, idx, 8);
-        __m256i* lane_ptr = reinterpret_cast<__m256i*>(lanes + s);
-        _mm256_storeu_si256(
-            lane_ptr,
-            _mm256_add_epi64(_mm256_loadu_si256(lane_ptr), gathered));
+        AddToLanes(lanes + s, _mm256_i32gather_epi64(spread, idx, 8));
       }
       for (; s < num_slots; ++s) {
         lanes[s] += kBitSpread[value[(base + s) * stride]];
@@ -127,18 +206,22 @@ uint64_t HorizontalSum64(__m256i v) {
   return lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
 
-/// Mula's nibble-LUT popcount of a 32-byte vector, accumulated per 64-bit
-/// lane via SAD against zero.
-__m256i PopcountLanes(__m256i v) {
+/// Mula's nibble-LUT popcount of each byte of a 32-byte vector.
+__m256i PopcountEachByte(__m256i v) {
   const __m256i lut = _mm256_setr_epi8(
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
   const __m256i low_mask = _mm256_set1_epi8(0x0f);
   const __m256i lo = _mm256_and_si256(v, low_mask);
   const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-  const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                         _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(counts, _mm256_setzero_si256());
+  return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                         _mm256_shuffle_epi8(lut, hi));
+}
+
+/// Popcount of a 32-byte vector, accumulated per 64-bit lane via SAD
+/// against zero.
+__m256i PopcountLanes(__m256i v) {
+  return _mm256_sad_epu8(PopcountEachByte(v), _mm256_setzero_si256());
 }
 
 uint64_t PopcountBytesAvx2(const uint8_t* p, size_t n) {
@@ -186,40 +269,43 @@ uint64_t HammingBytesAvx2(const uint8_t* a, const uint8_t* b, size_t n) {
   return total;
 }
 
-size_t NextDirtyWordAvx2(const uint8_t* resident, const uint8_t* incoming,
-                         size_t from, size_t words) {
-  size_t w = from;
-  // Four words per compare: a clean 32-byte block is skipped with one
-  // cmpeq+movemask; a dirty block falls through to the word probe below.
+uint64_t DirtyMask64Avx2(const uint8_t* resident, const uint8_t* incoming,
+                         size_t words, uint64_t* flipped_bits) {
+  // Four words per 32-byte step: cmpeq_epi64 against zero marks the clean
+  // words, and their movemask is the step's nibble of the mask. A block
+  // is at most 16 steps, so the per-byte popcounts (<= 8 each) sum to at
+  // most 128 and stay in byte lanes until one SAD after the loop.
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i byte_counts = zero;
+  uint64_t mask = 0;
+  size_t w = 0;
   for (; w + 4 <= words; w += 4) {
-    const __m256i r = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(resident + w * 8));
-    const __m256i i = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(incoming + w * 8));
-    const __m256i eq = _mm256_cmpeq_epi8(r, i);
-    const uint32_t mask = static_cast<uint32_t>(_mm256_movemask_epi8(eq));
-    if (mask != 0xffffffffu) {
-      // First dirty byte's word within the block.
-      const uint32_t dirty = ~mask;
-      return w + static_cast<size_t>(std::countr_zero(dirty)) / 8;
-    }
+    const __m256i diff = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(resident + w * 8)),
+        _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(incoming + w * 8)));
+    const uint64_t clean = static_cast<uint64_t>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(diff, zero))));
+    mask |= (clean ^ 0xf) << w;
+    byte_counts = _mm256_add_epi8(byte_counts, PopcountEachByte(diff));
   }
+  uint64_t bits = HorizontalSum64(_mm256_sad_epu8(byte_counts, zero));
   for (; w < words; ++w) {
     uint64_t r;
     uint64_t i;
     std::memcpy(&r, resident + w * 8, 8);
     std::memcpy(&i, incoming + w * 8, 8);
-    if (r != i) {
-      return w;
-    }
+    bits += static_cast<uint64_t>(std::popcount(r ^ i));
+    mask |= static_cast<uint64_t>(r != i) << w;
   }
-  return words;
+  *flipped_bits = bits;
+  return mask;
 }
 
 constexpr KernelTable kAvx2Table = {
     Isa::kAvx2,        DotAvx2,          ArgminCentroidsAvx2,
     DotCenteredAvx2,   EncodeAccumulateAvx2,
-    PopcountBytesAvx2, HammingBytesAvx2, NextDirtyWordAvx2,
+    PopcountBytesAvx2, HammingBytesAvx2, DirtyMask64Avx2,
 };
 
 }  // namespace

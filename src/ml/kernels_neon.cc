@@ -171,44 +171,13 @@ uint64_t HammingBytesNeon(const uint8_t* a, const uint8_t* b, size_t n) {
   return total;
 }
 
-size_t NextDirtyWordNeon(const uint8_t* resident, const uint8_t* incoming,
-                         size_t from, size_t words) {
-  size_t w = from;
-  // Two words per compare: XOR the 16-byte block and check for any set
-  // bit via the max across lanes.
-  for (; w + 2 <= words; w += 2) {
-    const uint8x16_t r = vld1q_u8(resident + w * 8);
-    const uint8x16_t i = vld1q_u8(incoming + w * 8);
-    const uint8x16_t diff = veorq_u8(r, i);
-#if defined(__aarch64__)
-    if (vmaxvq_u8(diff) == 0) {
-      continue;
-    }
-#else
-    const uint64x2_t d64 = vreinterpretq_u64_u8(diff);
-    if ((vgetq_lane_u64(d64, 0) | vgetq_lane_u64(d64, 1)) == 0) {
-      continue;
-    }
-#endif
-    const uint64x2_t d = vreinterpretq_u64_u8(diff);
-    return vgetq_lane_u64(d, 0) != 0 ? w : w + 1;
-  }
-  for (; w < words; ++w) {
-    uint64_t r;
-    uint64_t i;
-    std::memcpy(&r, resident + w * 8, 8);
-    std::memcpy(&i, incoming + w * 8, 8);
-    if (r != i) {
-      return w;
-    }
-  }
-  return words;
-}
-
+// dirty_mask64 has no NEON form; the scalar reference serves this table.
+// The table is an aggregate, so every slot is named: a slot left out would
+// compile to a null pointer.
 constexpr KernelTable kNeonTable = {
     Isa::kNeon,        DotNeon,          ArgminCentroidsNeon,
     DotCenteredNeon,   EncodeAccumulateNeon,
-    PopcountBytesNeon, HammingBytesNeon, NextDirtyWordNeon,
+    PopcountBytesNeon, HammingBytesNeon, DirtyMask64Scalar,
 };
 
 }  // namespace

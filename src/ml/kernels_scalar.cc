@@ -18,6 +18,24 @@
 
 namespace pnw::simd {
 
+// Outside the anonymous namespace: the NEON table names it too (simd.h).
+uint64_t DirtyMask64Scalar(const uint8_t* resident, const uint8_t* incoming,
+                           size_t words, uint64_t* flipped_bits) {
+  uint64_t mask = 0;
+  uint64_t bits = 0;
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t r;
+    uint64_t i;
+    std::memcpy(&r, resident + w * 8, 8);
+    std::memcpy(&i, incoming + w * 8, 8);
+    const uint64_t diff = r ^ i;
+    bits += static_cast<uint64_t>(std::popcount(diff));
+    mask |= static_cast<uint64_t>(diff != 0) << w;
+  }
+  *flipped_bits = bits;
+  return mask;
+}
+
 namespace {
 
 constexpr std::array<uint64_t, 256> MakeBitSpread() {
@@ -124,24 +142,10 @@ uint64_t HammingBytesScalar(const uint8_t* a, const uint8_t* b, size_t n) {
   return total;
 }
 
-size_t NextDirtyWordScalar(const uint8_t* resident, const uint8_t* incoming,
-                           size_t from, size_t words) {
-  for (size_t w = from; w < words; ++w) {
-    uint64_t r;
-    uint64_t i;
-    std::memcpy(&r, resident + w * 8, 8);
-    std::memcpy(&i, incoming + w * 8, 8);
-    if (r != i) {
-      return w;
-    }
-  }
-  return words;
-}
-
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,        DotScalar,          ArgminCentroidsScalar,
     DotCenteredScalar,   EncodeAccumulateScalar,
-    PopcountBytesScalar, HammingBytesScalar, NextDirtyWordScalar,
+    PopcountBytesScalar, HammingBytesScalar, DirtyMask64Scalar,
 };
 
 /// Startup selection: PNW_KERNEL_ISA override first, then the best ISA the

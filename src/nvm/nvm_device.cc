@@ -139,25 +139,58 @@ Result<WriteResult> NvmDevice::WriteConventional(
 
 void NvmDevice::DiffWords(uint64_t addr, std::span<const uint8_t> data,
                           WriteResult* result) {
-  // Word-at-a-time: the span is walked in kWordBytes(=8) units aligned to
-  // the device's word grid -- a partial head/tail unit is loaded through a
-  // short zero-padded memcpy (equal padding XORs to zero), a full unit
-  // through a single unaligned 8-byte load. One XOR + popcount decides a
-  // whole word; clean words cost no byte work at all, and the fully-covered
-  // middle region is scanned for dirty words by the dispatched
-  // next_dirty_word kernel (32 bytes per compare on AVX2), which only ever
-  // skips words this loop would `continue` over -- the accounting below is
-  // bit-identical to visiting every word. Because a word unit never
-  // straddles a cache line (kWordBytes | cache_line_bytes), per-unit line
-  // attribution is exact, and because units are visited in address order
-  // the `prev_line` dedup counts each dirtied line once.
+  // Word-at-a-time on the device's 8-byte word grid. The fully covered
+  // words are diffed in 64-word blocks: one dispatched dirty_mask64 pass
+  // per block (XOR + popcount + compare, 32 bytes a step on AVX2) yields
+  // the block's flipped-bit total and a mask of its dirty words, and the
+  // loop below walks the mask's set bits -- a fixed 8-byte store plus the
+  // word/line counters per dirty word, no call. The store's writes dirty
+  // most words (about 71% on paper_replace, 79% on ycsb_a_durable, 88% on
+  // ycsb_b_wire), so one pass beats a skip-ahead scan that stops at every
+  // dirty word. Only a partial head or tail word takes the zero-padded
+  // path (equal padding XORs to zero). Words are visited in address order
+  // and never straddle a cache line (kWordBytes | cache_line_bytes), so a
+  // line is counted once, when its first dirty word is met.
   constexpr size_t wb = kWordBytes;
+  static_assert(wb == 8,
+                "dirty_mask64 and AtomicStoreBytes8 work on 8-byte words");
   const uint64_t end = addr + data.size();
   const bool track_bits = config_.track_bit_wear;
-  uint64_t prev_line = UINT64_MAX;
   const uint64_t last_word = (end - 1) / wb;
+  const uint64_t line_words = config_.cache_line_bytes / wb;
+  // Tallies and counter bases live in locals: the byte stores below may
+  // alias any memory, so members would be reloaded after every store.
+  uint64_t bits = 0;
+  uint64_t words = 0;
+  uint64_t lines = 0;
+  uint32_t* const word_counts = word_write_counts_.data();
+  uint32_t* const line_counts = line_write_counts_.data();
+  uint64_t line_end = 0;  // first word past the last line dirtied so far
 
-  auto process_word = [&](uint64_t w) {
+  auto account_word = [&](uint64_t w) {
+    ++words;
+    ++word_counts[w];
+    if (w >= line_end) {
+      const uint64_t line = w / line_words;
+      line_end = (line + 1) * line_words;
+      ++lines;
+      ++line_counts[line];
+    }
+  };
+  // Rare, memory-heavy mode: attribute changed bits bytewise (endian-
+  // independent) before the resident bytes are overwritten.
+  auto attribute_bits = [&](uint64_t lo, const uint8_t* resident,
+                            const uint8_t* incoming, size_t len) {
+    for (size_t j = 0; j < len; ++j) {
+      uint8_t d = static_cast<uint8_t>(resident[j] ^ incoming[j]);
+      while (d) {
+        const int bit = std::countr_zero(d);
+        ++bit_write_counts_[(lo + j) * 8 + static_cast<uint64_t>(bit)];
+        d = static_cast<uint8_t>(d & (d - 1));
+      }
+    }
+  };
+  auto partial_word = [&](uint64_t w) {
     const uint64_t lo = std::max<uint64_t>(addr, w * wb);
     const uint64_t hi = std::min<uint64_t>(end, (w + 1) * wb);
     const size_t len = hi - lo;
@@ -171,28 +204,12 @@ void NvmDevice::DiffWords(uint64_t addr, std::span<const uint8_t> data,
     if (diff == 0) {
       return;
     }
-    result->bits_written += std::popcount(diff);
+    bits += static_cast<uint64_t>(std::popcount(diff));
     if (track_bits) {
-      // Rare, memory-heavy mode: attribute changed bits bytewise (endian-
-      // independent) before the resident bytes are overwritten.
-      for (size_t j = 0; j < len; ++j) {
-        uint8_t d = static_cast<uint8_t>(resident[j] ^ incoming[j]);
-        while (d) {
-          const int bit = std::countr_zero(d);
-          ++bit_write_counts_[(lo + j) * 8 + static_cast<uint64_t>(bit)];
-          d = static_cast<uint8_t>(d & (d - 1));
-        }
-      }
+      attribute_bits(lo, resident, incoming, len);
     }
     util::AtomicStoreBytes(resident, incoming, len);
-    ++result->words_written;
-    ++word_write_counts_[w];
-    const uint64_t line = lo / config_.cache_line_bytes;
-    if (line != prev_line) {
-      ++result->lines_written;
-      ++line_write_counts_[line];
-      prev_line = line;
-    }
+    account_word(w);
   };
 
   // Word grid split: at most one partial head word, a run of fully covered
@@ -202,22 +219,32 @@ void NvmDevice::DiffWords(uint64_t addr, std::span<const uint8_t> data,
   const uint64_t full_end = end / wb;
   uint64_t w = addr / wb;
   for (; w <= last_word && w < full_begin; ++w) {
-    process_word(w);
+    partial_word(w);
   }
-  if (full_begin < full_end) {
-    const uint8_t* resident_base = data_ + full_begin * wb;
-    const uint8_t* incoming_base = data.data() + (full_begin * wb - addr);
-    const size_t words = full_end - full_begin;
-    const auto next_dirty = simd::Kernels().next_dirty_word;
-    for (size_t idx = next_dirty(resident_base, incoming_base, 0, words);
-         idx < words;
-         idx = next_dirty(resident_base, incoming_base, idx + 1, words)) {
-      process_word(full_begin + idx);
+  const auto dirty_mask64 = simd::Kernels().dirty_mask64;
+  for (uint64_t block = full_begin; block < full_end; block += 64) {
+    const size_t block_words = std::min<uint64_t>(64, full_end - block);
+    uint8_t* resident = data_ + block * wb;
+    const uint8_t* incoming = data.data() + (block * wb - addr);
+    uint64_t flipped = 0;
+    uint64_t mask = dirty_mask64(resident, incoming, block_words, &flipped);
+    bits += flipped;
+    for (; mask != 0; mask &= mask - 1) {
+      const size_t j = static_cast<size_t>(std::countr_zero(mask));
+      if (track_bits) {
+        attribute_bits((block + j) * wb, resident + j * wb,
+                       incoming + j * wb, wb);
+      }
+      util::AtomicStoreBytes8(resident + j * wb, incoming + j * wb);
+      account_word(block + j);
     }
   }
   for (w = std::max(full_begin, full_end); w <= last_word; ++w) {
-    process_word(w);
+    partial_word(w);
   }
+  result->bits_written += bits;
+  result->words_written += words;
+  result->lines_written += lines;
 }
 
 Result<WriteResult> NvmDevice::WriteDifferential(

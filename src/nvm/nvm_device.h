@@ -178,9 +178,10 @@ class NvmDevice {
   /// Consumes one armed write fault, if any (see InjectWriteFaults).
   Status ConsumeWriteFault();
 
-  /// Differential inner loop, word at a time: diff `data` against the
-  /// resident bytes, store the changed bytes, and account bits/words/lines
-  /// (plus wear histograms) into `result`.
+  /// Differential inner loop on the 8-byte word grid (one dirty_mask64
+  /// pass per 64-word block, then a walk of the dirty words): diff `data`
+  /// against the resident bytes, store the changed words, and account
+  /// bits/words/lines (plus wear histograms) into `result`.
   void DiffWords(uint64_t addr, std::span<const uint8_t> data,
                  WriteResult* result);
 

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace pnw::util {
 
@@ -27,6 +28,17 @@ inline void AtomicStoreBytes(uint8_t* dst, const uint8_t* src, size_t n) {
     std::atomic_ref<uint8_t>(dst[i]).store(src[i],
                                            std::memory_order_relaxed);
   }
+}
+
+/// AtomicStoreBytes(dst, src, 8) spelled out as eight byte stores: the
+/// compiler keeps a loop of atomic stores a loop, and the differential
+/// write issues one of these per dirty word.
+inline void AtomicStoreBytes8(uint8_t* dst, const uint8_t* src) {
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    (std::atomic_ref<uint8_t>(dst[I]).store(src[I],
+                                            std::memory_order_relaxed),
+     ...);
+  }(std::make_index_sequence<8>{});
 }
 
 /// memcpy(dst, src, n) with relaxed-atomic byte loads from src.

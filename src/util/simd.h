@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD kernels for the hot loops of the placement
 // pipeline (dot product, fused centroid argmin, PCA projection, bit-feature
-// encode) and of the NVM substrate (popcount/Hamming distance, the
-// differential-write dirty-word scan).
+// encode -- a vertical per-bit byte count for the store's contiguous
+// 32-slot-multiple shape) and of the NVM substrate (popcount/Hamming
+// distance, the differential write's 64-word block dirty mask).
 //
 // Contract: every kernel is BIT-IDENTICAL across ISAs. The floating-point
 // kernels achieve this by fixing *striped-lane* semantics -- the scalar
@@ -70,7 +71,11 @@ struct KernelTable {
   /// lanes[t % num_slots] += kBitSpread[value[t * stride]]. The caller
   /// (BitFeatureEncoder) slices the stream into chunks of at most
   /// 255 * num_slots accumulations and unpacks/flushes lanes in between,
-  /// so every call starts at slot 0 and no byte lane can overflow.
+  /// so every call starts at slot 0 and no byte lane can overflow. The
+  /// store's shape (stride 1, num_slots a multiple of 32) runs on AVX2 as
+  /// a vertical count: one 32-byte load covers 32 slots of a round, each
+  /// bit adds into its own byte-counter vector, and the counters are
+  /// transposed into `lanes` once per call.
   void (*encode_accumulate)(const uint8_t* value, size_t count, size_t stride,
                             size_t num_slots, uint64_t* lanes);
 
@@ -80,11 +85,14 @@ struct KernelTable {
   /// popcount(a XOR b) over n bytes (Hamming distance in bits).
   uint64_t (*hamming_bytes)(const uint8_t* a, const uint8_t* b, size_t n);
 
-  /// Differential-write scan: first word index w in [from, words) whose
-  /// 8-byte words resident[w*8..] and incoming[w*8..] differ; `words` when
-  /// all remaining words are clean. Unaligned pointers are fine.
-  size_t (*next_dirty_word)(const uint8_t* resident, const uint8_t* incoming,
-                            size_t from, size_t words);
+  /// Differential-write block diff over `words` <= 64 8-byte words: bit w
+  /// of the result is set iff resident[w*8..] and incoming[w*8..] differ,
+  /// and *flipped_bits receives popcount(resident XOR incoming) over the
+  /// whole block. One pass, no early exit: the store's writes dirty most
+  /// words, so the caller walks the mask rather than re-scanning.
+  /// Unaligned pointers are fine.
+  uint64_t (*dirty_mask64)(const uint8_t* resident, const uint8_t* incoming,
+                           size_t words, uint64_t* flipped_bits);
 };
 
 /// The active table (startup-selected or pinned). Never null.
@@ -100,6 +108,10 @@ const KernelTable* TableFor(Isa isa);
 
 /// The always-available striped-lane reference table.
 const KernelTable& ScalarKernels();
+
+/// The scalar dirty_mask64, for tables with no vector form of it (NEON).
+uint64_t DirtyMask64Scalar(const uint8_t* resident, const uint8_t* incoming,
+                           size_t words, uint64_t* flipped_bits);
 
 /// Every ISA reachable on this host (kScalar always included).
 std::vector<Isa> AvailableIsas();

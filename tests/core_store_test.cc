@@ -3,13 +3,17 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <span>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/core/pnw_store.h"
 #include "src/util/bitvec.h"
 #include "src/util/random.h"
+#include "src/util/simd.h"
+#include "src/workloads/image_dataset.h"
 
 namespace pnw::core {
 namespace {
@@ -740,6 +744,82 @@ TEST(PnwStoreTest, Table2WorkedExample) {
   EXPECT_LE(d2_bits, 2u + 16u);
   EXPECT_EQ(store->Get(10).value()[0], d1);
   EXPECT_EQ(store->Get(11).value()[0], d2);
+}
+
+/// What one replay leaves behind: the store's ledger, the device's word
+/// and line wear histograms, and the device bytes.
+struct ReplayOutcome {
+  StoreMetrics metrics;
+  std::vector<uint32_t> word_wear;
+  std::vector<uint32_t> line_wear;
+  std::vector<uint8_t> contents;
+};
+
+/// A small paper_replace-shaped stream under the active kernel table:
+/// CIFAR-like 3072-byte images, K = 10 over 8 PCA components of 256
+/// folded bit features, value-only accounting, 1 Ki buckets. Bootstrap
+/// fills every bucket, half the keys are deleted and the model retrained,
+/// then each round PUTs a new image over a free key and DELETEs the oldest
+/// live one (Algorithm 3 predicts again), two turnovers in all.
+ReplayOutcome ReplayImageStream() {
+  constexpr size_t kBuckets = 1024;
+  workloads::ImageDatasetOptions data;
+  data.profile = workloads::ImageProfile::kCifar;
+  data.num_old = kBuckets;
+  data.num_new = kBuckets / 2;
+  const workloads::Dataset ds = workloads::GenerateImages(data);
+
+  PnwOptions options;
+  options.value_bytes = ds.value_bytes;
+  options.initial_buckets = kBuckets;
+  options.capacity_buckets = kBuckets;
+  options.num_clusters = 10;
+  options.max_features = 256;
+  options.pca_components = 8;
+  options.store_keys_in_data_zone = false;
+  options.occupancy_flags_on_nvm = false;
+  auto store = PnwStore::Open(options).value();
+  std::vector<uint64_t> keys(kBuckets);
+  std::iota(keys.begin(), keys.end(), 0);
+  EXPECT_TRUE(store->Bootstrap(keys, ds.old_data).ok());
+  for (uint64_t k = 0; k < kBuckets / 2; ++k) {
+    EXPECT_TRUE(store->Delete(k).ok());
+  }
+  EXPECT_TRUE(store->TrainModel().ok());
+  store->ResetWearAndMetrics();
+  for (size_t i = 0; i < kBuckets; ++i) {
+    EXPECT_TRUE(
+        store->Put(i, ds.new_data[i % ds.new_data.size()]).ok());
+    EXPECT_TRUE(store->Delete((kBuckets / 2 + i) % kBuckets).ok());
+  }
+  const auto contents = store->device().Contents();
+  return {store->metrics(), store->device().word_write_counts(),
+          store->device().line_write_counts(),
+          std::vector<uint8_t>(contents.begin(), contents.end())};
+}
+
+TEST(PnwStoreTest, PlacementAndWearIdenticalAcrossIsas) {
+  ASSERT_TRUE(simd::PinIsa(simd::Isa::kScalar));
+  const ReplayOutcome want = ReplayImageStream();
+  // The stream exercises the model and the differential write.
+  EXPECT_EQ(want.metrics.predicted_placements, 1024u);
+  EXPECT_GT(want.metrics.put_words_written, 0u);
+  for (const simd::Isa isa : simd::AvailableIsas()) {
+    ASSERT_TRUE(simd::PinIsa(isa));
+    SCOPED_TRACE(simd::IsaName(isa));
+    const ReplayOutcome got = ReplayImageStream();
+    // Every counter but the measured wall-clock times.
+#define PNW_EXPECT_SAME_COUNTER(type, name)                       \
+  if (!std::string_view(#name).ends_with("_wall_ns")) {           \
+    EXPECT_EQ(got.metrics.name, want.metrics.name) << #name;      \
+  }
+    PNW_STORE_COUNTERS(PNW_EXPECT_SAME_COUNTER)
+#undef PNW_EXPECT_SAME_COUNTER
+    EXPECT_EQ(got.word_wear, want.word_wear);
+    EXPECT_EQ(got.line_wear, want.line_wear);
+    EXPECT_TRUE(got.contents == want.contents);
+  }
+  simd::UnpinIsa();
 }
 
 }  // namespace

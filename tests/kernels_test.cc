@@ -6,9 +6,9 @@
 // binary happens to run on (see src/util/simd.h).
 #include "src/util/simd.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <random>
 #include <vector>
 
@@ -131,24 +131,55 @@ TEST(KernelsTest, DotCenteredBitIdenticalAcrossIsas) {
 TEST(KernelsTest, EncodeAccumulateMatchesScalarAndBitSpread) {
   std::mt19937 rng(17);
   const auto& ref = ScalarKernels();
+  // Random counts for narrow and odd folds; for the store's contiguous
+  // 32-slot-multiple shapes (AVX2's vertical count at stride 1), the
+  // counts at its edges: a partial first round, exactly one round, rounds
+  // plus a partial tail, and the 255-round chunk limit in all-0xFF bytes,
+  // which drives every byte counter to exactly 255. All counts stay within
+  // the caller contract (count <= 255 * num_slots).
+  struct Shape {
+    size_t num_slots;
+    size_t count;
+    bool all_ones;
+  };
+  std::vector<Shape> shapes;
+  for (size_t num_slots : {1, 2, 3, 8, 51}) {
+    shapes.push_back(
+        {num_slots, std::min<size_t>(255 * num_slots, 37 + rng() % 300),
+         false});
+  }
+  for (size_t num_slots : {32, 64, 96}) {
+    for (size_t count : {num_slots - 1, num_slots, 96 * num_slots + 7}) {
+      shapes.push_back({num_slots, count, false});
+    }
+    shapes.push_back({num_slots, 255 * num_slots, true});
+  }
   for (const KernelTable* table : SimdTables()) {
-    for (size_t num_slots : {1, 2, 3, 8, 51}) {
+    for (const Shape& shape : shapes) {
       for (size_t stride : {1, 2, 4}) {
-        // Stay within the caller contract: count <= 255 * num_slots, and
-        // the stream must cover (count-1)*stride + 1 bytes.
-        const size_t count =
-            std::min<size_t>(255 * num_slots, 37 + rng() % 300);
-        std::vector<uint8_t> value((count == 0 ? 0 : (count - 1) * stride) +
-                                   1);
-        FillBytes(rng, value);
-        std::vector<uint64_t> got(num_slots, 0), want(num_slots, 0);
-        table->encode_accumulate(value.data(), count, stride, num_slots,
-                                 got.data());
-        ref.encode_accumulate(value.data(), count, stride, num_slots,
-                              want.data());
+        // The stream must cover (count-1)*stride + 1 bytes.
+        std::vector<uint8_t> value(
+            (shape.count == 0 ? 0 : (shape.count - 1) * stride) + 1);
+        if (shape.all_ones) {
+          std::fill(value.begin(), value.end(), 0xFF);
+        } else {
+          FillBytes(rng, value);
+        }
+        std::vector<uint64_t> got(shape.num_slots, 0);
+        std::vector<uint64_t> want(shape.num_slots, 0);
+        table->encode_accumulate(value.data(), shape.count, stride,
+                                 shape.num_slots, got.data());
+        ref.encode_accumulate(value.data(), shape.count, stride,
+                              shape.num_slots, want.data());
         EXPECT_EQ(got, want) << IsaName(table->isa)
-                             << " num_slots=" << num_slots
+                             << " num_slots=" << shape.num_slots
+                             << " count=" << shape.count
                              << " stride=" << stride;
+        if (shape.all_ones) {
+          // 255 accumulations of 0xFF per slot: every byte lane is 255.
+          EXPECT_EQ(got, std::vector<uint64_t>(shape.num_slots, ~uint64_t{0}))
+              << IsaName(table->isa) << " num_slots=" << shape.num_slots;
+        }
       }
     }
   }
@@ -192,37 +223,76 @@ TEST(KernelsTest, PopcountAndHammingMatchByteReference) {
   }
 }
 
-TEST(KernelsTest, NextDirtyWordMatchesReferenceScan) {
+TEST(KernelsTest, DirtyMask64MatchesScalarAndWordLoop) {
   std::mt19937 rng(23);
-  const auto ref_scan = [](const uint8_t* a, const uint8_t* b, size_t from,
-                           size_t words) {
-    for (size_t w = from; w < words; ++w) {
-      if (std::memcmp(a + w * 8, b + w * 8, 8) != 0) {
-        return w;
+  // The plain per-word loop: bit w set iff word w differs anywhere, plus
+  // the total of flipped bits.
+  const auto word_loop = [](const uint8_t* a, const uint8_t* b, size_t words,
+                            uint64_t* bits) {
+    uint64_t mask = 0;
+    *bits = 0;
+    for (size_t w = 0; w < words; ++w) {
+      for (size_t j = 0; j < 8; ++j) {
+        const unsigned diff = a[w * 8 + j] ^ b[w * 8 + j];
+        *bits += static_cast<uint64_t>(std::popcount(diff));
+        mask |= static_cast<uint64_t>(diff != 0) << w;
       }
     }
-    return words;
+    return mask;
   };
-  for (const Isa isa : AvailableIsas()) {
-    const KernelTable* table = TableFor(isa);
-    for (size_t words : {0, 1, 2, 3, 4, 5, 8, 16, 33, 100}) {
-      for (size_t offset : {0, 1, 3}) {  // unaligned base pointers are legal
-        std::vector<uint8_t> a(words * 8 + offset), b;
+  // kAllDirty flips every bit, the most each byte can count.
+  enum Pattern { kRandom, kAllClean, kAllDirty, kLastWordOnly };
+  const auto& ref = ScalarKernels();
+  for (size_t words = 1; words <= 64; ++words) {
+    for (size_t offset = 0; offset < 8; ++offset) {  // unaligned is legal
+      for (const Pattern pattern :
+           {kRandom, kAllClean, kAllDirty, kLastWordOnly}) {
+        std::vector<uint8_t> a(words * 8 + offset);
         FillBytes(rng, a);
-        b = a;  // start all-clean
-        for (int dirties = 0; dirties < 3; ++dirties) {
-          for (size_t from : {size_t{0}, words / 2, words}) {
-            EXPECT_EQ(table->next_dirty_word(a.data() + offset,
-                                             b.data() + offset, from, words),
-                      ref_scan(a.data() + offset, b.data() + offset, from,
-                               words))
-                << IsaName(isa) << " words=" << words << " from=" << from;
-          }
-          if (words == 0) {
+        std::vector<uint8_t> b = a;
+        uint8_t* const block = b.data() + offset;
+        switch (pattern) {
+          case kRandom:  // about 70% of words get 1-3 bit flips
+            for (size_t w = 0; w < words; ++w) {
+              const uint32_t flips = rng() % 10 < 7 ? 1 + rng() % 3 : 0;
+              for (uint32_t f = 0; f < flips; ++f) {
+                block[w * 8 + rng() % 8] ^= 1u << (rng() % 8);
+              }
+            }
             break;
-          }
-          // Flip one random byte and re-check (accumulates dirty words).
-          b[offset + rng() % (words * 8)] ^= 1u << (rng() % 8);
+          case kAllClean:
+            break;
+          case kAllDirty:
+            for (size_t i = 0; i < words * 8; ++i) {
+              block[i] = static_cast<uint8_t>(~block[i]);
+            }
+            break;
+          case kLastWordOnly:  // word 63 when the block is full
+            block[(words - 1) * 8 + rng() % 8] ^= 1u << (rng() % 8);
+            break;
+        }
+        uint64_t loop_bits = 0;
+        const uint64_t loop_mask =
+            word_loop(a.data() + offset, block, words, &loop_bits);
+        uint64_t want_bits = 0;
+        const uint64_t want =
+            ref.dirty_mask64(a.data() + offset, block, words, &want_bits);
+        EXPECT_EQ(want, loop_mask) << "scalar words=" << words
+                                   << " offset=" << offset
+                                   << " pattern=" << pattern;
+        EXPECT_EQ(want_bits, loop_bits) << "scalar words=" << words
+                                        << " offset=" << offset
+                                        << " pattern=" << pattern;
+        for (const KernelTable* table : SimdTables()) {
+          uint64_t got_bits = 0;
+          EXPECT_EQ(table->dirty_mask64(a.data() + offset, block, words,
+                                        &got_bits),
+                    want)
+              << IsaName(table->isa) << " words=" << words
+              << " offset=" << offset << " pattern=" << pattern;
+          EXPECT_EQ(got_bits, want_bits)
+              << IsaName(table->isa) << " words=" << words
+              << " offset=" << offset << " pattern=" << pattern;
         }
       }
     }

@@ -11,6 +11,7 @@
 #include "src/nvm/nvm_device.h"
 #include "src/nvm/wear_tracker.h"
 #include "src/util/random.h"
+#include "src/util/simd.h"
 
 namespace pnw::nvm {
 namespace {
@@ -285,51 +286,75 @@ void ExpectDevicesIdentical(const NvmDevice& word_dev,
   EXPECT_EQ(word_dev.bit_write_counts(), byte_dev.bit_counts);
 }
 
-TEST(NvmDeviceTest, WordDiffMatchesByteReferenceProperty) {
-  for (const bool bit_wear : {false, true}) {
-    NvmConfig config;
-    config.size_bytes = 4096;
-    config.track_bit_wear = bit_wear;
-    NvmDevice word_dev(config);
-    ByteReferenceDevice byte_dev(config);
+/// One property run against the active kernel table: random writes, every
+/// other one up to 1.5 KiB so the full-word run crosses dirty_mask64's
+/// 64-word block seam, then one dense 3072-byte write (the paper_replace
+/// value size).
+void RunWordDiffProperty(bool bit_wear) {
+  NvmConfig config;
+  config.size_bytes = 8192;
+  config.track_bit_wear = bit_wear;
+  NvmDevice word_dev(config);
+  ByteReferenceDevice byte_dev(config);
 
-    pnw::Rng rng(bit_wear ? 271828 : 314159);
-    for (size_t trial = 0; trial < 300; ++trial) {
-      // Unaligned offsets and lengths spanning head/body/tail cases: short
-      // intra-word writes, word-straddling writes, multi-line writes.
-      const size_t len = 1 + rng.NextBelow(200);
-      const uint64_t addr = rng.NextBelow(config.size_bytes - len);
-      std::vector<uint8_t> payload(len);
-      // Mixed sparsity: mostly-clean rewrites of resident data, dense
-      // random bytes, and all-ones, so clean-word skips, partial diffs,
-      // and full flips all occur.
-      const size_t mode = rng.NextBelow(3);
-      for (size_t i = 0; i < len; ++i) {
-        switch (mode) {
-          case 0:  // sparse: resident byte, occasionally perturbed
-            payload[i] = word_dev.Peek(addr + i, 1)[0];
-            if (rng.NextBelow(8) == 0) {
-              payload[i] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
-            }
-            break;
-          case 1:
-            payload[i] = static_cast<uint8_t>(rng.Next());
-            break;
-          default:
-            payload[i] = 0xff;
-            break;
-        }
-      }
-      auto word_result = word_dev.WriteDifferential(addr, payload);
-      auto byte_result = byte_dev.WriteDifferential(addr, payload);
-      ASSERT_TRUE(word_result.ok());
-      ExpectWriteResultsEqual(word_result, byte_result);
-      if (trial % 50 == 0) {
-        ExpectDevicesIdentical(word_dev, byte_dev, trial);
+  pnw::Rng rng(bit_wear ? 271828 : 314159);
+  for (size_t trial = 0; trial < 300; ++trial) {
+    // Unaligned offsets and lengths spanning head/body/tail cases: short
+    // intra-word writes, word-straddling writes, multi-line and multi-block
+    // writes.
+    const size_t len = 1 + rng.NextBelow(trial % 2 == 0 ? 200 : 1536);
+    const uint64_t addr = rng.NextBelow(config.size_bytes - len);
+    std::vector<uint8_t> payload(len);
+    // Mixed sparsity: mostly-clean rewrites of resident data, dense
+    // random bytes, and all-ones, so clean-word skips, partial diffs,
+    // and full flips all occur.
+    const size_t mode = rng.NextBelow(3);
+    for (size_t i = 0; i < len; ++i) {
+      switch (mode) {
+        case 0:  // sparse: resident byte, occasionally perturbed
+          payload[i] = word_dev.Peek(addr + i, 1)[0];
+          if (rng.NextBelow(8) == 0) {
+            payload[i] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
+          }
+          break;
+        case 1:
+          payload[i] = static_cast<uint8_t>(rng.Next());
+          break;
+        default:
+          payload[i] = 0xff;
+          break;
       }
     }
-    ExpectDevicesIdentical(word_dev, byte_dev, 300);
+    auto word_result = word_dev.WriteDifferential(addr, payload);
+    auto byte_result = byte_dev.WriteDifferential(addr, payload);
+    ASSERT_TRUE(word_result.ok());
+    ExpectWriteResultsEqual(word_result, byte_result);
+    if (trial % 50 == 0) {
+      ExpectDevicesIdentical(word_dev, byte_dev, trial);
+    }
   }
+  std::vector<uint8_t> dense(3072);
+  for (auto& b : dense) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const uint64_t dense_addr = 8 * rng.NextBelow(600) + rng.NextBelow(8);
+  auto word_result = word_dev.WriteDifferential(dense_addr, dense);
+  auto byte_result = byte_dev.WriteDifferential(dense_addr, dense);
+  ASSERT_TRUE(word_result.ok());
+  ExpectWriteResultsEqual(word_result, byte_result);
+  ExpectDevicesIdentical(word_dev, byte_dev, 300);
+}
+
+TEST(NvmDeviceTest, WordDiffMatchesByteReferenceProperty) {
+  for (const simd::Isa isa : simd::AvailableIsas()) {
+    ASSERT_TRUE(simd::PinIsa(isa));
+    for (const bool bit_wear : {false, true}) {
+      SCOPED_TRACE(std::string(simd::IsaName(isa)) +
+                   (bit_wear ? " bit_wear" : ""));
+      RunWordDiffProperty(bit_wear);
+    }
+  }
+  simd::UnpinIsa();
 }
 
 TEST(NvmDeviceTest, WordDiffMatchesByteReferenceUnderFaultInjection) {
