@@ -1,7 +1,7 @@
 // Beyond the paper ("Fig. 17"): the allocation-free batched write path.
 // PNW puts a K-means Predict on every write, so the write path is the
 // system's hot loop; PR 5 made it batched (MultiPut: one exclusive-lock
-// acquisition per involved shard per batch, batch-predicted labels, one
+// acquisition per involved shard per batch, a Put per slot, one
 // group op-log append with one flush + one deferred group fsync) and
 // allocation-free (scratch-buffer inference, reused bucket staging, reused
 // op-log framing buffers, word-at-a-time differential device writes).

@@ -103,7 +103,7 @@ BENCHMARK(BM_PnwStorePut)->Iterations(1500);
 // The PR 5 batched write path: overwrite existing keys through MultiPut in
 // groups of `batch` (endurance-first updates, model re-steered). Compare
 // against BM_PnwStorePut's per-op path for the batching win without an
-// op-log (pure CPU amortization: batch predict, one statuses vector).
+// op-log (each slot is a Put, so this isolates the per-batch overhead).
 void BM_PnwStoreMultiPut(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   constexpr size_t kRecords = 2048;
@@ -155,7 +155,7 @@ void BM_FeatureEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureEncode)->Arg(32)->Arg(784)->Arg(4096);
 
-// Scratch-buffer encoding (the allocation-free hot path PredictTimed runs).
+// Scratch-buffer encoding (the allocation-free hot path a PUT's predict runs).
 void BM_FeatureEncodeScratch(benchmark::State& state) {
   const size_t bytes = static_cast<size_t>(state.range(0));
   pnw::ml::BitFeatureEncoder encoder(bytes, 512);

@@ -78,15 +78,4 @@ void DynamicAddressPool::Clear() {
   total_free_ = 0;
 }
 
-std::vector<uint64_t> DynamicAddressPool::Drain() {
-  std::vector<uint64_t> all;
-  all.reserve(total_free_);
-  for (auto& list : free_lists_) {
-    all.insert(all.end(), list.begin(), list.end());
-    list.clear();
-  }
-  total_free_ = 0;
-  return all;
-}
-
 }  // namespace pnw::core

@@ -72,9 +72,6 @@ class DynamicAddressPool {
   /// Drop every address (used when a new model re-labels the free space).
   void Clear();
 
-  /// Snapshot of all free addresses (used for re-labeling on model swap).
-  std::vector<uint64_t> Drain();
-
  private:
   std::vector<std::vector<uint64_t>> free_lists_;
   size_t total_free_ = 0;

@@ -41,15 +41,6 @@ const std::vector<size_t>& ValueModel::RankClusters(
   return scratch.ranked;
 }
 
-void ValueModel::PredictBatch(std::span<const std::span<const uint8_t>> values,
-                              FeatureScratch& scratch,
-                              std::vector<size_t>& labels) const {
-  labels.resize(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    labels[i] = Predict(values[i], scratch);
-  }
-}
-
 ModelManager::ModelManager(const ModelTrainingConfig& config)
     : config_(config) {}
 
@@ -107,7 +98,6 @@ std::shared_ptr<const ValueModel> ModelManager::TrainInternal(
   kmeans_options.max_iterations = config_.max_iterations;
   kmeans_options.seed = config_.seed;
   kmeans_options.num_threads = config_.train_threads;
-  kmeans_options.mini_batch_size = config_.mini_batch_size;
   auto kmeans_result = ml::KMeansTrainer(kmeans_options).Fit(*train_data);
   if (!kmeans_result.ok()) {
     *status = kmeans_result.status();

@@ -71,13 +71,6 @@ class ValueModel {
   const std::vector<size_t>& RankClusters(std::span<const uint8_t> value,
                                           FeatureScratch& scratch) const;
 
-  /// Batched prediction through the same scratch-backed encoder path: one
-  /// label per value into `labels` (resized; capacity reused). The batched
-  /// write path predicts a whole MultiPut with one call.
-  void PredictBatch(std::span<const std::span<const uint8_t>> values,
-                    FeatureScratch& scratch,
-                    std::vector<size_t>& labels) const;
-
   const ml::KMeansModel& kmeans() const { return kmeans_; }
   bool uses_pca() const { return pca_.has_value(); }
   /// Trained pipeline pieces, exposed so the persist layer can serialize a
@@ -107,9 +100,6 @@ struct ModelTrainingConfig {
   /// Byte stride for folded feature encoding; 0 = auto (scan <= 2 KiB per
   /// value, bounding prediction latency for page-sized values).
   size_t encode_byte_stride = 0;
-  /// If nonzero, train with mini-batch K-means of this batch size (cheaper
-  /// background retraining; see ml::KMeansOptions::mini_batch_size).
-  size_t mini_batch_size = 0;
   uint64_t seed = 42;
 };
 

@@ -56,10 +56,6 @@ struct PnwOptions {
   size_t train_threads = 1;
   /// K-means iteration cap.
   size_t max_training_iterations = 30;
-  /// If nonzero, (re)train with mini-batch K-means of this batch size
-  /// instead of full-batch Lloyd -- cheaper background retraining at a
-  /// small clustering-quality cost (see the mini-batch ablation bench).
-  size_t training_mini_batch = 0;
 
   /// Occupancy fraction that triggers data-zone extension + retraining
   /// ("setting the load factor to x percent means that when x percent of

@@ -74,6 +74,30 @@ class DeviceDeltaScope {
   nvm::NvmCounters start_;
 };
 
+/// Adds the wall-clock nanoseconds of its lifetime to `*slot`; with a null
+/// slot it reads no clock.
+class WallTimer {
+ public:
+  explicit WallTimer(double* slot) : slot_(slot) {
+    if (slot_ != nullptr) {
+      start_ = std::chrono::steady_clock::now();
+    }
+  }
+  ~WallTimer() {
+    if (slot_ != nullptr) {
+      *slot_ += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start_)
+                    .count();
+    }
+  }
+  WallTimer(const WallTimer&) = delete;
+  WallTimer& operator=(const WallTimer&) = delete;
+
+ private:
+  double* slot_;
+  std::chrono::steady_clock::time_point start_{};
+};
+
 }  // namespace
 
 PnwStore::~PnwStore() = default;
@@ -171,7 +195,6 @@ Status PnwStore::Init() {
   training.max_iterations = options_.max_training_iterations;
   training.train_threads = options_.train_threads;
   training.encode_byte_stride = options_.encode_byte_stride;
-  training.mini_batch_size = options_.training_mini_batch;
   training.seed = options_.seed;
   manager_ = std::make_unique<ModelManager>(training);
 
@@ -216,46 +239,75 @@ std::span<const uint8_t> PnwStore::PeekBucketValue(size_t bucket) const {
                        options_.value_bytes);
 }
 
-std::span<const size_t> PnwStore::RankClustersTimed(
-    std::span<const uint8_t> value) {
-  if (model_ == nullptr) {
-    predict_scratch_.ranked.assign(1, 0);
-    return predict_scratch_.ranked;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto& ranked = model_->RankClusters(value, predict_scratch_);
-  const auto t1 = std::chrono::steady_clock::now();
-  metrics_.predict_wall_ns +=
-      std::chrono::duration<double, std::nano>(t1 - t0).count();
-  return ranked;
+size_t PnwStore::LabelOf(std::span<const uint8_t> value) {
+  return model_ != nullptr ? model_->Predict(value, predict_scratch_) : 0;
 }
 
-size_t PnwStore::PredictTimed(std::span<const uint8_t> value) {
-  if (model_ == nullptr) {
-    return 0;
+std::span<const size_t> PnwStore::RankOf(std::span<const uint8_t> value) {
+  if (model_ != nullptr) {
+    return model_->RankClusters(value, predict_scratch_);
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  const size_t label = model_->Predict(value, predict_scratch_);
-  const auto t1 = std::chrono::steady_clock::now();
-  metrics_.predict_wall_ns +=
-      std::chrono::duration<double, std::nano>(t1 - t0).count();
-  return label;
+  predict_scratch_.ranked.assign(1, 0);
+  return predict_scratch_.ranked;
 }
 
-void PnwStore::PredictBatchTimed(
-    std::span<const std::span<const uint8_t>> values) {
-  batch_labels_.clear();
-  if (model_ == nullptr || values.empty()) {
+void PnwStore::Recycle(size_t bucket, std::span<const uint8_t> resident) {
+  pool_.Insert(LabelOf(resident), BucketAddr(bucket));
+}
+
+void PnwStore::Stage(uint64_t key, std::span<const uint8_t> value) {
+  // Every byte of the reused buffer is overwritten (key prefix + full
+  // value), so no clearing is needed and the write path allocates nothing.
+  if (key_bytes_ > 0) {
+    std::memcpy(bucket_scratch_.data(), &key, key_bytes_);
+  }
+  std::memcpy(bucket_scratch_.data() + key_bytes_, value.data(),
+              options_.value_bytes);
+}
+
+Status PnwStore::Place(uint64_t key, size_t bucket) {
+  auto write =
+      device_->WriteDifferential(PhysBucketAddr(bucket), bucket_scratch_);
+  if (!write.ok()) {
+    return write.status();
+  }
+  PNW_RETURN_IF_ERROR(SetBucketFlag(bucket, true));
+  // The index upsert points the key at its new logical home; a reader that
+  // raced in before this line still found the old copy (or nothing).
+  return index_->Put(key, BucketAddr(bucket));
+}
+
+void PnwStore::Unplace(size_t bucket) {
+  // The acquired address must not leak: clear any occupancy flag Place set
+  // (a no-op differential write if it never got that far) and file the
+  // bucket under whatever bits are now resident (the payload write may or
+  // may not have landed before the failure).
+  // status-dropped: best-effort rollback inside an already-failing op; the
+  // caller sees the original failure, not the cleanup's.
+  (void)SetBucketFlag(bucket, false);
+  Recycle(bucket, PeekBucketValue(bucket));
+  ++metrics_.failed_ops;
+}
+
+void PnwStore::AccountBucketWrite(size_t bucket) {
+  wear_->RecordBucketWrite(BucketAddr(bucket));
+  wear_->RecordPhysicalWrite(PhysBucketAddr(bucket));
+  if (remapper_ == nullptr) {
     return;
   }
-  // One timing scope for the whole batch: 2 clock reads per MultiPut
-  // instead of 2 per record, on top of the scratch reuse inside
-  // PredictBatch.
-  const auto t0 = std::chrono::steady_clock::now();
-  model_->PredictBatch(values, predict_scratch_, batch_labels_);
-  const auto t1 = std::chrono::steady_clock::now();
-  metrics_.predict_wall_ns +=
-      std::chrono::duration<double, std::nano>(t1 - t0).count();
+  // The gap move's block copy is endurance overhead, not client traffic:
+  // its device costs land in wear_device_ns, outside the write's own
+  // accounting scope, which already closed.
+  DeviceDeltaScope scope(device_.get(), &metrics_.wear_device_ns);
+  uint64_t moved = 0;
+  auto advanced = remapper_->AdvanceAfterWrite(&moved);
+  if (advanced.ok() && advanced.value()) {
+    ++metrics_.gap_moves;
+    wear_->RecordPhysicalWrite(moved);
+  }
+  // On failure the remapper keeps its interval counter saturated and the
+  // next bucket write retries the move; the client write that triggered
+  // this advance already landed, so nothing is surfaced here.
 }
 
 Status PnwStore::Bootstrap(std::span<const uint64_t> keys,
@@ -318,17 +370,12 @@ void PnwStore::AdoptModel(std::shared_ptr<const ValueModel> model) {
   model_ = std::move(model);
   // Algorithm 1 lines 4-5: rebuild the pool from the *available* addresses
   // (the occupancy bitmap is authoritative), labeling each by the stale
-  // content resident at it. With no model every free address lands in
-  // cluster 0 (DCW placement, the paper's k=1 behaviour).
+  // content resident at it.
   pool_.Clear();
   for (size_t b = 0; b < active_buckets_; ++b) {
-    if (GetBucketFlag(b)) {
-      continue;
+    if (!GetBucketFlag(b)) {
+      Recycle(b, PeekBucketValue(b));
     }
-    const size_t label =
-        model_ != nullptr ? model_->Predict(PeekBucketValue(b), predict_scratch_)
-                          : 0;
-    pool_.Insert(label, BucketAddr(b));
   }
 }
 
@@ -371,11 +418,7 @@ Status PnwStore::MaybeExtendAndRetrain() {
     const size_t first_new = active_buckets_;
     active_buckets_ += grow;
     for (size_t b = first_new; b < active_buckets_; ++b) {
-      const size_t label =
-          model_ != nullptr
-              ? model_->Predict(PeekBucketValue(b), predict_scratch_)
-              : 0;
-      pool_.Insert(label, BucketAddr(b));
+      Recycle(b, PeekBucketValue(b));
     }
     ++metrics_.extensions;
   }
@@ -398,22 +441,28 @@ Status PnwStore::MaybeExtendAndRetrain() {
   return TrainModel();
 }
 
-Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value,
-                             const size_t* label_hint, bool hint_by_model) {
-  // Attribution is decided here -- the retry path below may install a model
-  // mid-operation, but this placement was steered by the model (or lack of
-  // one) present at prediction time. A batch-predicted hint carries its own
-  // attribution from the batch's predict time.
-  const bool placed_by_model =
-      label_hint != nullptr ? hint_by_model : model_ != nullptr;
-  // Fast path: one Predict (Algorithm 2 line 1) -- or the label the batch
-  // encoder path already predicted -- and a pop from that cluster's
-  // free-list. Only when the predicted cluster is empty do we pay for the
-  // full nearest-centroid ranking.
-  const size_t label = label_hint != nullptr ? *label_hint : PredictTimed(value);
+Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value) {
+  // Attribution and predict timing are decided here -- the retry path below
+  // may install a model mid-operation, but this placement was steered by
+  // the model (or lack of one) present at prediction time. Only a model's
+  // predictions count toward predict_wall_ns.
+  const bool placed_by_model = model_ != nullptr;
+  double* predict_ns = placed_by_model ? &metrics_.predict_wall_ns : nullptr;
+  // Fast path: one predict (Algorithm 2 line 1) and a pop from that
+  // cluster's free-list. Only when the predicted cluster is empty do we pay
+  // for the full nearest-centroid ranking.
+  size_t label = 0;
+  {
+    WallTimer timer(predict_ns);
+    label = LabelOf(value);
+  }
   auto addr = pool_.Acquire(label);
   if (!addr.has_value()) {
-    const auto ranked = RankClustersTimed(value);
+    std::span<const size_t> ranked;
+    {
+      WallTimer timer(predict_ns);
+      ranked = RankOf(value);
+    }
     bool fallback = false;
     addr = pool_.AcquireRanked(ranked, &fallback);
     if (addr.has_value()) {
@@ -432,46 +481,19 @@ Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value,
     }
   }
 
-  // Reused staging buffer: every byte is overwritten below (key prefix +
-  // full value), so no clearing is needed and the steady-state write path
-  // stays allocation-free.
-  if (key_bytes_ > 0) {
-    std::memcpy(bucket_scratch_.data(), &key, key_bytes_);
-  }
-  std::memcpy(bucket_scratch_.data() + key_bytes_, value.data(),
-              options_.value_bytes);
-  const size_t bucket_index = *addr / bucket_bytes_;
-  Status write_status;
+  Stage(key, value);
+  const size_t bucket = *addr / bucket_bytes_;
+  Status s;
   {
     DeviceDeltaScope scope(device_.get(), &metrics_.put_device_ns,
                            &metrics_.put_bits_written,
                            &metrics_.put_lines_written,
                            &metrics_.put_words_written);
-    auto write =
-        device_->WriteDifferential(PhysBucketAddr(bucket_index), bucket_scratch_);
-    write_status = write.ok() ? Status::OK() : write.status();
-    if (write_status.ok()) {
-      write_status = SetBucketFlag(bucket_index, true);
-    }
-    if (write_status.ok()) {
-      write_status = index_->Put(key, *addr);
-    }
+    s = Place(key, bucket);
   }
-  if (!write_status.ok()) {
-    // The acquired address must not leak: clear any occupancy flag we set
-    // (a no-op differential write if we never got that far) and reinsert
-    // the address under the label of whatever bits are now resident (the
-    // payload write may or may not have landed before the failure).
-    // status-dropped: best-effort rollback inside an already-failing Put;
-    // the caller sees the original write_status, not the cleanup's.
-    (void)SetBucketFlag(bucket_index, false);
-    const size_t resident_label =
-        model_ != nullptr
-            ? model_->Predict(PeekBucketValue(bucket_index), predict_scratch_)
-            : 0;
-    pool_.Insert(resident_label, *addr);
-    ++metrics_.failed_ops;
-    return write_status;
+  if (!s.ok()) {
+    Unplace(bucket);
+    return s;
   }
   // Attribute only successful placements (counted alongside `puts` so the
   // predicted/fallback split always sums to the placed PUTs): a trained
@@ -483,17 +505,14 @@ Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value,
     ++metrics_.fallback_placements;
   }
   metrics_.put_payload_bits += value.size() * 8;
-  wear_->RecordBucketWrite(*addr);
-  wear_->RecordPhysicalWrite(PhysBucketAddr(bucket_index));
   ++used_buckets_;
   ++metrics_.puts;
   ++puts_since_retrain_;
-  AdvanceGapAfterBlockWrite();
+  AccountBucketWrite(bucket);
   return MaybeExtendAndRetrain();
 }
 
-Status PnwStore::PutOne(uint64_t key, std::span<const uint8_t> value,
-                        const size_t* label_hint, bool hint_by_model) {
+Status PnwStore::Put(uint64_t key, std::span<const uint8_t> value) {
   if (!bootstrapped_) {
     return Status::FailedPrecondition("Bootstrap the store before Put");
   }
@@ -501,56 +520,29 @@ Status PnwStore::PutOne(uint64_t key, std::span<const uint8_t> value,
     return Status::InvalidArgument("value size mismatch");
   }
   if (index_->Get(key).ok()) {
-    return UpdateInternal(key, value, label_hint, hint_by_model);
+    return Update(key, value);
   }
-  Status s = PutInternal(key, value, label_hint, hint_by_model);
+  Status s = PutInternal(key, value);
   if (s.ok()) {
     PNW_RETURN_IF_ERROR(LogOp(persist::OpType::kPut, key, value));
   }
   return s;
 }
 
-Status PnwStore::Put(uint64_t key, std::span<const uint8_t> value) {
-  return PutOne(key, value, /*label_hint=*/nullptr, /*hint_by_model=*/false);
-}
-
 std::vector<Status> PnwStore::MultiPut(
     std::span<const uint64_t> keys,
     std::span<const std::span<const uint8_t>> values) {
-  std::vector<Status> out;
   if (keys.size() != values.size()) {
-    out.assign(std::max(keys.size(), values.size()),
-               Status::InvalidArgument("keys/values size mismatch"));
-    return out;
+    return std::vector<Status>(
+        std::max(keys.size(), values.size()),
+        Status::InvalidArgument("keys/values size mismatch"));
   }
-  out.assign(keys.size(), Status::OK());
-  if (keys.empty()) {
-    return out;
-  }
-  if (!bootstrapped_) {
-    out.assign(keys.size(),
-               Status::FailedPrecondition("Bootstrap the store before Put"));
-    return out;
-  }
-  // Predict the whole batch up front through the scratch-backed batch
-  // encoder path; attribution is fixed at batch-predict time. A mid-batch
-  // retrain (triggered by an earlier slot crossing the load factor) keeps
-  // serving the remaining slots with these labels -- labels steer placement
-  // quality only, so this trades a few possibly-stale placements for not
-  // re-predicting the tail of the batch.
-  PredictBatchTimed(values);
-  const bool by_model = model_ != nullptr;
-  batch_logging_ = true;
-  pending_log_.clear();
-  pending_log_slots_.clear();
+  std::vector<Status> out(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     batch_slot_ = i;
-    const size_t* hint =
-        by_model && i < batch_labels_.size() ? &batch_labels_[i] : nullptr;
-    out[i] = PutOne(keys[i], values[i], hint, by_model);
+    out[i] = Put(keys[i], values[i]);
   }
   batch_slot_ = SIZE_MAX;
-  batch_logging_ = false;
   // One group append for every operation the batch applied: one buffer
   // build, one flush, at most one (deferred, group-paced) fsync.
   FlushBatchLog(out);
@@ -712,19 +704,14 @@ Status PnwStore::DeleteInternal(uint64_t key) {
   {
     DeviceDeltaScope scope(device_.get(), &metrics_.delete_device_ns);
     PNW_RETURN_IF_ERROR(index_->Delete(key));
-    const size_t bucket_index = addr.value() / bucket_bytes_;
-    PNW_RETURN_IF_ERROR(SetBucketFlag(bucket_index, false));
+    const size_t bucket = addr.value() / bucket_bytes_;
+    PNW_RETURN_IF_ERROR(SetBucketFlag(bucket, false));
     // Algorithm 3 line 3: E = model.predict(Read(A)) -- an NVM read,
     // staged through the reused bucket scratch (DELETE is half of every
     // endurance-first UPDATE, so it shares the allocation-free discipline
     // of the write path).
-    PNW_RETURN_IF_ERROR(
-        device_->Read(PhysBucketAddr(bucket_index), bucket_scratch_));
-    const std::span<const uint8_t> value(bucket_scratch_.data() + key_bytes_,
-                                         options_.value_bytes);
-    const size_t label =
-        model_ != nullptr ? model_->Predict(value, predict_scratch_) : 0;
-    pool_.Insert(label, addr.value());
+    PNW_RETURN_IF_ERROR(device_->Read(PhysBucketAddr(bucket), bucket_scratch_));
+    Recycle(bucket, bucket_scratch_.subspan(key_bytes_));
   }
   --used_buckets_;
   ++metrics_.deletes;
@@ -744,12 +731,6 @@ Status PnwStore::Delete(uint64_t key) {
 }
 
 Status PnwStore::Update(uint64_t key, std::span<const uint8_t> value) {
-  return UpdateInternal(key, value, /*label_hint=*/nullptr,
-                        /*hint_by_model=*/false);
-}
-
-Status PnwStore::UpdateInternal(uint64_t key, std::span<const uint8_t> value,
-                                const size_t* label_hint, bool hint_by_model) {
   if (value.size() != options_.value_bytes) {
     return Status::InvalidArgument("value size mismatch");
   }
@@ -758,7 +739,7 @@ Status PnwStore::UpdateInternal(uint64_t key, std::span<const uint8_t> value,
     // `puts` keeps counting every write placed via the model; `updates`
     // additionally records that it replaced an existing key.
     PNW_RETURN_IF_ERROR(DeleteInternal(key));
-    Status s = PutInternal(key, value, label_hint, hint_by_model);
+    Status s = PutInternal(key, value);
     if (s.ok()) {
       ++metrics_.updates;
       PNW_RETURN_IF_ERROR(LogOp(persist::OpType::kUpdate, key, value));
@@ -774,19 +755,15 @@ Status PnwStore::UpdateInternal(uint64_t key, std::span<const uint8_t> value,
   if (!addr.ok()) {
     return addr.status();
   }
-  if (key_bytes_ > 0) {
-    std::memcpy(bucket_scratch_.data(), &key, key_bytes_);
-  }
-  std::memcpy(bucket_scratch_.data() + key_bytes_, value.data(),
-              options_.value_bytes);
-  const size_t bucket_index = addr.value() / bucket_bytes_;
+  Stage(key, value);
+  const size_t bucket = addr.value() / bucket_bytes_;
   {
     DeviceDeltaScope scope(device_.get(), &metrics_.put_device_ns,
                            &metrics_.put_bits_written,
                            &metrics_.put_lines_written,
                            &metrics_.put_words_written);
-    auto write = device_->WriteDifferential(PhysBucketAddr(bucket_index),
-                                            bucket_scratch_);
+    auto write =
+        device_->WriteDifferential(PhysBucketAddr(bucket), bucket_scratch_);
     if (!write.ok()) {
       // Nothing to roll back: no address was acquired and the index still
       // points at the (unmodified or partially updated) resident bucket.
@@ -795,32 +772,11 @@ Status PnwStore::UpdateInternal(uint64_t key, std::span<const uint8_t> value,
     }
   }
   metrics_.put_payload_bits += value.size() * 8;
-  wear_->RecordBucketWrite(addr.value());
-  wear_->RecordPhysicalWrite(PhysBucketAddr(bucket_index));
   ++metrics_.puts;
   ++metrics_.inplace_updates;
   ++metrics_.updates;
-  AdvanceGapAfterBlockWrite();
+  AccountBucketWrite(bucket);
   return LogOp(persist::OpType::kUpdate, key, value);
-}
-
-void PnwStore::AdvanceGapAfterBlockWrite() {
-  if (remapper_ == nullptr) {
-    return;
-  }
-  // The gap move's block copy is endurance overhead, not client traffic:
-  // its device costs land in wear_device_ns, outside the PUT accounting
-  // scope that already closed.
-  DeviceDeltaScope scope(device_.get(), &metrics_.wear_device_ns);
-  uint64_t moved = 0;
-  auto advanced = remapper_->AdvanceAfterWrite(&moved);
-  if (advanced.ok() && advanced.value()) {
-    ++metrics_.gap_moves;
-    wear_->RecordPhysicalWrite(moved);
-  }
-  // On failure the remapper keeps its interval counter saturated and the
-  // next bucket write retries the move; the client write that triggered
-  // this advance already landed, so nothing is surfaced here.
 }
 
 Result<bool> PnwStore::MigrateBucket(size_t bucket) {
@@ -836,17 +792,9 @@ Result<bool> PnwStore::MigrateBucket(size_t bucket) {
       device_->Peek(PhysBucketAddr(bucket), bucket_bytes_);
   uint64_t key = 0;
   std::memcpy(&key, resident.data(), key_bytes_);
-  const std::span<const uint8_t> value(resident.data() + key_bytes_,
-                                       options_.value_bytes);
-  std::span<const size_t> ranked;
-  if (model_ != nullptr) {
-    // Untimed ranking: migration is background work, so its prediction
-    // cost stays out of the client-facing predict_wall_ns.
-    ranked = model_->RankClusters(value, predict_scratch_);
-  } else {
-    predict_scratch_.ranked.assign(1, 0);
-    ranked = predict_scratch_.ranked;
-  }
+  // Untimed ranking: migration is background work, so its prediction cost
+  // stays out of the client-facing predict_wall_ns.
+  const auto ranked = RankOf(resident.subspan(key_bytes_));
   const auto counts = wear_->bucket_write_counts();
   bool used_fallback = false;
   const auto dst = pool_.AcquireRankedMinWear(
@@ -863,49 +811,22 @@ Result<bool> PnwStore::MigrateBucket(size_t bucket) {
     DeviceDeltaScope scope(device_.get(), &metrics_.wear_device_ns);
     s = device_->Read(PhysBucketAddr(bucket), bucket_scratch_);
     if (s.ok()) {
-      auto write = device_->WriteDifferential(PhysBucketAddr(dst_bucket),
-                                              bucket_scratch_);
-      s = write.ok() ? Status::OK() : write.status();
-    }
-    if (s.ok()) {
-      s = SetBucketFlag(dst_bucket, true);
-    }
-    if (s.ok()) {
-      // The index upsert re-points the key at its new logical home; a
-      // reader that raced in before this line still found the old copy.
-      s = index_->Put(key, *dst);
+      s = Place(key, dst_bucket);
     }
     if (s.ok()) {
       s = SetBucketFlag(bucket, false);
     }
   }
   if (!s.ok()) {
-    // Same discipline as PutInternal: the acquired destination must not
-    // leak. Clear its flag and reinsert it under whatever bits are now
-    // resident there (the copy may or may not have landed).
-    // status-dropped: best-effort rollback of an already-failed migration;
-    // the caller sees the original failure, not the cleanup's.
-    (void)SetBucketFlag(dst_bucket, false);
-    const size_t resident_label =
-        model_ != nullptr
-            ? model_->Predict(PeekBucketValue(dst_bucket), predict_scratch_)
-            : 0;
-    pool_.Insert(resident_label, *dst);
-    ++metrics_.failed_ops;
+    Unplace(dst_bucket);
     return s;
   }
   // Free the source under the label of its (still resident, now stale)
   // content -- exactly how DELETE returns addresses, so the pool keeps
   // placing future writes onto similar bits.
-  const size_t source_label =
-      model_ != nullptr
-          ? model_->Predict(PeekBucketValue(bucket), predict_scratch_)
-          : 0;
-  pool_.Insert(source_label, BucketAddr(bucket));
-  wear_->RecordBucketWrite(*dst);
-  wear_->RecordPhysicalWrite(PhysBucketAddr(dst_bucket));
+  Recycle(bucket, PeekBucketValue(bucket));
   ++metrics_.migrations;
-  AdvanceGapAfterBlockWrite();
+  AccountBucketWrite(dst_bucket);
   return true;
 }
 
@@ -1396,7 +1317,7 @@ Status PnwStore::LogOp(persist::OpType op, uint64_t key,
   if (op_log_ == nullptr || replaying_) {
     return Status::OK();
   }
-  if (batch_logging_) {
+  if (batch_slot_ != SIZE_MAX) {
     // Open MultiPut batch: defer. The value span borrows the caller's
     // batch storage, which outlives the batch; FlushBatchLog turns the
     // whole set into one group append.
@@ -1404,11 +1325,11 @@ Status PnwStore::LogOp(persist::OpType op, uint64_t key,
     pending_log_slots_.push_back(batch_slot_);
     return Status::OK();
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  Status s = op_log_->Append(op, key, value);
-  metrics_.log_wall_ns += std::chrono::duration<double, std::nano>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
+  Status s;
+  {
+    WallTimer timer(&metrics_.log_wall_ns);
+    s = op_log_->Append(op, key, value);
+  }
   if (!s.ok()) {
     // The log no longer matches the store; detach it rather than keep
     // writing records recovery would replay out of order.
@@ -1423,11 +1344,11 @@ void PnwStore::FlushBatchLog(std::span<Status> statuses) {
   if (op_log_ == nullptr || pending_log_.empty()) {
     return;
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  Status s = op_log_->AppendBatch(pending_log_);
-  metrics_.log_wall_ns += std::chrono::duration<double, std::nano>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
+  Status s;
+  {
+    WallTimer timer(&metrics_.log_wall_ns);
+    s = op_log_->AppendBatch(pending_log_);
+  }
   if (!s.ok()) {
     // Same contract as the single-op path, per slot: the operations are
     // applied but no longer captured, so each logged slot surfaces

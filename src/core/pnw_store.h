@@ -77,7 +77,9 @@ class PnwStore {
   ///     arena gauges are snapshots of process RAM and are NOT serialized.
   /// v6: the encoded PnwOptions lost LatencyParams' predict-overhead knob
   ///     (never read), so the options section is one double shorter.
-  static constexpr uint32_t kSnapshotVersion = 6;
+  /// v7: the encoded PnwOptions lost the mini-batch training knob (no
+  ///     caller set it), so the options section is one u64 shorter.
+  static constexpr uint32_t kSnapshotVersion = 7;
   /// The op-log of a checkpoint at `path` lives at `path + kOpLogSuffix`.
   static constexpr const char* kOpLogSuffix = ".oplog";
 
@@ -158,20 +160,14 @@ class PnwStore {
 
   /// Batched write: one Status per (key, value) slot, in slot order
   /// (duplicate keys allowed; later slots observe earlier ones, so the
-  /// second occurrence of a key is an UPDATE). Semantically each slot
-  /// behaves exactly like Put(keys[i], values[i]); the batch form buys
-  /// the amortizations of the write hot path:
-  ///   - the whole batch is predicted up front through the scratch-backed
-  ///     batch encoder path (one wall-clock timing scope, zero
-  ///     steady-state allocations);
-  ///   - the attached op-log receives ONE group append for every applied
-  ///     operation (one buffer build + one flush + at most one deferred
-  ///     group fsync) instead of a flush per record. If that single group
-  ///     append fails, every applied-but-uncaptured slot reports Internal
-  ///     (mirroring Put's contract) and the log is detached.
-  /// A mid-batch model swap (a retrain triggered by an earlier slot) keeps
-  /// serving the remaining slots with their batch-time predictions: labels
-  /// steer placement quality, never correctness.
+  /// second occurrence of a key is an UPDATE). Each slot IS
+  /// Put(keys[i], values[i]), prediction included, so a retrain that an
+  /// earlier slot triggers steers every later one. Only the op-log capture
+  /// is deferred: the attached log receives ONE group append for every
+  /// applied operation (one buffer build + one flush + at most one
+  /// deferred group fsync) instead of a flush per record. If that single
+  /// group append fails, every applied-but-uncaptured slot reports
+  /// Internal (mirroring Put's contract) and the log is detached.
   std::vector<Status> MultiPut(std::span<const uint64_t> keys,
                                std::span<const std::span<const uint8_t>> values)
       PNW_REQUIRES(mu_);
@@ -339,37 +335,41 @@ class PnwStore {
   explicit PnwStore(const PnwOptions& options);
 
   Status Init() PNW_REQUIRES(mu_);
-  /// `label_hint`, when non-null, is a cluster label the caller already
-  /// predicted for `value` (MultiPut's batch predict); `hint_by_model`
-  /// records whether a trained model produced it, deciding placement
-  /// attribution. With a null hint the label is predicted here.
-  Status PutInternal(uint64_t key, std::span<const uint8_t> value,
-                     const size_t* label_hint = nullptr,
-                     bool hint_by_model = false) PNW_REQUIRES(mu_);
-  Status DeleteInternal(uint64_t key) PNW_REQUIRES(mu_);
-  /// Shared Put/MultiPut slot body: upgrade to Update when the key exists,
-  /// otherwise PutInternal + op-log capture (deferred while batching).
-  Status PutOne(uint64_t key, std::span<const uint8_t> value,
-                const size_t* label_hint, bool hint_by_model)
+  /// Algorithm 2 for a key the index does not hold: predict (timed into
+  /// predict_wall_ns), acquire, Place, account. The caller logs the op.
+  Status PutInternal(uint64_t key, std::span<const uint8_t> value)
       PNW_REQUIRES(mu_);
-  /// Update under the configured mode, reusing `label_hint` for the
-  /// endurance-first re-placement.
-  Status UpdateInternal(uint64_t key, std::span<const uint8_t> value,
-                        const size_t* label_hint, bool hint_by_model)
+  Status DeleteInternal(uint64_t key) PNW_REQUIRES(mu_);
+
+  /// The one no-model rule, untimed: `value`'s cluster label and its
+  /// clusters nearest-first under the served model, or cluster 0 and {0}
+  /// when none is trained yet (the store then degenerates to DCW
+  /// placement, exactly the paper's k=1 behaviour). The ranking aliases
+  /// per-store scratch, valid until the next predict/rank call.
+  size_t LabelOf(std::span<const uint8_t> value) PNW_REQUIRES(mu_);
+  std::span<const size_t> RankOf(std::span<const uint8_t> value)
       PNW_REQUIRES(mu_);
 
-  /// Predicted-cluster ranking with wall-clock accounting; returns {0} when
-  /// no model is trained yet (the store then degenerates to DCW placement,
-  /// exactly the paper's k=1 behaviour). The returned span aliases
-  /// per-store scratch, valid until the next predict/rank call.
-  std::span<const size_t> RankClustersTimed(std::span<const uint8_t> value)
+  /// Return `bucket`'s address to the pool under the label of `resident`,
+  /// the value bytes now in it: a freed address is filed by its stale
+  /// content (Algorithm 1 lines 4-5, Algorithm 3 line 3).
+  void Recycle(size_t bucket, std::span<const uint8_t> resident)
       PNW_REQUIRES(mu_);
-  /// Single-label prediction with wall-clock accounting (the PUT fast path).
-  size_t PredictTimed(std::span<const uint8_t> value) PNW_REQUIRES(mu_);
-  /// Batch prediction with one wall-clock scope for the whole batch; fills
-  /// batch_labels_. No-op (labels cleared) when no model is trained.
-  void PredictBatchTimed(std::span<const std::span<const uint8_t>> values)
-      PNW_REQUIRES(mu_);
+
+  /// Copy [key|value] into bucket_scratch_.
+  void Stage(uint64_t key, std::span<const uint8_t> value) PNW_REQUIRES(mu_);
+  /// Write bucket_scratch_ into `bucket`, set its occupancy flag and point
+  /// `key` at it, inside the caller's device accounting scope. On failure
+  /// the caller closes that scope and calls Unplace(bucket).
+  Status Place(uint64_t key, size_t bucket) PNW_REQUIRES(mu_);
+  /// Roll back a failed Place: clear the flag, Recycle the bucket under
+  /// whatever bytes it now holds, and count a failed op.
+  void Unplace(size_t bucket) PNW_REQUIRES(mu_);
+  /// After a (successful, already accounted) write of `bucket`: record its
+  /// logical and physical wear, then advance the Start-Gap interval,
+  /// charging a resulting gap move to metrics_.wear_device_ns / gap_moves
+  /// and the physical histogram.
+  void AccountBucketWrite(size_t bucket) PNW_REQUIRES(mu_);
 
   /// Occupancy flag bitmap ops (each is a 1-byte differential NVM write).
   bool GetBucketFlag(size_t bucket) const PNW_REQUIRES_SHARED(mu_);
@@ -389,12 +389,6 @@ class PnwStore {
   /// Grow the active data zone (new free addresses labeled under the
   /// current model) and trigger retraining per options.
   Status MaybeExtendAndRetrain() PNW_REQUIRES(mu_);
-
-  /// After a (successful, already accounted) data-zone block write:
-  /// advance the Start-Gap interval, charging a resulting gap move to
-  /// metrics_.wear_device_ns / gap_moves and the physical histogram.
-  /// No-op without wear leveling.
-  void AdvanceGapAfterBlockWrite() PNW_REQUIRES(mu_);
 
   /// Relocate one resident bucket to a colder free address (the shared
   /// body of MigrateHotBuckets and kMigrate replay). Decision phase is
@@ -417,11 +411,11 @@ class PnwStore {
       PNW_REQUIRES(mu_);
 
   /// Append one record to the attached op-log (no-op when none is
-  /// attached or while replaying). While a MultiPut batch is open the
-  /// record is deferred into pending_log_ instead -- FlushBatchLog turns
-  /// the whole batch into one group append. On (immediate) append failure
-  /// the log is detached -- it no longer matches the store -- and Internal
-  /// is returned.
+  /// attached or while replaying). While a MultiPut batch is open
+  /// (batch_slot_ set) the record is deferred into pending_log_ instead --
+  /// FlushBatchLog turns the whole batch into one group append. On
+  /// (immediate) append failure the log is detached -- it no longer
+  /// matches the store -- and Internal is returned.
   Status LogOp(persist::OpType op, uint64_t key,
                std::span<const uint8_t> value) PNW_REQUIRES(mu_);
 
@@ -510,10 +504,9 @@ class PnwStore {
 
   /// Hot-path scratch (all mutating operations run under the exclusive
   /// lock, so one set per store suffices): prediction pipeline buffers,
-  /// the [key|value] bucket staging buffer, batch-predicted labels, and
-  /// the deferred op-log records (+ their batch slots) of an open
-  /// MultiPut. Capacity persists across operations -- the steady-state
-  /// write path allocates nothing.
+  /// the [key|value] bucket staging buffer, and the deferred op-log
+  /// records (+ their batch slots) of an open MultiPut. Capacity persists
+  /// across operations -- the steady-state write path allocates nothing.
   FeatureScratch predict_scratch_ PNW_GUARDED_BY(mu_);
   /// [key|value] bucket staging, carved from the staging arena at Init
   /// (fixed bucket_bytes_ size, 64-byte aligned) -- the write path's last
@@ -522,13 +515,11 @@ class PnwStore {
   util::Arena staging_arena_ PNW_GUARDED_BY(mu_){
       util::Arena::Options{.slab_bytes = 4096}};
   std::span<uint8_t> bucket_scratch_ PNW_GUARDED_BY(mu_);
-  std::vector<size_t> batch_labels_ PNW_GUARDED_BY(mu_);
   std::vector<persist::OpLogEntry> pending_log_ PNW_GUARDED_BY(mu_);
   std::vector<size_t> pending_log_slots_ PNW_GUARDED_BY(mu_);
   /// Index of the MultiPut slot currently executing (drives
   /// pending_log_slots_); SIZE_MAX outside a batch.
   size_t batch_slot_ PNW_GUARDED_BY(mu_) = SIZE_MAX;
-  bool batch_logging_ PNW_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace pnw::core

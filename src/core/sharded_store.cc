@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <memory>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -137,6 +140,27 @@ size_t CheckpointThreads(size_t num_shards) {
   return std::max<size_t>(1, std::min(num_shards, hw));
 }
 
+/// Runs `per_shard(i)` for every shard i in [0, num_shards) on `pool` (a
+/// fresh CheckpointThreads-sized one when null), waits for all of them, and
+/// returns the first error in shard order.
+Status ForEachShard(size_t num_shards, ThreadPool* pool,
+                    const std::function<Status(size_t)>& per_shard) {
+  std::unique_ptr<ThreadPool> own;
+  if (pool == nullptr) {
+    own = std::make_unique<ThreadPool>(CheckpointThreads(num_shards));
+    pool = own.get();
+  }
+  std::vector<Status> statuses(num_shards);
+  for (size_t i = 0; i < num_shards; ++i) {
+    pool->Submit([&statuses, &per_shard, i] { statuses[i] = per_shard(i); });
+  }
+  pool->Wait();
+  for (const Status& s : statuses) {
+    PNW_RETURN_IF_ERROR(s);
+  }
+  return Status::OK();
+}
+
 /// Directory of one checkpoint generation inside the checkpoint dir.
 std::string EpochDirName(uint64_t epoch) {
   char name[32];
@@ -164,26 +188,16 @@ Status ShardedPnwStore::Checkpoint(const std::string& dir) {
   // *committed* generation's op-log, so a failure anywhere up to the
   // manifest commit leaves the durable state exactly as before this call
   // -- no write is ever captured only by an uncommitted generation.
-  std::vector<Status> statuses(shards_.size());
-  {
-    ThreadPool pool(CheckpointThreads(shards_.size()));
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      pool.Submit([this, &epoch_dir, &statuses, i] {
+  PNW_RETURN_IF_ERROR(ForEachShard(
+      shards_.size(), nullptr, [this, &epoch_dir](size_t i) -> Status {
         // Exclusive: the snapshot must see a quiesced shard, so in-flight
         // shared-lock readers drain first and new ones wait; readers of
         // *other* shards are unaffected (this is the checkpoint-vs-reader
         // interlock).
         PnwStore& shard = *shards_[i];
         util::WriterLock lock(shard.mu());
-        statuses[i] =
-            shard.WriteCheckpoint(epoch_dir + "/" + ShardSnapshotName(i));
-      });
-    }
-    pool.Wait();
-  }
-  for (const Status& s : statuses) {
-    PNW_RETURN_IF_ERROR(s);
-  }
+        return shard.WriteCheckpoint(epoch_dir + "/" + ShardSnapshotName(i));
+      }));
   persist::SnapshotWriter manifest(kManifestVersion);
   auto& w = manifest.AddSection(kManifestSection);
   w.PutU64(shards_.size());
@@ -199,21 +213,12 @@ Status ShardedPnwStore::Checkpoint(const std::string& dir) {
   // new generation. Ops a shard acknowledges between the manifest rename
   // and its own switch land in the old generation's log only -- the one
   // bounded loss window a crash in this phase can cause.
-  {
-    ThreadPool pool(CheckpointThreads(shards_.size()));
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      pool.Submit([this, &epoch_dir, &statuses, i] {
+  PNW_RETURN_IF_ERROR(ForEachShard(
+      shards_.size(), nullptr, [this, &epoch_dir](size_t i) -> Status {
         PnwStore& shard = *shards_[i];
         util::WriterLock lock(shard.mu());
-        statuses[i] =
-            shard.FinishCheckpoint(epoch_dir + "/" + ShardSnapshotName(i));
-      });
-    }
-    pool.Wait();
-  }
-  for (const Status& s : statuses) {
-    PNW_RETURN_IF_ERROR(s);
-  }
+        return shard.FinishCheckpoint(epoch_dir + "/" + ShardSnapshotName(i));
+      }));
   // Only after the new manifest is durable: drop superseded generations
   // (and any partial ones a crashed checkpoint left). Failures here are
   // ignored -- leftovers waste disk but are never opened.
@@ -270,25 +275,17 @@ Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
   store->checkpoint_epoch_ = epoch;
   store->shards_.resize(num_shards);
   const std::string epoch_dir = dir + "/" + EpochDirName(epoch);
-  std::vector<Status> statuses(num_shards);
-  {
-    ThreadPool pool(CheckpointThreads(num_shards));
-    for (size_t i = 0; i < num_shards; ++i) {
-      pool.Submit([&store, &epoch_dir, &statuses, &recovery, i] {
+  PNW_RETURN_IF_ERROR(ForEachShard(
+      num_shards, nullptr,
+      [&store, &epoch_dir, &recovery](size_t i) -> Status {
         auto shard =
             PnwStore::Open(epoch_dir + "/" + ShardSnapshotName(i), recovery);
         if (!shard.ok()) {
-          statuses[i] = shard.status();
-          return;
+          return shard.status();
         }
         store->shards_[i] = std::move(shard.value());
-      });
-    }
-    pool.Wait();
-  }
-  for (const Status& s : statuses) {
-    PNW_RETURN_IF_ERROR(s);
-  }
+        return Status::OK();
+      }));
   if (options.background_migration) {
     PNW_RETURN_IF_ERROR(store->StartBackgroundMigration());
   }
@@ -296,33 +293,23 @@ Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
 }
 
 Result<size_t> ShardedPnwStore::MigrateOnce(size_t max_buckets_per_shard) {
-  std::vector<Status> statuses(shards_.size());
   std::vector<size_t> moved(shards_.size(), 0);
-  {
-    ThreadPool pool(CheckpointThreads(shards_.size()));
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      pool.Submit([this, &statuses, &moved, max_buckets_per_shard, i] {
+  PNW_RETURN_IF_ERROR(ForEachShard(
+      shards_.size(), nullptr,
+      [this, &moved, max_buckets_per_shard](size_t i) -> Status {
         // Exclusive, like any writer: migration mutates the shard's index,
         // pool, flags, and device, so readers drain first and checkpoints
         // never observe a half-moved bucket.
         PnwStore& shard = *shards_[i];
         util::WriterLock lock(shard.mu());
         auto migrated = shard.MigrateHotBuckets(max_buckets_per_shard);
-        if (migrated.ok()) {
-          moved[i] = migrated.value();
-        } else {
-          statuses[i] = migrated.status();
+        if (!migrated.ok()) {
+          return migrated.status();
         }
-      });
-    }
-    pool.Wait();
-  }
-  size_t total = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    PNW_RETURN_IF_ERROR(statuses[i]);
-    total += moved[i];
-  }
-  return total;
+        moved[i] = migrated.value();
+        return Status::OK();
+      }));
+  return std::accumulate(moved.begin(), moved.end(), size_t{0});
 }
 
 Status ShardedPnwStore::StartBackgroundMigration() {
@@ -378,26 +365,22 @@ void ShardedPnwStore::MigrationPacerLoop(std::chrono::milliseconds interval,
 }
 
 void ShardedPnwStore::RunMigrationPass(ThreadPool* pool) {
-  std::vector<Status> statuses(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    pool->Submit([this, &statuses, i] {
-      PnwStore& shard = *shards_[i];
-      util::WriterLock shard_lock(shard.mu());
-      auto migrated = shard.MigrateHotBuckets(options_.migration_max_buckets);
-      // A FailedPrecondition here only means the shard is not
-      // bootstrapped yet (Open starts the pacer before the caller
-      // loads data): a benign no-op sweep, not a failure.
-      if (!migrated.ok() && !migrated.status().IsFailedPrecondition()) {
-        statuses[i] = migrated.status();
-      }
-    });
-  }
-  pool->Wait();
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
-      background_migration_failures_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
+  const Status s =
+      ForEachShard(shards_.size(), pool, [this](size_t i) -> Status {
+        PnwStore& shard = *shards_[i];
+        util::WriterLock shard_lock(shard.mu());
+        auto migrated =
+            shard.MigrateHotBuckets(options_.migration_max_buckets);
+        // A FailedPrecondition here only means the shard is not
+        // bootstrapped yet (Open starts the pacer before the caller
+        // loads data): a benign no-op sweep, not a failure.
+        if (!migrated.ok() && !migrated.status().IsFailedPrecondition()) {
+          return migrated.status();
+        }
+        return Status::OK();
+      });
+  if (!s.ok()) {
+    background_migration_failures_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -510,7 +493,7 @@ std::vector<Status> ShardedPnwStore::MultiPut(
         }
         // One *exclusive*-lock acquisition per involved shard, however
         // many writes the batch routes to it; the shard-level MultiPut
-        // then amortizes prediction and the op-log flush across the group.
+        // then amortizes the op-log flush across the group.
         PnwStore& shard = *shards_[s];
         util::WriterLock lock(shard.mu());
         return shard.MultiPut(shard_keys, shard_values);

@@ -130,7 +130,9 @@ class ShardedPnwStore {
   ///       victim budget) follow the encoded store options.
   ///   v3: the encoded store options lost LatencyParams' predict-overhead
   ///       knob (never read), so they are one double shorter.
-  static constexpr uint32_t kManifestVersion = 3;
+  ///   v4: the encoded store options lost the mini-batch training knob (no
+  ///       caller set it), so they are one u64 shorter.
+  static constexpr uint32_t kManifestVersion = 4;
   /// Checkpoint-directory file names: the manifest, and one snapshot (plus
   /// its `.oplog`) per shard, named by ShardSnapshotName().
   static constexpr const char* kManifestName = "MANIFEST";
@@ -194,8 +196,8 @@ class ShardedPnwStore {
   /// slots by owning shard and takes each involved shard's *exclusive*
   /// lock exactly once, so a batch of B writes over S shards costs
   /// min(B, S) lock acquisitions instead of B; within a shard the group
-  /// goes through PnwStore::MultiPut (batch-predicted labels, one group
-  /// op-log append). Writes to different shards still serialize only
+  /// goes through PnwStore::MultiPut (a Put per slot, one group op-log
+  /// append). Writes to different shards still serialize only
   /// against their own shard's readers/writers. An empty batch returns an
   /// empty vector without locking.
   std::vector<Status> MultiPut(std::span<const uint64_t> keys,

@@ -42,7 +42,6 @@ void EncodePnwOptions(const core::PnwOptions& options, BufferWriter& w) {
   w.PutU64(options.encode_byte_stride);
   w.PutU64(options.train_threads);
   w.PutU64(options.max_training_iterations);
-  w.PutU64(options.training_mini_batch);
   w.PutDouble(options.load_factor);
   w.PutBool(options.auto_retrain);
   w.PutU64(options.retrain_min_interval);
@@ -87,8 +86,6 @@ Status DecodePnwOptions(BufferReader& r, core::PnwOptions* options) {
   o.train_threads = u;
   PNW_RETURN_IF_ERROR(r.GetU64(&u));
   o.max_training_iterations = u;
-  PNW_RETURN_IF_ERROR(r.GetU64(&u));
-  o.training_mini_batch = u;
   PNW_RETURN_IF_ERROR(r.GetDouble(&o.load_factor));
   PNW_RETURN_IF_ERROR(r.GetBool(&o.auto_retrain));
   PNW_RETURN_IF_ERROR(r.GetU64(&u));

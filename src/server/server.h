@@ -2,9 +2,9 @@
 // thread serves length-prefixed binary frames (src/server/protocol.h) over
 // non-blocking TCP sockets and feeds each connection's pipelined requests
 // to ShardedPnwStore::MultiGet / MultiPut, so the store's batched entry
-// points -- batch prediction, one shared/exclusive lock acquisition per
-// involved shard, and the op-log's group fsync -- amortize across whatever
-// a client kept in flight. Admission control is two-tier: a slow reader
+// points -- one shared/exclusive lock acquisition per involved shard and
+// the op-log's group fsync -- amortize across whatever a client kept in
+// flight. Admission control is two-tier: a slow reader
 // (responses backing up past per_conn_outbuf_limit) stops being *read*
 // until it drains (bounded memory, no disconnect), and past the global
 // in-flight budget new frames are answered kOverloaded without touching

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "src/core/dynamic_address_pool.h"
@@ -57,20 +56,6 @@ TEST(DynamicAddressPoolTest, RankedAllEmpty) {
   const std::vector<size_t> ranked = {0, 1};
   bool fallback = false;
   EXPECT_FALSE(pool.AcquireRanked(ranked, &fallback).has_value());
-}
-
-TEST(DynamicAddressPoolTest, DrainReturnsEverythingOnce) {
-  DynamicAddressPool pool(4);
-  for (uint64_t a = 0; a < 10; ++a) {
-    pool.Insert(a % 4, a);
-  }
-  auto all = pool.Drain();
-  EXPECT_EQ(all.size(), 10u);
-  std::sort(all.begin(), all.end());
-  for (uint64_t a = 0; a < 10; ++a) {
-    EXPECT_EQ(all[a], a);
-  }
-  EXPECT_EQ(pool.FreeCount(), 0u);
 }
 
 TEST(DynamicAddressPoolTest, RankedMinWearPicksColdestInNearestCluster) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -245,6 +246,22 @@ TEST(PnwStoreTest, MultiGetMatchesGetAndAccountsPerKey) {
 
 // --- PR 5: the batched write path.
 
+/// Every StoreMetrics counter but the measured wall-clock times.
+void ExpectSameCounters(const StoreMetrics& got, const StoreMetrics& want) {
+#define PNW_EXPECT_SAME_COUNTER(type, name)             \
+  if (!std::string_view(#name).ends_with("_wall_ns")) { \
+    EXPECT_EQ(got.name, want.name) << #name;            \
+  }
+  PNW_STORE_COUNTERS(PNW_EXPECT_SAME_COUNTER)
+#undef PNW_EXPECT_SAME_COUNTER
+}
+
+bool SameDeviceBytes(PnwStore& a, PnwStore& b) {
+  const auto x = a.device().Contents();
+  const auto y = b.device().Contents();
+  return std::equal(x.begin(), x.end(), y.begin(), y.end());
+}
+
 TEST(PnwStoreTest, MultiPutMatchesSequentialPutsExactly) {
   // The same (key, value) stream through MultiPut and through per-op Puts
   // must produce identical stores: same placements, same device wear, same
@@ -272,6 +289,11 @@ TEST(PnwStoreTest, MultiPutMatchesSequentialPutsExactly) {
     EXPECT_TRUE(serial_store->Put(keys[i], values[i]).ok()) << "slot " << i;
   }
 
+  ExpectSameCounters(batch_store->metrics(), serial_store->metrics());
+  EXPECT_TRUE(batch_store->metrics().PlacementAttributionConsistent());
+  EXPECT_EQ(batch_store->device().counters().total_bits_written,
+            serial_store->device().counters().total_bits_written);
+  EXPECT_TRUE(SameDeviceBytes(*batch_store, *serial_store));
   for (size_t i = 0; i < keys.size(); ++i) {
     auto got = batch_store->Get(keys[i]);
     ASSERT_TRUE(got.ok());
@@ -280,17 +302,61 @@ TEST(PnwStoreTest, MultiPutMatchesSequentialPutsExactly) {
       EXPECT_EQ(got.value(), values[i]);
     }
   }
-  const StoreMetrics& bm = batch_store->metrics();
-  const StoreMetrics& sm = serial_store->metrics();
-  EXPECT_EQ(bm.puts, sm.puts);
-  EXPECT_EQ(bm.updates, sm.updates);
-  EXPECT_EQ(bm.deletes, sm.deletes);
-  EXPECT_EQ(bm.put_bits_written, sm.put_bits_written);
-  EXPECT_EQ(bm.put_lines_written, sm.put_lines_written);
-  EXPECT_EQ(bm.put_words_written, sm.put_words_written);
-  EXPECT_TRUE(bm.PlacementAttributionConsistent());
-  EXPECT_EQ(batch_store->device().counters().total_bits_written,
-            serial_store->device().counters().total_bits_written);
+}
+
+TEST(PnwStoreTest, MultiPutAcrossRetrainMatchesSequentialPuts) {
+  // One batch crosses the load factor: the zone extends and a synchronous
+  // retrain lands mid-batch. Every later slot must place under the new
+  // model, exactly as the same Puts would -- a label predicted for the
+  // whole batch up front goes stale at the retrain.
+  PnwOptions options = SmallOptions();
+  options.num_clusters = 4;
+  const auto value = [](size_t group, size_t tweak) {
+    static constexpr uint8_t kGroups[4] = {0x00, 0xff, 0x0f, 0xf0};
+    std::vector<uint8_t> v(16, kGroups[group]);
+    v[tweak % 16] ^= static_cast<uint8_t>(1 + tweak / 16);
+    return v;
+  };
+  // 64 buckets from four content groups, half of them freed, retrained.
+  const auto make_store = [&] {
+    auto store = PnwStore::Open(options).value();
+    std::vector<uint64_t> keys(64);
+    std::vector<std::vector<uint8_t>> values(64);
+    for (size_t i = 0; i < 64; ++i) {
+      keys[i] = i;
+      values[i] = value(i % 4, i);
+    }
+    EXPECT_TRUE(store->Bootstrap(keys, values).ok());
+    for (uint64_t k = 0; k < 64; ++k) {
+      if ((k / 4) % 2 == 0) {
+        EXPECT_TRUE(store->Delete(k).ok());
+      }
+    }
+    EXPECT_TRUE(store->TrainModel().ok());
+    return store;
+  };
+  auto batch_store = make_store();
+  auto serial_store = make_store();
+
+  std::vector<uint64_t> keys;
+  std::vector<std::vector<uint8_t>> values;
+  for (size_t i = 0; i < 60; ++i) {
+    keys.push_back(1000 + i);
+    values.push_back(value(i % 4, 7 * i + 3));
+  }
+  const auto statuses = batch_store->MultiPut(keys, values);
+  ASSERT_EQ(statuses.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << "slot " << i;
+    ASSERT_TRUE(serial_store->Put(keys[i], values[i]).ok()) << "slot " << i;
+  }
+  // The batch crossed the load factor (32 + 26 of 64 buckets used).
+  ASSERT_EQ(serial_store->metrics().extensions, 1u);
+  ExpectSameCounters(batch_store->metrics(), serial_store->metrics());
+  EXPECT_TRUE(SameDeviceBytes(*batch_store, *serial_store));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(batch_store->Get(keys[i]).value(), values[i]);
+  }
 }
 
 TEST(PnwStoreTest, MultiPutSlotStatuses) {
@@ -678,6 +744,42 @@ TEST(PnwStoreTest, MigrationSkipsWhenNoColderDestination) {
   EXPECT_EQ(store->metrics().migrations, 0u);
 }
 
+TEST(PnwStoreTest, FailedMigrationCopyRollsBackDestination) {
+  // The relocation's destination write fails: the acquired destination
+  // must go back to the pool, and the source must stay resident.
+  auto store = MakeBootstrappedStore(EnduranceOptions());
+  for (int round = 0; round < 16; ++round) {
+    for (uint64_t key = 0; key < 4; ++key) {
+      ASSERT_TRUE(
+          store->Update(key, GroupValue(key % 2, static_cast<uint8_t>(round)))
+              .ok());
+    }
+  }
+  const size_t free_before = store->pool().FreeCount();
+  const uint64_t failed_before = store->metrics().failed_ops;
+  const auto before = store->device().Contents();
+  const std::vector<uint8_t> contents_before(before.begin(), before.end());
+
+  store->device().InjectWriteFaults(/*skip=*/0, /*count=*/1);
+  EXPECT_TRUE(store->MigrateHotBuckets(8).status().IsInternal());
+  store->device().InjectWriteFaults(0, 0);
+  EXPECT_EQ(store->metrics().failed_ops, failed_before + 1);
+  EXPECT_EQ(store->metrics().migrations, 0u);
+  EXPECT_EQ(store->pool().FreeCount(), free_before);
+  // The device -- data zone and the NVM occupancy bitmap alike -- is
+  // byte-for-byte what it was.
+  const auto after = store->device().Contents();
+  EXPECT_TRUE(std::equal(after.begin(), after.end(), contents_before.begin(),
+                         contents_before.end()));
+  for (uint64_t key = 0; key < 4; ++key) {
+    EXPECT_EQ(store->Get(key).value(), GroupValue(key % 2, 15));
+  }
+  // The returned destination is usable: a retried pass relocates.
+  auto migrated = store->MigrateHotBuckets(8);
+  ASSERT_TRUE(migrated.ok()) << migrated.status();
+  EXPECT_GT(migrated.value(), 0u);
+}
+
 TEST(PnwStoreTest, WearLevelingDisabledKeepsIdentityTranslation) {
   auto store = MakeBootstrappedStore(SmallOptions());
   EXPECT_EQ(store->remapper(), nullptr);
@@ -808,13 +910,7 @@ TEST(PnwStoreTest, PlacementAndWearIdenticalAcrossIsas) {
     ASSERT_TRUE(simd::PinIsa(isa));
     SCOPED_TRACE(simd::IsaName(isa));
     const ReplayOutcome got = ReplayImageStream();
-    // Every counter but the measured wall-clock times.
-#define PNW_EXPECT_SAME_COUNTER(type, name)                       \
-  if (!std::string_view(#name).ends_with("_wall_ns")) {           \
-    EXPECT_EQ(got.metrics.name, want.metrics.name) << #name;      \
-  }
-    PNW_STORE_COUNTERS(PNW_EXPECT_SAME_COUNTER)
-#undef PNW_EXPECT_SAME_COUNTER
+    ExpectSameCounters(got.metrics, want.metrics);
     EXPECT_EQ(got.word_wear, want.word_wear);
     EXPECT_EQ(got.line_wear, want.line_wear);
     EXPECT_TRUE(got.contents == want.contents);

@@ -7,6 +7,7 @@
 // seqlock validation failed to discard. Readers additionally check the key
 // round-trip (the value's fill byte is derived from the key), catching a
 // lookup that validated against the wrong bucket.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +20,7 @@
 
 #include "src/core/pnw_store.h"
 #include "src/core/sharded_store.h"
+#include "src/util/atomic_bytes.h"
 #include "src/util/mutex.h"
 
 namespace pnw::core {
@@ -54,6 +56,29 @@ std::unique_ptr<PnwStore> BootstrappedStore(PnwOptions options, size_t n) {
   util::WriterLock lock(store->mu());
   EXPECT_TRUE(store->Bootstrap(keys, values).ok());
   return store;
+}
+
+TEST(OptimisticCopyTest, AtomicLoadBytesMatchesMemcpyAtEveryOffset) {
+  // The seqlock copy moves eight bytes per step plus a byte tail. The
+  // source is sized to the byte, so a sanitizer build flags any over-read;
+  // a sentinel byte past the destination catches an over-write.
+  for (size_t n = 0; n <= 70; ++n) {
+    for (size_t src_off = 0; src_off < 8; ++src_off) {
+      for (size_t dst_off = 0; dst_off < 8; ++dst_off) {
+        std::vector<uint8_t> src(src_off + n);
+        for (size_t i = 0; i < src.size(); ++i) {
+          src[i] = static_cast<uint8_t>(i * 37 + 11);
+        }
+        std::vector<uint8_t> got(dst_off + n + 1, 0xa5);
+        std::vector<uint8_t> want = got;
+        util::AtomicLoadBytes(got.data() + dst_off, src.data() + src_off, n);
+        std::copy_n(src.begin() + static_cast<long>(src_off), n,
+                    want.begin() + static_cast<long>(dst_off));
+        ASSERT_EQ(got, want) << "n=" << n << " src_off=" << src_off
+                             << " dst_off=" << dst_off;
+      }
+    }
+  }
 }
 
 TEST(OptimisticConcurrencyTest, OptimisticGetMatchesLockedGet) {
