@@ -13,9 +13,10 @@ namespace pnw::core {
 
 /// Copyable relaxed-atomic counter for StoreMetrics' read-side slots.
 ///
-/// GET/MultiGet run under a *shared* per-shard lock (ShardedPnwStore), so
-/// any number of reader threads may bump these counters concurrently;
-/// relaxed atomics make that race-free without serializing the readers.
+/// GETs run under a *shared* per-shard lock or, on the seqlock path, under
+/// no lock at all, so any number of reader threads may bump these counters
+/// concurrently; relaxed atomics make that race-free without serializing
+/// the readers.
 /// StoreMetrics must nevertheless stay a value type -- the checkpoint
 /// codec, aggregation, and tests copy it freely -- so copying a counter
 /// snapshots its current value instead of (illegally) copying the atomic.

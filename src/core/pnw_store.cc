@@ -176,9 +176,7 @@ Status PnwStore::Init() {
         device_.get(), index_base_, options_.capacity_buckets * 2,
         /*num_levels=*/8);
   } else {
-    auto dram = std::make_unique<index::DramHashIndex>();
-    opt_index_ = dram.get();
-    index_ = std::move(dram);
+    index_ = std::make_unique<index::DramHashIndex>();
   }
 
   // The bucket staging buffer lives in arena memory for the store's whole
@@ -558,142 +556,76 @@ std::vector<Status> PnwStore::MultiPut(
   return MultiPut(keys, spans);
 }
 
-Result<std::vector<uint8_t>> PnwStore::Get(uint64_t key) {
+template <auto Copy>
+PnwStore::BucketRead PnwStore::ReadBucket(uint64_t key) const {
   auto addr = index_->Get(key);
   if (!addr.ok()) {
+    return {addr.status()};
+  }
+  // Translating before the range check is plain arithmetic; the check must
+  // test the bucket itself, because Start-Gap wraps any index into the zone.
+  const size_t bucket = addr.value() / bucket_bytes_;
+  const uint64_t phys = PhysBucketAddr(bucket);
+  if (bucket >= options_.capacity_buckets ||
+      phys + bucket_bytes_ > device_->size()) {
+    return {Status::Internal("index points outside the data zone")};
+  }
+  // Without keys in the data zone nothing is copied into stored_key, so
+  // it keeps `key` and the check below passes.
+  const uint8_t* resident = device_->Peek(phys, bucket_bytes_).data();
+  uint64_t stored_key = key;
+  Copy(reinterpret_cast<uint8_t*>(&stored_key), resident, key_bytes_);
+  std::vector<uint8_t> value(options_.value_bytes);
+  Copy(value.data(), resident + key_bytes_, value.size());
+  // A key-mismatch miss has already paid for its bucket read.
+  const double device_ns = device_->ReadCostNs(phys, bucket_bytes_);
+  if (stored_key != key) {
+    return {Status::Internal("index/data-zone key mismatch"), device_ns};
+  }
+  return {std::move(value), device_ns};
+}
+
+Result<std::vector<uint8_t>> PnwStore::ChargeRead(
+    BucketRead read, RelaxedCounter<uint64_t>& hits) {
+  metrics_.get_device_ns += read.device_ns;
+  if (read.value.ok()) {
+    ++metrics_.gets;
+    ++hits;
+  } else {
     ++metrics_.get_misses;
-    return addr.status();
   }
-  // Concurrent-reader discipline: everything below is Peek (const device
-  // access) plus relaxed-atomic metrics, so shared-lock readers never race.
-  // (Start-Gap translation reads the remapper registers, which only move
-  // under the same exclusive lock that guards writes.) The simulated read
-  // cost is charged before the key check -- a mismatch miss has already
-  // paid for its bucket read.
-  const size_t bucket_index = addr.value() / bucket_bytes_;
-  if (bucket_index >= options_.capacity_buckets) {
-    ++metrics_.get_misses;
-    return Status::Internal("index points outside the data zone");
-  }
-  const uint64_t phys = PhysBucketAddr(bucket_index);
-  const std::span<const uint8_t> bucket = device_->Peek(phys, bucket_bytes_);
-  if (bucket.size() != bucket_bytes_) {
-    ++metrics_.get_misses;
-    return Status::Internal("index points outside the data zone");
-  }
-  metrics_.get_device_ns += device_->ReadCostNs(phys, bucket_bytes_);
-  if (key_bytes_ > 0) {
-    uint64_t stored_key = 0;
-    std::memcpy(&stored_key, bucket.data(), key_bytes_);
-    if (stored_key != key) {
-      ++metrics_.get_misses;
-      return Status::Internal("index/data-zone key mismatch");
-    }
-  }
-  ++metrics_.gets;
-  ++metrics_.locked_gets;
-  // One copy, device memory -> returned value (the old path read the full
-  // bucket into a scratch vector and then copied the tail out of it).
-  return std::vector<uint8_t>(
-      bucket.begin() + static_cast<long>(key_bytes_), bucket.end());
+  return std::move(read.value);
+}
+
+Result<std::vector<uint8_t>> PnwStore::Get(uint64_t key) {
+  return ChargeRead(ReadBucket<std::memcpy>(key), metrics_.locked_gets);
 }
 
 std::optional<Result<std::vector<uint8_t>>> PnwStore::TryGetOptimistic(
     uint64_t key) {
-  // Thread-safety analysis is off for this function by design: it runs
-  // with NO lock held. Every shared structure it touches is safe by
-  // construction -- the index lookup is lock-free, the remapper registers
-  // are atomics, the device bytes are copied with relaxed-atomic byte
-  // loads, and any value observed concurrently with a writer is discarded
-  // by the seqlock validation below. device_/remapper_/opt_index_ as
-  // *pointers* are set once in Init and never reseated.
-  const index::DramHashIndex* idx = opt_index_;
-  if (!options_.optimistic_reads || idx == nullptr) {
+  // NVM path hashing reads its cells with plain loads, so only the DRAM
+  // index is safe to search without the lock.
+  if (!options_.optimistic_reads ||
+      options_.index_placement != IndexPlacement::kDram) {
     return std::nullopt;
   }
   constexpr int kAttempts = 3;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    // An odd sequence means a writer is inside the critical section: the
+    // attempt could never validate, so it is a conflict without a read.
     const uint64_t seq = mu_.OptimisticSeq();
-    if ((seq & 1) != 0) {
-      // A writer is inside the critical section; this snapshot can never
-      // validate. Count the conflict and retry (the fallback path will
-      // queue on the lock if the writer lingers).
-      ++metrics_.optimistic_retries;
-      continue;
-    }
-    uint64_t addr = 0;
-    const auto lookup = idx->TryGetOptimistic(key, &addr);
-    if (lookup == index::DramHashIndex::OptLookup::kOverflow) {
-      ++metrics_.optimistic_retries;
-      continue;
-    }
-    if (lookup == index::DramHashIndex::OptLookup::kMiss) {
-      if (!mu_.ValidateSeq(seq)) {
-        ++metrics_.optimistic_retries;
-        continue;
+    if ((seq & 1) == 0) {
+      // Relaxed-atomic byte loads make a racing write to the bucket
+      // defined behavior; a torn copy fails the validation below, and only
+      // a validated read is charged.
+      BucketRead read = ReadBucket<util::AtomicLoadBytes>(key);
+      if (mu_.ValidateSeq(seq)) {
+        return ChargeRead(std::move(read), metrics_.optimistic_gets);
       }
-      // A validated miss is a real miss: same accounting as the locked
-      // path's index-NotFound exit (no device read happened).
-      ++metrics_.get_misses;
-      return Result<std::vector<uint8_t>>(
-          Status::NotFound("key not in index"));
     }
-    const size_t bucket_index = addr / bucket_bytes_;
-    const uint64_t phys = bucket_index < options_.capacity_buckets
-                              ? PhysBucketAddrOptimistic(bucket_index)
-                              : 0;
-    if (bucket_index >= options_.capacity_buckets ||
-        phys + bucket_bytes_ > device_->size()) {
-      // Out-of-zone under a torn snapshot is expected noise; under a
-      // validated one it is the same Internal corruption the locked path
-      // reports.
-      if (!mu_.ValidateSeq(seq)) {
-        ++metrics_.optimistic_retries;
-        continue;
-      }
-      ++metrics_.get_misses;
-      return Result<std::vector<uint8_t>>(
-          Status::Internal("index points outside the data zone"));
-    }
-    // Copy key prefix and value out of device memory with byte-wise
-    // relaxed-atomic loads: a racing differential write to this bucket is
-    // then defined behavior, and the torn copy is discarded below.
-    const uint8_t* bucket = device_->Peek(phys, bucket_bytes_).data();
-    uint64_t stored_key = 0;
-    if (key_bytes_ > 0) {
-      util::AtomicLoadBytes(reinterpret_cast<uint8_t*>(&stored_key), bucket,
-                            key_bytes_);
-    }
-    std::vector<uint8_t> value(bucket_bytes_ - key_bytes_);
-    util::AtomicLoadBytes(value.data(), bucket + key_bytes_, value.size());
-    const double read_ns = device_->ReadCostNs(phys, bucket_bytes_);
-    if (!mu_.ValidateSeq(seq)) {
-      ++metrics_.optimistic_retries;
-      continue;
-    }
-    // Validated: account exactly like the locked path (the device-time
-    // charge lands on every exit that read the device, mismatch included).
-    metrics_.get_device_ns += read_ns;
-    if (key_bytes_ > 0 && stored_key != key) {
-      ++metrics_.get_misses;
-      return Result<std::vector<uint8_t>>(
-          Status::Internal("index/data-zone key mismatch"));
-    }
-    ++metrics_.gets;
-    ++metrics_.optimistic_gets;
-    return Result<std::vector<uint8_t>>(std::move(value));
+    ++metrics_.optimistic_retries;
   }
   return std::nullopt;  // conflict budget exhausted -> locked fallback
-}
-
-std::vector<Result<std::vector<uint8_t>>> PnwStore::MultiGet(
-    std::span<const uint64_t> keys) {
-  std::vector<Result<std::vector<uint8_t>>> out;
-  out.reserve(keys.size());
-  for (const uint64_t key : keys) {
-    out.push_back(Get(key));
-  }
-  return out;
 }
 
 Status PnwStore::DeleteInternal(uint64_t key) {
@@ -818,6 +750,12 @@ Result<bool> PnwStore::MigrateBucket(size_t bucket) {
     }
   }
   if (!s.ok()) {
+    // Place may already have pointed the index at the destination, which
+    // Unplace returns to the pool; the source still holds the key, so the
+    // index goes back to it first.
+    // status-dropped: best-effort rollback inside an already-failing op;
+    // the caller sees the original failure, not the cleanup's.
+    (void)index_->Put(key, BucketAddr(bucket));
     Unplace(dst_bucket);
     return s;
   }
@@ -1387,8 +1325,9 @@ void PnwStore::RefreshArenaStats() {
     total.allocations += s.allocations;
     total.freelist_hits += s.freelist_hits;
   };
-  if (opt_index_ != nullptr) {
-    fold(opt_index_->arena_stats());
+  if (options_.index_placement == IndexPlacement::kDram) {
+    fold(static_cast<const index::DramHashIndex*>(index_.get())
+             ->arena_stats());
   }
   fold(staging_arena_.Stats());
   metrics_.arena_slabs = total.slabs;

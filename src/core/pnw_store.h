@@ -27,10 +27,6 @@ namespace pnw::persist {
 class SnapshotReader;
 }  // namespace pnw::persist
 
-namespace pnw::index {
-class DramHashIndex;
-}  // namespace pnw::index
-
 namespace pnw::core {
 
 /// Predict-and-Write K/V store (the paper's contribution, Section V).
@@ -50,11 +46,13 @@ namespace pnw::core {
 /// (see src/util/thread_annotations.h and ARCHITECTURE.md "Concurrency
 /// contracts"): every store owns a reader-writer capability `mu_`,
 /// reachable through mu(). Mutating operations (Put/Delete/Update/
-/// Bootstrap/TrainModel/Checkpoint/...) require it exclusively; Get/
-/// MultiGet and the metrics/geometry accessors require it at least shared
-/// -- the read path is index lookup (const) + device Peek + relaxed-atomic
-/// metrics, mutating nothing else, so any number of readers proceed in
-/// parallel (matching the paper's single-writer evaluation per shard).
+/// Bootstrap/TrainModel/Checkpoint/...) require it exclusively; Get and
+/// the metrics/geometry accessors require it at least shared -- the read
+/// path is index lookup (const) + device Peek + relaxed-atomic metrics,
+/// mutating nothing else, so any number of readers proceed in parallel
+/// (matching the paper's single-writer evaluation per shard). The seqlock
+/// read TryGetOptimistic runs the same read body with no lock at all and
+/// keeps its result only if no writer ran meanwhile.
 /// Background retraining runs on its own thread and is integrated via an
 /// atomic model swap. Single-threaded callers (tests, benches) take
 /// util::WriterLock/ReaderLock guards, which are uncontended one-atomic-op
@@ -182,33 +180,25 @@ class PnwStore {
   /// `locked_gets`, misses (index NotFound, or a key-mismatched bucket ->
   /// Internal) bump `get_misses`; the simulated device time lands in
   /// `get_device_ns` on every exit that read the device, mismatches
-  /// included. Safe to call concurrently with other Get/MultiGet calls
-  /// (see class comment).
+  /// included. Safe to call concurrently with other readers (see class
+  /// comment).
   Result<std::vector<uint8_t>> Get(uint64_t key) PNW_REQUIRES_SHARED(mu_);
 
-  /// Seqlock optimistic Get: the same read as Get(), performed WITHOUT
-  /// taking mu_ -- the reader snapshots the shard's sequence word
-  /// (SharedMutex::OptimisticSeq), runs the lock-free index lookup +
-  /// byte-wise-atomic bucket copy, and only trusts the result if the
-  /// sequence validates (no writer entered in between). Returns
+  /// Seqlock GET: Get()'s read body, run WITHOUT taking mu_ -- the reader
+  /// snapshots the shard's sequence word (SharedMutex::OptimisticSeq),
+  /// reads with relaxed-atomic byte loads, and only trusts the result if
+  /// the sequence validates (no writer entered in between). Returns
   /// std::nullopt when the caller must fall back to the locked path:
-  /// optimistic reads disabled, the index has no lock-free lookup
-  /// (NVM path hashing), or the conflict-retry budget was exhausted.
-  /// A returned value carries full Get() accounting (hits bump `gets` and
-  /// `optimistic_gets`; validated misses bump `get_misses`); discarded
-  /// conflicting attempts bump only `optimistic_retries`.
+  /// optimistic reads disabled, the index is NVM path hashing (not safe
+  /// without the lock), or the conflict-retry budget was exhausted. A
+  /// returned value carries Get()'s accounting, with `optimistic_gets` in
+  /// place of `locked_gets`; discarded conflicting attempts bump only
+  /// `optimistic_retries`.
   ///
   /// Safe to call with NO lock held, concurrently with writers -- that is
   /// its whole point. ShardedPnwStore::Get/MultiGet try it first and fall
   /// back to ReaderLock + Get().
-  std::optional<Result<std::vector<uint8_t>>> TryGetOptimistic(uint64_t key)
-      PNW_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Batched Get: one Result per key, in key order. Same accounting and
-  /// concurrency contract as Get; ShardedPnwStore builds its shard-grouped
-  /// MultiGet on top of this.
-  std::vector<Result<std::vector<uint8_t>>> MultiGet(
-      std::span<const uint64_t> keys) PNW_REQUIRES_SHARED(mu_);
+  std::optional<Result<std::vector<uint8_t>>> TryGetOptimistic(uint64_t key);
 
   /// Algorithm 3: reset flag bit, re-label the freed address by its
   /// resident content, recycle it into the pool.
@@ -323,15 +313,6 @@ class PnwStore {
   }
 
  private:
-  /// Lock-free translation for TryGetOptimistic. The remapper_ pointer
-  /// itself is set once in Init and never reseated, so dereferencing it
-  /// without the capability is safe; the *registers* it reads are relaxed
-  /// atomics whose possibly-stale value the seqlock validation vets.
-  uint64_t PhysBucketAddrOptimistic(size_t bucket) const
-      PNW_NO_THREAD_SAFETY_ANALYSIS {
-    return remapper_ != nullptr ? remapper_->TranslateOptimistic(bucket)
-                                : BucketAddr(bucket);
-  }
   explicit PnwStore(const PnwOptions& options);
 
   Status Init() PNW_REQUIRES(mu_);
@@ -370,6 +351,31 @@ class PnwStore {
   /// charging a resulting gap move to metrics_.wear_device_ns / gap_moves
   /// and the physical histogram.
   void AccountBucketWrite(size_t bucket) PNW_REQUIRES(mu_);
+
+  /// A GET's outcome before it is charged: the value (or why there is
+  /// none) and the simulated cost of the bucket read, zero when no bucket
+  /// was read.
+  struct BucketRead {
+    Result<std::vector<uint8_t>> value;
+    double device_ns = 0.0;
+  };
+
+  /// The one read body of Get and TryGetOptimistic: index lookup, range
+  /// check, copy of the bucket's key and value with `Copy` (a memcpy
+  /// signature, fixed at compile time so the call inlines), simulated read
+  /// cost, key check. Charges nothing. Safe without the lock: the
+  /// index_/device_/remapper_ pointers are set once in Init and never
+  /// reseated, the DRAM index lookup and the remapper registers are
+  /// lock-free, and a lock-free caller copies with relaxed-atomic loads
+  /// and validates its seqlock before trusting the result. Get copies with
+  /// memcpy, which vectorizes; the byte-wise atomic loads do not.
+  template <auto Copy>
+  BucketRead ReadBucket(uint64_t key) const PNW_NO_THREAD_SAFETY_ANALYSIS;
+
+  /// Charge one GET: add its device time, then count `gets` plus `hits`
+  /// (locked_gets or optimistic_gets) on a hit, `get_misses` on a miss.
+  Result<std::vector<uint8_t>> ChargeRead(BucketRead read,
+                                          RelaxedCounter<uint64_t>& hits);
 
   /// Occupancy flag bitmap ops (each is a 1-byte differential NVM write).
   bool GetBucketFlag(size_t bucket) const PNW_REQUIRES_SHARED(mu_);
@@ -446,13 +452,6 @@ class PnwStore {
   /// them alone and checkpoints serialize them (kSectionRemap).
   std::unique_ptr<nvm::StartGapRemapper> remapper_ PNW_GUARDED_BY(mu_);
   std::unique_ptr<index::KeyIndex> index_ PNW_GUARDED_BY(mu_);
-  /// Lock-free view of index_ for the optimistic read path: points at
-  /// index_'s object when it is the arena-backed DRAM index (whose
-  /// TryGetOptimistic is safe against concurrent mutators), nullptr when
-  /// it is NVM path hashing (optimistic reads unsupported -> callers fall
-  /// back to the locked path). Set once in Init, like index_ itself, so
-  /// the optimistic read path dereferences it without the capability.
-  index::DramHashIndex* opt_index_ = nullptr;
   std::unique_ptr<ModelManager> manager_ PNW_GUARDED_BY(mu_);
   std::shared_ptr<const ValueModel> model_ PNW_GUARDED_BY(mu_);
   DynamicAddressPool pool_ PNW_GUARDED_BY(mu_);
@@ -469,11 +468,11 @@ class PnwStore {
   /// Deliberately NOT PNW_GUARDED_BY(mu_): the analysis guards members
   /// whole, but StoreMetrics splits per field -- its read-side slots
   /// (gets/get_misses/get_device_ns) are RelaxedCounter atomics bumped by
-  /// Get/MultiGet under the *shared* capability, while every non-atomic
-  /// field is only touched under the exclusive one. Annotating the struct
-  /// would force the read path to take the writer lock it exists to avoid;
-  /// the per-field discipline is enforced by the TSan CI job and the
-  /// metrics-reconcile lint instead.
+  /// Get under the *shared* capability and by TryGetOptimistic under none,
+  /// while every non-atomic field is only touched under the exclusive one.
+  /// Annotating the struct would force the read path to take the writer
+  /// lock it exists to avoid; the per-field discipline is enforced by the
+  /// TSan CI job and the metrics-reconcile lint instead.
   StoreMetrics metrics_;
   /// Attached write-ahead log (null until Checkpoint/Open attaches one).
   std::unique_ptr<persist::OpLogWriter> op_log_ PNW_GUARDED_BY(mu_);

@@ -14,24 +14,13 @@
 
 #include "src/persist/snapshot.h"
 #include "src/persist/store_codec.h"
+#include "src/util/hash.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_pool.h"
 
 namespace pnw::core {
 
 namespace {
-
-/// SplitMix64 finalizer: store keys are often sequential, so the router
-/// must mix before masking or shard 0 would take every run of small keys.
-uint64_t MixKey(uint64_t key) {
-  uint64_t h = key;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
-}
 
 /// Per-shard share of `total` buckets: ceiling division plus ~4 sigma of
 /// Binomial(total, 1/shards) headroom, so a shard that draws an unlucky
@@ -119,7 +108,8 @@ Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
 }
 
 size_t ShardedPnwStore::ShardOf(uint64_t key) const {
-  return MixKey(key) & (shards_.size() - 1);
+  // Mixed before masking, or shard 0 would take every run of small keys.
+  return util::Fmix64(key) & (shards_.size() - 1);
 }
 
 std::string ShardedPnwStore::ShardSnapshotName(size_t i) {

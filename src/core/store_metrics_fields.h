@@ -4,9 +4,10 @@
 // reconcile, and the lints in scripts/lint/) expands these lists with its
 // own X, so adding a counter is one line here.
 //
-// Thread-safety: the read-side slots are RelaxedCounter because GET and
-// MultiGet run under a *shared* per-shard lock; every plain field is
-// written only by mutating operations, which hold the exclusive lock.
+// Thread-safety: the read-side slots are RelaxedCounter because GETs run
+// under a *shared* per-shard lock, or under none on the seqlock path; every
+// plain field is written only by mutating operations, which hold the
+// exclusive lock.
 #ifndef PNW_CORE_STORE_METRICS_FIELDS_H_
 #define PNW_CORE_STORE_METRICS_FIELDS_H_
 

@@ -1,5 +1,7 @@
 #include "src/index/dram_hash_index.h"
 
+#include "src/util/hash.h"
+
 namespace pnw::index {
 
 namespace {
@@ -7,15 +9,6 @@ namespace {
 constexpr size_t kInitialBuckets = 64;  // power of two
 
 }  // namespace
-
-uint64_t DramHashIndex::Mix(uint64_t key) {
-  // splitmix64 finalizer: cheap, and spreads sequential keys across
-  // power-of-two bucket masks.
-  uint64_t z = key + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 DramHashIndex::DramHashIndex() {
   Table* table = static_cast<Table*>(
@@ -31,13 +24,14 @@ DramHashIndex::DramHashIndex() {
 
 DramHashIndex::Node* DramHashIndex::FindNode(const Table& table,
                                              uint64_t key) const {
-  Node* node = table.buckets[Mix(key) & table.mask]
-                   .load(std::memory_order_acquire);
-  while (node != nullptr) {
+  size_t budget = 2 * (table.mask + 1) + 64;
+  for (Node* node = table.buckets[util::SplitMix64(key) & table.mask].load(
+           std::memory_order_acquire);
+       node != nullptr && budget-- > 0;
+       node = node->next.load(std::memory_order_acquire)) {
     if (node->key == key) {
       return node;
     }
-    node = node->next.load(std::memory_order_acquire);
   }
   return nullptr;
 }
@@ -61,7 +55,7 @@ Status DramHashIndex::Put(uint64_t key, uint64_t addr) {
   node->key = key;
   node->addr.store(addr, std::memory_order_relaxed);
   node->live.store(true, std::memory_order_relaxed);
-  std::atomic<Node*>& head = table->buckets[Mix(key) & table->mask];
+  std::atomic<Node*>& head = table->buckets[util::SplitMix64(key) & table->mask];
   node->next.store(head.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
   // Publication point: everything written above becomes visible to any
@@ -84,17 +78,17 @@ void DramHashIndex::Rehash() {
   }
   table->mask = new_count - 1;
 
-  // Relink every node into the new array. An optimistic reader still
+  // Relink every node into the new array. A lock-free reader still
   // walking the OLD table may see chains mid-splice -- every pointer it
-  // chases still lands in live arena memory, its traversal is step-bounded,
-  // and its seqlock validation will fail (the owning store's writer lock is
-  // held here). The old table and bucket array are retired into the arena,
+  // chases still lands in live arena memory, FindNode's walk is
+  // step-bounded, and its seqlock validation will fail (the owning store's
+  // writer lock is held here). The old table and bucket array are retired into the arena,
   // never unmapped.
   for (size_t i = 0; i <= old_table->mask; ++i) {
     Node* node = old_table->buckets[i].load(std::memory_order_relaxed);
     while (node != nullptr) {
       Node* next = node->next.load(std::memory_order_relaxed);
-      std::atomic<Node*>& head = table->buckets[Mix(node->key) & table->mask];
+      std::atomic<Node*>& head = table->buckets[util::SplitMix64(node->key) & table->mask];
       node->next.store(head.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
       head.store(node, std::memory_order_release);
@@ -111,31 +105,6 @@ Result<uint64_t> DramHashIndex::Get(uint64_t key) const {
     return Status::NotFound("key not in index");
   }
   return node->addr.load(std::memory_order_relaxed);
-}
-
-DramHashIndex::OptLookup DramHashIndex::TryGetOptimistic(
-    uint64_t key, uint64_t* addr) const {
-  const Table* table = table_.load(std::memory_order_acquire);
-  // Step bound: any consistent chain is far shorter than the whole table
-  // (load factor <= 1), so exceeding it means a concurrent restructure --
-  // give up rather than risk chasing a mid-splice cycle forever.
-  size_t budget = 2 * (table->mask + 1) + 64;
-  Node* node = table->buckets[Mix(key) & table->mask]
-                   .load(std::memory_order_acquire);
-  while (node != nullptr) {
-    if (budget-- == 0) {
-      return OptLookup::kOverflow;
-    }
-    if (node->key == key) {
-      if (!node->live.load(std::memory_order_acquire)) {
-        return OptLookup::kMiss;
-      }
-      *addr = node->addr.load(std::memory_order_relaxed);
-      return OptLookup::kHit;
-    }
-    node = node->next.load(std::memory_order_acquire);
-  }
-  return OptLookup::kMiss;
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> DramHashIndex::LiveEntries()

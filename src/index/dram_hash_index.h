@@ -20,15 +20,15 @@ namespace pnw::index {
 /// owned arena. This buys two things over the previous unordered_map:
 ///  - zero heap churn on the hot path (a delete+reinsert cycle recycles the
 ///    tombstoned node in place; new nodes come from the arena free list);
-///  - a lock-free *optimistic* lookup (TryGetOptimistic) for the seqlock
-///    Get path. Nodes are never freed or reused for a different key while
-///    the index is alive, and retired bucket arrays stay mapped in the
-///    arena, so a reader racing a writer can always dereference safely;
-///    the seqlock validation discards any torn result afterwards.
+///  - a lookup that is safe without any lock, for the store's seqlock
+///    GET. Nodes are never freed or reused for a different key while the
+///    index is alive, and retired bucket arrays stay mapped in the arena,
+///    so a reader racing a writer can always dereference safely; the
+///    seqlock validation discards any torn result afterwards.
 ///
 /// Mutators (Put/Delete) are externally serialized by the owning store's
-/// exclusive lock, exactly like before; Get and TryGetOptimistic are safe
-/// concurrently with them.
+/// exclusive lock; Get is safe concurrently with them. Get is the one
+/// lookup: the store's locked and lock-free reads both call it.
 class DramHashIndex final : public KeyIndex {
  public:
   DramHashIndex();
@@ -38,15 +38,6 @@ class DramHashIndex final : public KeyIndex {
   Result<uint64_t> Get(uint64_t key) const override;
   Status Delete(uint64_t key) override;
   size_t size() const override { return live_; }
-
-  /// Lock-free bounded lookup for the seqlock optimistic read path.
-  /// Returns kHit with *addr set, kMiss when the key is absent/tombstoned,
-  /// or kOverflow when the traversal exceeded its step bound (a writer is
-  /// restructuring the table) -- the caller falls back to the locked path.
-  /// Any value observed here MUST be discarded unless the caller's seqlock
-  /// validation succeeds.
-  enum class OptLookup { kHit, kMiss, kOverflow };
-  OptLookup TryGetOptimistic(uint64_t key, uint64_t* addr) const;
 
   /// All live (key, addr) mappings, in unspecified order. Tombstones are
   /// skipped: a dead entry is observationally identical to an absent one
@@ -72,7 +63,12 @@ class DramHashIndex final : public KeyIndex {
     size_t mask;  // bucket_count - 1 (power of two)
   };
 
-  static uint64_t Mix(uint64_t key);
+  /// The node holding `key` (live or tombstoned), or null. The walk is
+  /// step-bounded: a consistent chain is far shorter than the table (load
+  /// factor <= 1), so only a lock-free reader racing a Rehash can exceed
+  /// the bound. It gets null -- a miss -- rather than chase a mid-splice
+  /// cycle, and the rehash's exclusive section fails its seqlock
+  /// validation.
   Node* FindNode(const Table& table, uint64_t key) const;
   void Rehash();
 

@@ -21,9 +21,10 @@ class KeyIndex {
   virtual Status Put(uint64_t key, uint64_t addr) = 0;
 
   /// Address for `key`, or NotFound. Const because it is the concurrent
-  /// read path: PnwStore::Get/MultiGet call it under a *shared* lock, so
+  /// read path: PnwStore::Get calls it under a *shared* lock, so
   /// implementations must not mutate any state here (both provided indexes
-  /// are pure lookups).
+  /// are pure lookups). DramHashIndex::Get is also called with no lock at
+  /// all, by the store's seqlock GET (see dram_hash_index.h).
   virtual Result<uint64_t> Get(uint64_t key) const = 0;
 
   /// Logically delete `key` (the paper resets a flag bit rather than

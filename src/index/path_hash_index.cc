@@ -1,6 +1,5 @@
 #include "src/index/path_hash_index.h"
 
-#include <bit>
 #include <cstring>
 
 namespace pnw::index {
@@ -9,61 +8,14 @@ namespace {
 
 constexpr uint8_t kLiveFlag = 0x1;
 
-size_t RoundUpPow2(size_t v) {
-  if (v <= 1) {
-    return 1;
-  }
-  return size_t{1} << (64 - std::countl_zero(v - 1));
-}
-
 }  // namespace
 
 PathHashIndex::PathHashIndex(nvm::NvmDevice* device, uint64_t base,
                              size_t num_root_cells, size_t num_levels)
-    : device_(device),
-      base_(base),
-      root_cells_(RoundUpPow2(num_root_cells)),
-      num_levels_(num_levels) {
-  uint64_t offset = 0;
-  size_t cells = root_cells_;
-  for (size_t l = 0; l < num_levels_ && cells > 0; ++l) {
-    level_offsets_.push_back(offset);
-    offset += cells * kCellBytes;
-    cells /= 2;
-  }
-  num_levels_ = level_offsets_.size();
-}
+    : device_(device), layout_(base, num_root_cells, num_levels, kCellBytes) {}
 
 size_t PathHashIndex::StorageBytes(size_t num_root_cells, size_t num_levels) {
-  size_t cells = RoundUpPow2(num_root_cells);
-  size_t total = 0;
-  for (size_t l = 0; l < num_levels && cells > 0; ++l) {
-    total += cells * kCellBytes;
-    cells /= 2;
-  }
-  return total;
-}
-
-uint64_t PathHashIndex::Hash1(uint64_t key) {
-  // SplitMix64 finalizer.
-  uint64_t z = key + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-uint64_t PathHashIndex::Hash2(uint64_t key) {
-  // Murmur3 finalizer with a different stream constant.
-  uint64_t z = key ^ 0xc2b2ae3d27d4eb4full;
-  z = (z ^ (z >> 33)) * 0xff51afd7ed558ccdull;
-  z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53ull;
-  return z ^ (z >> 33);
-}
-
-uint64_t PathHashIndex::CellAddr(size_t level, uint64_t position) const {
-  const size_t cells_at_level = root_cells_ >> level;
-  return base_ + level_offsets_[level] +
-         (position & (cells_at_level - 1)) * kCellBytes;
+  return PathHashLayout(0, num_root_cells, num_levels, kCellBytes).bytes();
 }
 
 PathHashIndex::Cell PathHashIndex::LoadCell(uint64_t cell_addr) const {
@@ -86,31 +38,23 @@ Status PathHashIndex::StoreCell(uint64_t cell_addr, const Cell& cell) {
 }
 
 Result<uint64_t> PathHashIndex::Locate(uint64_t key) const {
-  const uint64_t p1 = Hash1(key);
-  const uint64_t p2 = Hash2(key);
-  for (size_t l = 0; l < num_levels_; ++l) {
-    for (uint64_t p : {p1 >> l, p2 >> l}) {
-      const uint64_t cell_addr = CellAddr(l, p);
-      const Cell cell = LoadCell(cell_addr);
-      if ((cell.flags & kLiveFlag) && cell.key == key) {
-        return cell_addr;
-      }
-    }
+  const auto cell = layout_.Probe(key, [&](uint64_t cell_addr) {
+    const Cell c = LoadCell(cell_addr);
+    return (c.flags & kLiveFlag) && c.key == key;
+  });
+  if (!cell.has_value()) {
+    return Status::NotFound("key not in path-hash index");
   }
-  return Status::NotFound("key not in path-hash index");
+  return *cell;
 }
 
 void PathHashIndex::RebuildLiveCount() {
-  size_t live = 0;
-  for (size_t l = 0; l < num_levels_; ++l) {
-    const size_t cells_at_level = root_cells_ >> l;
-    for (uint64_t p = 0; p < cells_at_level; ++p) {
-      if (LoadCell(CellAddr(l, p)).flags & kLiveFlag) {
-        ++live;
-      }
+  live_ = 0;
+  layout_.ForEachCell([&](uint64_t cell_addr) {
+    if (LoadCell(cell_addr).flags & kLiveFlag) {
+      ++live_;
     }
-  }
-  live_ = live;
+  });
 }
 
 Status PathHashIndex::Put(uint64_t key, uint64_t addr) {
@@ -121,21 +65,15 @@ Status PathHashIndex::Put(uint64_t key, uint64_t addr) {
     cell.addr = addr;
     return StoreCell(existing.value(), cell);
   }
-  const uint64_t p1 = Hash1(key);
-  const uint64_t p2 = Hash2(key);
-  for (size_t l = 0; l < num_levels_; ++l) {
-    for (uint64_t p : {p1 >> l, p2 >> l}) {
-      const uint64_t cell_addr = CellAddr(l, p);
-      const Cell cell = LoadCell(cell_addr);
-      if (!(cell.flags & kLiveFlag)) {
-        PNW_RETURN_IF_ERROR(
-            StoreCell(cell_addr, Cell{key, addr, kLiveFlag}));
-        ++live_;
-        return Status::OK();
-      }
-    }
+  const auto free_cell = layout_.Probe(key, [&](uint64_t cell_addr) {
+    return !(LoadCell(cell_addr).flags & kLiveFlag);
+  });
+  if (!free_cell.has_value()) {
+    return Status::OutOfSpace("path-hash index: all path cells occupied");
   }
-  return Status::OutOfSpace("path-hash index: all path cells occupied");
+  PNW_RETURN_IF_ERROR(StoreCell(*free_cell, Cell{key, addr, kLiveFlag}));
+  ++live_;
+  return Status::OK();
 }
 
 Result<uint64_t> PathHashIndex::Get(uint64_t key) const {

@@ -3,9 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/index/key_index.h"
+#include "src/index/path_hash_layout.h"
 #include "src/nvm/nvm_device.h"
 
 namespace pnw::index {
@@ -15,12 +15,9 @@ namespace pnw::index {
 /// for its evaluation (Fig. 2b, "worst case scenario ... in terms of extra
 /// bit flips introduced by write amplification").
 ///
-/// Layout: an inverted complete binary tree of cells. Level 0 has
-/// `num_root_cells` cells; level l has half the cells of level l-1, down to
-/// `num_levels` levels. A key hashes to two root positions (h1, h2); if both
-/// are taken, the *paths* below them (position >> l at level l) provide
-/// standby cells. Collisions are therefore resolved with zero element
-/// movement -- no rehash writes, which is what makes the scheme
+/// Layout: PathHashLayout's tree of cells (src/index/path_hash_layout.h).
+/// Collisions descend the two paths below a key's hash positions with zero
+/// element movement -- no rehash writes, which is what makes the scheme
 /// write-friendly on NVM.
 ///
 /// Every cell mutation goes through the NvmDevice so index write
@@ -58,21 +55,14 @@ class PathHashIndex final : public KeyIndex {
     uint8_t flags;  // bit 0: occupied/live
   };
 
-  uint64_t CellAddr(size_t level, uint64_t position) const;
   Cell LoadCell(uint64_t cell_addr) const;
   Status StoreCell(uint64_t cell_addr, const Cell& cell);
   /// Find the cell currently holding `key`; returns the cell NVM address or
   /// NotFound. Const (Peek-only) so Get stays a concurrent read path.
   Result<uint64_t> Locate(uint64_t key) const;
 
-  static uint64_t Hash1(uint64_t key);
-  static uint64_t Hash2(uint64_t key);
-
   nvm::NvmDevice* device_;
-  uint64_t base_;
-  size_t root_cells_;  // power of two
-  size_t num_levels_;
-  std::vector<uint64_t> level_offsets_;  // byte offset of each level
+  PathHashLayout layout_;
   size_t live_ = 0;
 };
 

@@ -1,34 +1,13 @@
 #include "src/kvstore/path_kv.h"
 
-#include <bit>
 #include <cstring>
+#include <optional>
 
 namespace pnw::kvstore {
 
 namespace {
 
 constexpr uint8_t kLiveFlag = 0x1;
-
-size_t RoundUpPow2(size_t v) {
-  if (v <= 1) {
-    return 1;
-  }
-  return size_t{1} << (64 - std::countl_zero(v - 1));
-}
-
-uint64_t Hash1(uint64_t key) {
-  uint64_t z = key + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-uint64_t Hash2(uint64_t key) {
-  uint64_t z = key ^ 0xc2b2ae3d27d4eb4full;
-  z = (z ^ (z >> 33)) * 0xff51afd7ed558ccdull;
-  z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53ull;
-  return z ^ (z >> 33);
-}
 
 size_t RoundUp8(size_t v) { return (v + 7) & ~size_t{7}; }
 
@@ -39,47 +18,28 @@ PathKvStore::PathKvStore(size_t capacity, size_t value_bytes,
     : value_bytes_(value_bytes),
       // Cell: 8B key, 1B flags, value, padded to word alignment.
       cell_bytes_(RoundUp8(8 + 1 + value_bytes)),
-      root_cells_(RoundUpPow2(capacity)),
-      num_levels_(num_levels) {
-  uint64_t offset = 0;
-  size_t cells = root_cells_;
-  for (size_t l = 0; l < num_levels_ && cells > 0; ++l) {
-    level_offsets_.push_back(offset);
-    offset += cells * cell_bytes_;
-    cells /= 2;
-  }
-  num_levels_ = level_offsets_.size();
+      layout_(0, capacity, num_levels, cell_bytes_) {
   nvm::NvmConfig config;
-  config.size_bytes = offset;
+  config.size_bytes = layout_.bytes();
   device_ = std::make_unique<nvm::NvmDevice>(config);
 }
 
-uint64_t PathKvStore::CellAddr(size_t level, uint64_t position) const {
-  const size_t cells_at_level = root_cells_ >> level;
-  return level_offsets_[level] +
-         (position & (cells_at_level - 1)) * cell_bytes_;
-}
-
-PathKvStore::CellRef PathKvStore::LoadHeader(uint64_t cell_addr) const {
+PathKvStore::CellHeader PathKvStore::LoadHeader(uint64_t cell_addr) const {
   std::span<const uint8_t> raw = device_->Peek(cell_addr, 9);
-  CellRef ref{cell_addr, false, 0};
-  std::memcpy(&ref.key, raw.data(), 8);
-  ref.live = (raw[8] & kLiveFlag) != 0;
-  return ref;
+  CellHeader header{0, (raw[8] & kLiveFlag) != 0};
+  std::memcpy(&header.key, raw.data(), 8);
+  return header;
 }
 
 Result<uint64_t> PathKvStore::Locate(uint64_t key) const {
-  const uint64_t p1 = Hash1(key);
-  const uint64_t p2 = Hash2(key);
-  for (size_t l = 0; l < num_levels_; ++l) {
-    for (uint64_t p : {p1 >> l, p2 >> l}) {
-      const CellRef ref = LoadHeader(CellAddr(l, p));
-      if (ref.live && ref.key == key) {
-        return ref.addr;
-      }
-    }
+  const auto cell = layout_.Probe(key, [&](uint64_t cell_addr) {
+    const CellHeader header = LoadHeader(cell_addr);
+    return header.live && header.key == key;
+  });
+  if (!cell.has_value()) {
+    return Status::NotFound("key not in path-hash store");
   }
-  return Status::NotFound("key not in path-hash store");
+  return *cell;
 }
 
 Status PathKvStore::Put(uint64_t key, std::span<const uint8_t> value) {
@@ -91,31 +51,19 @@ Status PathKvStore::Put(uint64_t key, std::span<const uint8_t> value) {
   cell[8] = kLiveFlag;
   std::memcpy(cell.data() + 9, value.data(), value.size());
 
-  // Overwrite in place if present.
+  // Overwrite in place if present, else take the first free cell on the
+  // key's two paths.
   auto existing = Locate(key);
-  uint64_t target = 0;
-  if (existing.ok()) {
-    target = existing.value();
-  } else {
-    const uint64_t p1 = Hash1(key);
-    const uint64_t p2 = Hash2(key);
-    bool found = false;
-    for (size_t l = 0; l < num_levels_ && !found; ++l) {
-      for (uint64_t p : {p1 >> l, p2 >> l}) {
-        const uint64_t addr = CellAddr(l, p);
-        if (!LoadHeader(addr).live) {
-          target = addr;
-          found = true;
-          break;
-        }
-      }
-    }
-    if (!found) {
-      return Status::OutOfSpace("path-hash store: path cells exhausted");
-    }
+  const std::optional<uint64_t> target =
+      existing.ok() ? std::optional<uint64_t>(existing.value())
+                    : layout_.Probe(key, [this](uint64_t cell_addr) {
+                        return !LoadHeader(cell_addr).live;
+                      });
+  if (!target.has_value()) {
+    return Status::OutOfSpace("path-hash store: path cells exhausted");
   }
   // Path hashing is not memory-aware: the full cell is rewritten.
-  auto write = device_->WriteConventional(target, cell);
+  auto write = device_->WriteConventional(*target, cell);
   return write.ok() ? Status::OK() : write.status();
 }
 

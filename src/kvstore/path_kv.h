@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/index/path_hash_layout.h"
 #include "src/kvstore/kv_interface.h"
 
 namespace pnw::kvstore {
@@ -28,21 +29,17 @@ class PathKvStore final : public KvComparatorStore {
   nvm::NvmDevice& device() override { return *device_; }
 
  private:
-  struct CellRef {
-    uint64_t addr;
-    bool live;
+  struct CellHeader {
     uint64_t key;
+    bool live;
   };
 
-  uint64_t CellAddr(size_t level, uint64_t position) const;
-  CellRef LoadHeader(uint64_t cell_addr) const;
+  CellHeader LoadHeader(uint64_t cell_addr) const;
   Result<uint64_t> Locate(uint64_t key) const;
 
   size_t value_bytes_;
   size_t cell_bytes_;
-  size_t root_cells_;
-  size_t num_levels_;
-  std::vector<uint64_t> level_offsets_;
+  index::PathHashLayout layout_;
   std::unique_ptr<nvm::NvmDevice> device_;
 };
 

@@ -22,13 +22,6 @@ uint64_t StartGapRemapper::Translate(size_t logical_block) const {
   return base_ + slot * block_bytes_;
 }
 
-uint64_t StartGapRemapper::TranslateOptimistic(size_t logical_block) const {
-  // Identical arithmetic; the separate name documents that callers must
-  // pair this with seqlock validation (a concurrent MoveGap can produce a
-  // translation that was never current).
-  return Translate(logical_block);
-}
-
 Status StartGapRemapper::MoveGap(uint64_t* moved_physical) {
   move_scratch_.resize(block_bytes_);
   const uint64_t gap = gap_.load(std::memory_order_relaxed);

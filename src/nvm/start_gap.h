@@ -52,7 +52,10 @@ class StartGapRemapper {
   }
 
   /// Physical byte address currently backing `logical_block`.
-  /// Pre-condition: logical_block < num_blocks().
+  /// Pre-condition: logical_block < num_blocks(). Safe without the owning
+  /// store's lock: the seqlock GET translates lock-free, and a racing gap
+  /// move can then yield an address that was never current -- the
+  /// caller's seqlock validation discards the read in exactly that case.
   uint64_t Translate(size_t logical_block) const;
 
   /// Write `data` (exactly block_bytes) to a logical block, performing the
@@ -94,12 +97,6 @@ class StartGapRemapper {
   /// Gap movements performed so far.
   uint64_t gap_moves() const { return gap_moves_; }
 
-  /// Lock-free translation for the seqlock optimistic Get path: same
-  /// arithmetic as Translate() over relaxed loads of the two registers. A
-  /// racing gap move can yield a stale physical address -- the caller's
-  /// seqlock validation discards the read in exactly that case.
-  uint64_t TranslateOptimistic(size_t logical_block) const;
-
  private:
   /// Move the block above the gap into the gap slot; shift the gap. On
   /// success `*moved_physical` (if non-null) receives the copy destination.
@@ -110,8 +107,8 @@ class StartGapRemapper {
   size_t num_blocks_;
   size_t block_bytes_;
   size_t gap_write_interval_;
-  /// The two translation registers are relaxed atomics so the seqlock
-  /// optimistic Get can run Translate's arithmetic without the lock.
+  /// The two translation registers are relaxed atomics so the seqlock GET
+  /// can run Translate without the lock.
   /// Mutations still happen only under the owning store's exclusive lock;
   /// the counters below are never read concurrently and stay plain.
   std::atomic<uint64_t> gap_{0};    // physical slot index of the gap

@@ -2,17 +2,11 @@
 
 #include <cmath>
 
+#include "src/util/hash.h"
+
 namespace pnw {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
@@ -23,7 +17,8 @@ Rng::Rng(uint64_t seed) {
   // recommendation; guarantees a non-zero state.
   uint64_t sm = seed;
   for (auto& s : s_) {
-    s = SplitMix64(sm);
+    s = util::SplitMix64(sm);
+    sm += util::kSplitMix64Gamma;
   }
 }
 

@@ -241,6 +241,66 @@ TEST(OptimisticConcurrencyTest, TortureOnRecoveredStore) {
   std::remove((path + PnwStore::kOpLogSuffix).c_str());
 }
 
+// Lock-free readers vs the DRAM index's rehash. The tortures above churn a
+// fixed key set, so their index never grows under a reader; here the
+// writer inserts fresh keys until the index has doubled from 64 to 2,048
+// buckets, yielding between PUTs, while two readers look up bootstrapped
+// keys lock-free. Every validated read must be OK and untorn. This is
+// coverage for the race detector (the TSan job runs it), not a proof: a
+// mutant that trusts an unvalidated NotFound survived 10 runs of it.
+TEST(OptimisticConcurrencyTest, ReadersVsIndexGrowth) {
+  constexpr uint64_t kBootKeys = 64;
+  constexpr uint64_t kFreshKeys = 1536;
+  PnwOptions options = SmallOptions();
+  options.initial_buckets = 2048;
+  options.capacity_buckets = 2048;
+  auto store = BootstrappedStore(options, kBootKeys);
+
+  std::atomic<bool> growing{true};
+  std::atomic<int> readers_started{0};
+  std::atomic<uint64_t> validated{0};
+  std::atomic<uint64_t> bad{0};
+  const auto reader = [&]() {
+    readers_started.fetch_add(1);
+    uint64_t key = 5;
+    while (growing.load(std::memory_order_acquire)) {
+      key = (key * 2654435761u + 1) % kBootKeys;
+      const auto fast = store->TryGetOptimistic(key);
+      if (!fast.has_value()) {
+        continue;
+      }
+      validated.fetch_add(1);
+      if (!fast->ok() || fast->value() != SolidValue(key, 0)) {
+        bad.fetch_add(1);
+      }
+    }
+  };
+  std::thread r1(reader), r2(reader);
+  while (readers_started.load() < 2) {
+    std::this_thread::yield();  // the growth must race running readers
+  }
+  for (uint64_t key = kBootKeys; key < kBootKeys + kFreshKeys; ++key) {
+    Status s;
+    {
+      util::WriterLock lock(store->mu());
+      s = store->Put(key, SolidValue(key, 0));
+    }
+    EXPECT_TRUE(s.ok()) << s;
+    if (!s.ok()) {
+      break;
+    }
+    std::this_thread::yield();
+  }
+  growing.store(false, std::memory_order_release);
+  r1.join();
+  r2.join();
+
+  EXPECT_EQ(bad.load(), 0u) << "a validated read was wrong or torn";
+  EXPECT_GT(validated.load(), 0u) << "no read validated while the index grew";
+  util::ReaderLock lock(store->mu());
+  EXPECT_EQ(store->size(), kBootKeys + kFreshKeys);
+}
+
 TEST(OptimisticConcurrencyTest, ShardedGetUsesOptimisticPath) {
   ShardedOptions options;
   options.num_shards = 2;
