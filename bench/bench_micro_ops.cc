@@ -212,9 +212,10 @@ BENCHMARK(BM_WriteDifferential)->Args({1, 136})->Args({1, 4096});
 // 3072-byte value image with ~71% of its words dirty, the density a traced
 // paper_replace run measures (the store's writes dirty most words, so the
 // kernel makes one pass per 64-word block); Hamming at the 784-byte
-// MNIST-ish value size; and encode both at 784 bytes into 8 slots (the
+// MNIST-ish value size; encode both at 784 bytes into 8 slots (the
 // gather path) and at the store's shape, 3072 bytes into 32 slots (the
-// AVX2 vertical count).
+// AVX2 vertical count); and the CRC-32 over one op-log record body of
+// ycsb_a_durable (793 bytes) and over a 1 MiB snapshot section.
 
 /// Pins kernel dispatch to one ISA for a benchmark run; restores the
 /// startup selection on scope exit. Rows for unreachable ISAs are skipped
@@ -376,6 +377,37 @@ void BM_KernelEncode32(benchmark::State& state, pnw::simd::Isa isa) {
   RunKernelEncode(state, isa, 3072, 32);
 }
 
+/// crc32_update over `bytes` random bytes from the initial state.
+void RunKernelCrc32(benchmark::State& state, pnw::simd::Isa isa,
+                    size_t bytes) {
+  PinnedIsa pin(state, isa);
+  if (!pin.ok()) {
+    return;
+  }
+  pnw::Rng rng(53);
+  std::vector<uint8_t> data(bytes);
+  for (auto& byte : data) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  const auto& kernels = pnw::simd::Kernels();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kernels.crc32_update(0xFFFFFFFFu, data.data(), bytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+
+// One op-log record body: op (1) + key (8) + a 784-byte value.
+void BM_KernelCrc32(benchmark::State& state, pnw::simd::Isa isa) {
+  RunKernelCrc32(state, isa, 793);
+}
+
+// One 1 MiB snapshot section.
+void BM_KernelCrc32Section(benchmark::State& state, pnw::simd::Isa isa) {
+  RunKernelCrc32(state, isa, size_t{1} << 20);
+}
+
 /// Registers every kernel row for every ISA reachable on this host. Runtime
 /// registration (not the BENCHMARK macro) because the row set depends on
 /// AvailableIsas(), which needs the dispatch layer initialized.
@@ -391,6 +423,8 @@ void RegisterKernelBenchmarks() {
       {"BM_KernelHamming", &BM_KernelHamming},
       {"BM_KernelEncode", &BM_KernelEncode},
       {"BM_KernelEncode32", &BM_KernelEncode32},
+      {"BM_KernelCrc32", &BM_KernelCrc32},
+      {"BM_KernelCrc32Section", &BM_KernelCrc32Section},
   };
   for (const auto& bench : kKernelBenches) {
     for (const pnw::simd::Isa isa : pnw::simd::AvailableIsas()) {

@@ -10,12 +10,16 @@ std::span<const float> ValueModel::Featurize(std::span<const uint8_t> value,
                                              FeatureScratch& scratch) const {
   scratch.encoded.resize(encoder_.dims());
   encoder_.Encode(value, scratch.encoded, scratch.lanes);
-  if (!pca_.has_value()) {
-    return scratch.encoded;
+  if (pca_.has_value()) {
+    scratch.features.resize(pca_->num_components());
+    pca_->Transform(scratch.encoded, scratch.features, scratch.centered);
   }
-  scratch.features.resize(pca_->num_components());
-  pca_->Transform(scratch.encoded, scratch.features, scratch.centered);
-  return scratch.features;
+  return Featurized(scratch);
+}
+
+std::span<const float> ValueModel::Featurized(
+    const FeatureScratch& scratch) const {
+  return pca_.has_value() ? scratch.features : scratch.encoded;
 }
 
 size_t ValueModel::Predict(std::span<const uint8_t> value) const {
@@ -36,7 +40,13 @@ std::vector<size_t> ValueModel::RankClusters(
 
 const std::vector<size_t>& ValueModel::RankClusters(
     std::span<const uint8_t> value, FeatureScratch& scratch) const {
-  kmeans_.RankClusters(Featurize(value, scratch), scratch.rank_scores,
+  Featurize(value, scratch);
+  return RankPredicted(scratch);
+}
+
+const std::vector<size_t>& ValueModel::RankPredicted(
+    FeatureScratch& scratch) const {
+  kmeans_.RankClusters(Featurized(scratch), scratch.rank_scores,
                        scratch.ranked);
   return scratch.ranked;
 }

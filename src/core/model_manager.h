@@ -71,6 +71,11 @@ class ValueModel {
   const std::vector<size_t>& RankClusters(std::span<const uint8_t> value,
                                           FeatureScratch& scratch) const;
 
+  /// RankClusters of the value the last Predict(value, scratch) encoded,
+  /// from the features it left in `scratch`: no second encode or
+  /// projection. The PUT's fallback when its predicted cluster is empty.
+  const std::vector<size_t>& RankPredicted(FeatureScratch& scratch) const;
+
   const ml::KMeansModel& kmeans() const { return kmeans_; }
   bool uses_pca() const { return pca_.has_value(); }
   /// Trained pipeline pieces, exposed so the persist layer can serialize a
@@ -83,6 +88,8 @@ class ValueModel {
   /// aliases scratch storage and stays valid until its next use.
   std::span<const float> Featurize(std::span<const uint8_t> value,
                                    FeatureScratch& scratch) const;
+  /// The features the last Featurize left in `scratch`.
+  std::span<const float> Featurized(const FeatureScratch& scratch) const;
 
   ml::BitFeatureEncoder encoder_;
   std::optional<ml::PcaModel> pca_;

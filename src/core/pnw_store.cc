@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <type_traits>
 #include <utility>
 
 #include "src/index/dram_hash_index.h"
@@ -241,12 +242,14 @@ size_t PnwStore::LabelOf(std::span<const uint8_t> value) {
   return model_ != nullptr ? model_->Predict(value, predict_scratch_) : 0;
 }
 
-std::span<const size_t> PnwStore::RankOf(std::span<const uint8_t> value) {
-  if (model_ != nullptr) {
-    return model_->RankClusters(value, predict_scratch_);
+std::span<const size_t> PnwStore::RankOf(std::span<const uint8_t> value,
+                                         bool labeled) {
+  if (model_ == nullptr) {
+    predict_scratch_.ranked.assign(1, 0);
+    return predict_scratch_.ranked;
   }
-  predict_scratch_.ranked.assign(1, 0);
-  return predict_scratch_.ranked;
+  return labeled ? model_->RankPredicted(predict_scratch_)
+                 : model_->RankClusters(value, predict_scratch_);
 }
 
 void PnwStore::Recycle(size_t bucket, std::span<const uint8_t> resident) {
@@ -459,7 +462,7 @@ Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value) {
     std::span<const size_t> ranked;
     {
       WallTimer timer(predict_ns);
-      ranked = RankOf(value);
+      ranked = RankOf(value, /*labeled=*/true);
     }
     bool fallback = false;
     addr = pool_.AcquireRanked(ranked, &fallback);
@@ -575,8 +578,18 @@ PnwStore::BucketRead PnwStore::ReadBucket(uint64_t key) const {
   const uint8_t* resident = device_->Peek(phys, bucket_bytes_).data();
   uint64_t stored_key = key;
   Copy(reinterpret_cast<uint8_t*>(&stored_key), resident, key_bytes_);
-  std::vector<uint8_t> value(options_.value_bytes);
-  Copy(value.data(), resident + key_bytes_, value.size());
+  const uint8_t* value_bytes = resident + key_bytes_;
+  std::vector<uint8_t> value;
+  // The locked copy (std::memcpy, the one that returns a pointer) may read
+  // the bytes in place, so the value is built from them, not zero-filled
+  // first; the atomic byte loads fill a sized vector.
+  if constexpr (std::is_void_v<decltype(Copy(std::declval<uint8_t*>(),
+                                             value_bytes, size_t{0}))>) {
+    value.resize(options_.value_bytes);
+    Copy(value.data(), value_bytes, value.size());
+  } else {
+    value.assign(value_bytes, value_bytes + options_.value_bytes);
+  }
   // A key-mismatch miss has already paid for its bucket read.
   const double device_ns = device_->ReadCostNs(phys, bucket_bytes_);
   if (stored_key != key) {

@@ -326,10 +326,12 @@ class PnwStore {
   /// clusters nearest-first under the served model, or cluster 0 and {0}
   /// when none is trained yet (the store then degenerates to DCW
   /// placement, exactly the paper's k=1 behaviour). The ranking aliases
-  /// per-store scratch, valid until the next predict/rank call.
+  /// per-store scratch, valid until the next predict/rank call. With
+  /// `labeled`, `value` is the one the last LabelOf predicted, and the
+  /// ranking reuses the features that call left in the scratch.
   size_t LabelOf(std::span<const uint8_t> value) PNW_REQUIRES(mu_);
-  std::span<const size_t> RankOf(std::span<const uint8_t> value)
-      PNW_REQUIRES(mu_);
+  std::span<const size_t> RankOf(std::span<const uint8_t> value,
+                                 bool labeled = false) PNW_REQUIRES(mu_);
 
   /// Return `bucket`'s address to the pool under the label of `resident`,
   /// the value bytes now in it: a freed address is filed by its stale
@@ -368,7 +370,8 @@ class PnwStore {
   /// reseated, the DRAM index lookup and the remapper registers are
   /// lock-free, and a lock-free caller copies with relaxed-atomic loads
   /// and validates its seqlock before trusting the result. Get copies with
-  /// memcpy, which vectorizes; the byte-wise atomic loads do not.
+  /// memcpy, which vectorizes, and builds the value straight from the
+  /// resident bytes; the byte-wise atomic loads fill a sized vector.
   template <auto Copy>
   BucketRead ReadBucket(uint64_t key) const PNW_NO_THREAD_SAFETY_ANALYSIS;
 

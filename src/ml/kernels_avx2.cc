@@ -1,9 +1,9 @@
-// AVX2 kernels. This translation unit is compiled with -mavx2 on x86 (see
-// src/CMakeLists.txt) and must therefore only be entered through the
-// dispatch table: Avx2KernelTable() returns nullptr unless the *running*
-// CPU reports AVX2, so no AVX2 instruction is ever reached on a host
-// without it. On non-x86 targets the whole TU collapses to the nullptr
-// stub.
+// AVX2 kernels. This translation unit is compiled with -mavx2 -mpclmul on
+// x86 (see src/CMakeLists.txt) and must therefore only be entered through
+// the dispatch table: Avx2KernelTable() returns nullptr unless the
+// *running* CPU reports AVX2 and PCLMULQDQ, so no such instruction is ever
+// reached on a host without them. On non-x86 targets the whole TU
+// collapses to the nullptr stub.
 //
 // Bit-identity with the scalar reference (see src/util/simd.h): the float
 // kernels use separate _mm256_mul_ps/_mm256_add_ps (never FMA -- one
@@ -302,18 +302,104 @@ uint64_t DirtyMask64Avx2(const uint8_t* resident, const uint8_t* incoming,
   return mask;
 }
 
+// CRC-32 folding with PCLMULQDQ (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009). Every
+// constant is derived from P(x) = 0x104C11DB7, the normal form of the
+// reflected polynomial 0xEDB88320, by GF(2) arithmetic: x^n mod P(x) by
+// repeated multiplication by x with reduction by P, then bit-reflected
+// over 32 bits and shifted left by one, because the carry-less product of
+// two reflected operands comes out one bit low.
+//   x^544 mod P -> 0x154442BD4, x^480 mod P -> 0x1C6E41596: the 512-bit
+//     fold, which moves each of four 128-bit accumulators 64 bytes on;
+//   x^160 mod P -> 0x1751997D0, x^96 mod P -> 0x0CCAA009E: the 128-bit
+//     fold (four accumulators into one, then one 16-byte block a step);
+//     x^96 alone folds the last 128 bits to 64;
+//   x^64 mod P -> 0x163CD6124: folds 64 bits to 32;
+//   Barrett reduction: P' = 0x1DB710641 (P(x) reflected over 33 bits) and
+//     mu' = 0x1F7011641 (x^64 div P(x) = 0x104D101DF, reflected over 33
+//     bits).
+// A wrong constant fails KernelsTest.Crc32MatchesBitwiseReference.
+
+/// acc's 64-bit halves carry-less multiplied by k's matching halves (low
+/// by low, high by high), xored into `next`: acc moved on by the fold
+/// distance k encodes and added to the block there.
+__m128i Fold(__m128i acc, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x00),
+                                     _mm_clmulepi64_si128(acc, k, 0x11)),
+                       next);
+}
+
+__m128i Load16(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// The raw state after p[0, n), for n >= 64 and a multiple of 16: four
+/// accumulators fold 64 bytes a step, fold into one, take the remaining
+/// 16-byte blocks, and reduce 128 -> 64 -> 32 bits (Barrett last).
+uint32_t Crc32Fold(uint32_t state, const uint8_t* p, size_t n) {
+  const __m128i k512 = _mm_set_epi64x(0x1C6E41596, 0x154442BD4);
+  const __m128i k128 = _mm_set_epi64x(0x0CCAA009E, 0x1751997D0);
+  const __m128i k64 = _mm_set_epi64x(0, 0x163CD6124);
+  const __m128i barrett = _mm_set_epi64x(0x1F7011641, 0x1DB710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  // The running state is xored into the first 32 message bits.
+  __m128i x0 = _mm_xor_si128(Load16(p),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x1 = Load16(p + 16);
+  __m128i x2 = Load16(p + 32);
+  __m128i x3 = Load16(p + 48);
+  size_t i = 64;
+  for (; i + 64 <= n; i += 64) {
+    x0 = Fold(x0, k512, Load16(p + i));
+    x1 = Fold(x1, k512, Load16(p + i + 16));
+    x2 = Fold(x2, k512, Load16(p + i + 32));
+    x3 = Fold(x3, k512, Load16(p + i + 48));
+  }
+  x0 = Fold(x0, k128, x1);
+  x0 = Fold(x0, k128, x2);
+  x0 = Fold(x0, k128, x3);
+  for (; i < n; i += 16) {
+    x0 = Fold(x0, k128, Load16(p + i));
+  }
+  // 128 -> 64 bits: the low half times x^96, plus the high half.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k128, 0x10));
+  // 64 -> 32 bits: the low 32 bits times x^64, plus the rest.
+  x0 = _mm_xor_si128(
+      _mm_srli_si128(x0, 4),
+      _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k64, 0x00));
+  // Barrett: q = low32(x0) * mu', then x0 - low32(q) * P' leaves the
+  // remainder in bits 32..63.
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+}
+
+uint32_t Crc32UpdateAvx2(uint32_t state, const uint8_t* p, size_t n) {
+  if (n >= 64) {
+    const size_t head = n & ~size_t{15};
+    state = Crc32Fold(state, p, head);
+    p += head;
+    n -= head;
+  }
+  return Crc32UpdateScalar(state, p, n);
+}
+
 constexpr KernelTable kAvx2Table = {
     Isa::kAvx2,        DotAvx2,          ArgminCentroidsAvx2,
     DotCenteredAvx2,   EncodeAccumulateAvx2,
     PopcountBytesAvx2, HammingBytesAvx2, DirtyMask64Avx2,
+    Crc32UpdateAvx2,
 };
 
 }  // namespace
 
 const KernelTable* Avx2KernelTable() {
-  // Compile-time AVX2 (this TU) is necessary but not sufficient: the
-  // binary may run on an older CPU, so gate on the runtime check too.
-  static const bool supported = __builtin_cpu_supports("avx2");
+  // Compile-time AVX2 and PCLMULQDQ (this TU) are necessary but not
+  // sufficient: the binary may run on an older CPU, so gate on the runtime
+  // checks too. Every AVX2 CPU has PCLMULQDQ, but the gate says so.
+  static const bool supported =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul");
   return supported ? &kAvx2Table : nullptr;
 }
 

@@ -171,13 +171,14 @@ uint64_t HammingBytesNeon(const uint8_t* a, const uint8_t* b, size_t n) {
   return total;
 }
 
-// dirty_mask64 has no NEON form; the scalar reference serves this table.
-// The table is an aggregate, so every slot is named: a slot left out would
-// compile to a null pointer.
+// dirty_mask64 and crc32_update have no NEON form; the scalar kernels
+// serve this table. The table is an aggregate, so every slot is named: a
+// slot left out would compile to a null pointer.
 constexpr KernelTable kNeonTable = {
     Isa::kNeon,        DotNeon,          ArgminCentroidsNeon,
     DotCenteredNeon,   EncodeAccumulateNeon,
     PopcountBytesNeon, HammingBytesNeon, DirtyMask64Scalar,
+    Crc32UpdateScalar,
 };
 
 }  // namespace

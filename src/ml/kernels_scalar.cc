@@ -18,7 +18,9 @@
 
 namespace pnw::simd {
 
-// Outside the anonymous namespace: the NEON table names it too (simd.h).
+// Outside the anonymous namespace, like Crc32UpdateScalar below: the NEON
+// table names both (simd.h), and the AVX2 CRC runs the scalar one on its
+// tail.
 uint64_t DirtyMask64Scalar(const uint8_t* resident, const uint8_t* incoming,
                            size_t words, uint64_t* flipped_bits) {
   uint64_t mask = 0;
@@ -34,6 +36,45 @@ uint64_t DirtyMask64Scalar(const uint8_t* resident, const uint8_t* incoming,
   }
   *flipped_bits = bits;
   return mask;
+}
+
+uint32_t Crc32UpdateScalar(uint32_t state, const uint8_t* p, size_t n) {
+  // Slice-by-8 (Kounavis and Berry, ISCC 2005): row 0 is the byte-at-a-time
+  // table of the reflected polynomial 0xEDB88320, and row k advances row
+  // k-1's entry by one more zero byte, so one 8-byte step looks up each
+  // byte in the row for its distance from the step's end.
+  static constexpr auto t = [] {
+    std::array<std::array<uint32_t, 256>, 8> rows{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
+      }
+      rows[0][i] = crc;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+      for (size_t i = 0; i < 256; ++i) {
+        rows[k][i] = (rows[k - 1][i] >> 8) ^ rows[0][rows[k - 1][i] & 0xFFu];
+      }
+    }
+    return rows;
+  }();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    if constexpr (std::endian::native == std::endian::big) {
+      w = __builtin_bswap64(w);
+    }
+    w ^= state;
+    state = t[7][w & 0xFF] ^ t[6][(w >> 8) & 0xFF] ^ t[5][(w >> 16) & 0xFF] ^
+            t[4][(w >> 24) & 0xFF] ^ t[3][(w >> 32) & 0xFF] ^
+            t[2][(w >> 40) & 0xFF] ^ t[1][(w >> 48) & 0xFF] ^ t[0][w >> 56];
+  }
+  for (; i < n; ++i) {
+    state = (state >> 8) ^ t[0][(state ^ p[i]) & 0xFFu];
+  }
+  return state;
 }
 
 namespace {
@@ -146,6 +187,7 @@ constexpr KernelTable kScalarTable = {
     Isa::kScalar,        DotScalar,          ArgminCentroidsScalar,
     DotCenteredScalar,   EncodeAccumulateScalar,
     PopcountBytesScalar, HammingBytesScalar, DirtyMask64Scalar,
+    Crc32UpdateScalar,
 };
 
 /// Startup selection: PNW_KERNEL_ISA override first, then the best ISA the

@@ -1,35 +1,11 @@
 #include "src/persist/crc32.h"
 
-#include <array>
+#include "src/util/simd.h"
 
 namespace pnw::persist {
 
-namespace {
-
-/// Table-driven byte-at-a-time CRC; the table is built once at first use.
-const std::array<uint32_t, 256>& Crc32Table() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      t[i] = crc;
-    }
-    return t;
-  }();
-  return table;
-}
-
-}  // namespace
-
 uint32_t Crc32Update(uint32_t state, std::span<const uint8_t> data) {
-  const auto& table = Crc32Table();
-  for (uint8_t byte : data) {
-    state = (state >> 8) ^ table[(state ^ byte) & 0xFFu];
-  }
-  return state;
+  return simd::Kernels().crc32_update(state, data.data(), data.size());
 }
 
 uint32_t Crc32(std::span<const uint8_t> data) {

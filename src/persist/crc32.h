@@ -11,7 +11,9 @@ namespace pnw::persist {
 /// variant). Every on-disk artifact of the durability subsystem -- snapshot
 /// sections and op-log records -- carries one of these so recovery can
 /// distinguish "torn tail / bit rot" from "valid state" before trusting a
-/// single byte of it.
+/// single byte of it. Computed by the dispatched kernel
+/// (simd::KernelTable::crc32_update), whose every table gives the same
+/// value, so a file written under one ISA opens under any other.
 uint32_t Crc32(std::span<const uint8_t> data);
 
 /// Incremental form: feed `data` into a running checksum. Start from

@@ -1,8 +1,10 @@
 // Runtime-dispatched SIMD kernels for the hot loops of the placement
 // pipeline (dot product, fused centroid argmin, PCA projection, bit-feature
 // encode -- a vertical per-bit byte count for the store's contiguous
-// 32-slot-multiple shape) and of the NVM substrate (popcount/Hamming
-// distance, the differential write's 64-word block dirty mask).
+// 32-slot-multiple shape), of the NVM substrate (popcount/Hamming
+// distance, the differential write's 64-word block dirty mask) and of the
+// durability layer (the CRC-32 of every op-log record and snapshot
+// section).
 //
 // Contract: every kernel is BIT-IDENTICAL across ISAs. The floating-point
 // kernels achieve this by fixing *striped-lane* semantics -- the scalar
@@ -93,6 +95,14 @@ struct KernelTable {
   /// Unaligned pointers are fine.
   uint64_t (*dirty_mask64)(const uint8_t* resident, const uint8_t* incoming,
                            size_t words, uint64_t* flipped_bits);
+
+  /// Reflected CRC-32 (polynomial 0xEDB88320) of p[0, n) fed into the raw
+  /// running `state`; returns the new raw state (persist::Crc32Update's
+  /// contract: start from 0xFFFFFFFF, the caller applies the final xor).
+  /// Any length and alignment, because recovery feeds it untrusted bytes.
+  /// Scalar: slice-by-8. AVX2: PCLMULQDQ folding of the 16-byte-multiple
+  /// head of inputs of 64 bytes or more, scalar on the rest.
+  uint32_t (*crc32_update)(uint32_t state, const uint8_t* p, size_t n);
 };
 
 /// The active table (startup-selected or pinned). Never null.
@@ -112,6 +122,10 @@ const KernelTable& ScalarKernels();
 /// The scalar dirty_mask64, for tables with no vector form of it (NEON).
 uint64_t DirtyMask64Scalar(const uint8_t* resident, const uint8_t* incoming,
                            size_t words, uint64_t* flipped_bits);
+
+/// The scalar crc32_update: the AVX2 kernel's tail and the NEON table's
+/// slot.
+uint32_t Crc32UpdateScalar(uint32_t state, const uint8_t* p, size_t n);
 
 /// Every ISA reachable on this host (kScalar always included).
 std::vector<Isa> AvailableIsas();

@@ -68,6 +68,38 @@ TEST(ModelManagerTest, PcaPipelinePredictsConsistently) {
   EXPECT_NE(model->Predict(low), model->Predict(high));
 }
 
+TEST(ModelManagerTest, RankPredictedEqualsRankClustersOfThePredictedValue) {
+  Rng rng(23);
+  const auto random_value = [&rng] {
+    std::vector<uint8_t> v(32);
+    for (auto& byte : v) {
+      byte = static_cast<uint8_t>(rng.Next());
+    }
+    return v;
+  };
+  std::vector<std::vector<uint8_t>> samples;
+  for (int i = 0; i < 64; ++i) {
+    samples.push_back(random_value());
+  }
+  for (const size_t pca_components : {size_t{0}, size_t{4}}) {
+    ModelTrainingConfig config = SmallConfig();
+    config.value_bytes = 32;
+    config.num_clusters = 5;
+    config.pca_components = pca_components;
+    ModelManager manager(config);
+    auto model = manager.Train(samples).value();
+    ASSERT_EQ(model->uses_pca(), pca_components > 0);
+    FeatureScratch scratch;
+    for (int i = 0; i < 100; ++i) {
+      const std::vector<uint8_t> v = random_value();
+      const size_t label = model->Predict(v, scratch);
+      const std::vector<size_t> ranked = model->RankPredicted(scratch);
+      EXPECT_EQ(ranked, model->RankClusters(v)) << "pca " << pca_components;
+      EXPECT_EQ(ranked.front(), label);
+    }
+  }
+}
+
 TEST(ModelManagerTest, RecordsTrainingTime) {
   ModelManager manager(SmallConfig());
   ASSERT_TRUE(manager.Train(TwoGroupSamples(64, 16)).ok());

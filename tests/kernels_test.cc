@@ -299,6 +299,69 @@ TEST(KernelsTest, DirtyMask64MatchesScalarAndWordLoop) {
   }
 }
 
+// CRC-32 straight from the reflected polynomial, one bit a step and no
+// table: what every crc32_update must reproduce.
+uint32_t BitwiseCrc32(uint32_t state, const uint8_t* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    state ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state >> 1) ^ ((state & 1u) != 0 ? 0xEDB88320u : 0u);
+    }
+  }
+  return state;
+}
+
+TEST(KernelsTest, Crc32MatchesBitwiseReference) {
+  std::mt19937 rng(29);
+  const auto isas = AvailableIsas();
+  // Every length 0-1100 (the fold's head/tail split at every remainder)
+  // at every start offset 0-15, from a random state per offset; the
+  // reference grows one byte per length.
+  std::vector<uint8_t> buf(1100 + 15);
+  FillBytes(rng, buf);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const uint8_t* p = buf.data() + offset;
+    const uint32_t state = static_cast<uint32_t>(rng());
+    uint32_t want = state;
+    for (size_t n = 0; n <= 1100; ++n) {
+      if (n > 0) {
+        want = BitwiseCrc32(want, p + n - 1, 1);
+      }
+      for (const Isa isa : isas) {
+        EXPECT_EQ(TableFor(isa)->crc32_update(state, p, n), want)
+            << IsaName(isa) << " n=" << n << " offset=" << offset;
+      }
+    }
+  }
+  // A snapshot-section-sized input: 1 MiB + 13 bytes at an odd offset.
+  std::vector<uint8_t> big((size_t{1} << 20) + 13 + 3);
+  FillBytes(rng, big);
+  const uint32_t big_state = static_cast<uint32_t>(rng());
+  const uint32_t big_want =
+      BitwiseCrc32(big_state, big.data() + 3, big.size() - 3);
+  // The standard check value: CRC-32("123456789") = 0xCBF43926.
+  const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  // Chaining: a split at every point of 300 bytes gives the one-shot CRC.
+  const uint32_t chain_state = static_cast<uint32_t>(rng());
+  const uint32_t chain_want = BitwiseCrc32(chain_state, buf.data(), 300);
+  for (const Isa isa : isas) {
+    const KernelTable& table = *TableFor(isa);
+    EXPECT_EQ(table.crc32_update(big_state, big.data() + 3, big.size() - 3),
+              big_want)
+        << IsaName(isa);
+    EXPECT_EQ(table.crc32_update(0xFFFFFFFFu, check, sizeof(check)) ^
+                  0xFFFFFFFFu,
+              0xCBF43926u)
+        << IsaName(isa);
+    for (size_t split = 0; split <= 300; ++split) {
+      const uint32_t head = table.crc32_update(chain_state, buf.data(), split);
+      EXPECT_EQ(table.crc32_update(head, buf.data() + split, 300 - split),
+                chain_want)
+          << IsaName(isa) << " split=" << split;
+    }
+  }
+}
+
 TEST(KernelsTest, PinIsaControlsDispatch) {
   ASSERT_TRUE(PinIsa(Isa::kScalar));
   EXPECT_EQ(ActiveIsa(), Isa::kScalar);

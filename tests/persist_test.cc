@@ -23,6 +23,7 @@
 #include "src/persist/serializer.h"
 #include "src/persist/snapshot.h"
 #include "src/persist/store_codec.h"
+#include "src/util/simd.h"
 
 namespace pnw::core {
 namespace {
@@ -901,6 +902,94 @@ TEST_F(PersistTest, StoreMetricsEncodingIsPinned) {
 #define PNW_EXPECT_ZERO(type, name) EXPECT_EQ(decoded.name, 0u) << #name;
   PNW_STORE_GAUGES(PNW_EXPECT_ZERO)
 #undef PNW_EXPECT_ZERO
+}
+
+// --- Checksums: the same bytes under every kernel table.
+
+/// n bytes of a fixed LCG stream seeded by `seed`.
+std::vector<uint8_t> PatternBytes(size_t n, uint32_t seed) {
+  std::vector<uint8_t> out(n);
+  uint32_t x = seed;
+  for (auto& byte : out) {
+    x = x * 1103515245u + 12345u;
+    byte = static_cast<uint8_t>(x >> 16);
+  }
+  return out;
+}
+
+TEST_F(PersistTest, ChecksummedBytesArePinnedUnderEveryIsa) {
+  // Both literals were captured from a build whose CRC-32 was the
+  // byte-at-a-time table. The op-log file (header + one record) has a
+  // 99-byte record body: a 96-byte fold head plus a 3-byte tail on AVX2.
+  constexpr std::string_view kOpLogHex =
+      "504e574c4f47310a0700000000000000b5d754036300000000efcdab89674523"
+      "01c67e816b4bfbe2fb54f6bddf7c1ce18701bf31de56720f4767668759aa883c"
+      "59ea56137bd285a1d83c54552f37ae655bda027998cce31a768e5fd9998f1f3f"
+      "36ee43784d0dfabea6dae4868edc296d4eff56e17020fb8fb15805";
+  // One section per length class: empty, shorter than a word, just under
+  // the fold's 64-byte minimum, exactly 64, and fold heads with tails.
+  constexpr size_t kSectionLengths[] = {0, 3, 63, 64, 200, 4099};
+  constexpr uint32_t kSectionCrcs[] = {0x00000000u, 0x5FD8C0F7u, 0x0A206BC9u,
+                                       0xAE8353F8u, 0xC59A6083u, 0x714AB1BEu};
+  for (const simd::Isa isa : simd::AvailableIsas()) {
+    ASSERT_TRUE(simd::PinIsa(isa));
+    const std::string name = simd::IsaName(isa);
+    {
+      auto writer =
+          persist::OpLogWriter::Open(Path(name + ".oplog"), 1, 7).value();
+      ASSERT_TRUE(writer
+                      ->Append(persist::OpType::kPut, 0x0123456789abcdefull,
+                               PatternBytes(90, 1))
+                      .ok());
+    }
+    EXPECT_EQ(Hex(persist::ReadFileBytes(Path(name + ".oplog")).value()),
+              kOpLogHex)
+        << name;
+
+    persist::SnapshotWriter snapshot(/*payload_version=*/1);
+    for (uint32_t s = 0; s < std::size(kSectionLengths); ++s) {
+      snapshot.AddSection(s).PutBytes(PatternBytes(kSectionLengths[s], s + 2));
+    }
+    ASSERT_TRUE(snapshot.WriteToFile(Path(name + ".snap")).ok());
+    const auto bytes = persist::ReadFileBytes(Path(name + ".snap")).value();
+    // Header: magic, container version, payload version, section count.
+    // Each frame: id (u32), length (u64), crc (u32), then the payload.
+    persist::BufferReader r(bytes);
+    ASSERT_TRUE(r.Skip(16).ok());
+    for (size_t s = 0; s < std::size(kSectionLengths); ++s) {
+      uint32_t id = 0;
+      uint64_t length = 0;
+      uint32_t crc = 0;
+      ASSERT_TRUE(r.GetU32(&id).ok());
+      ASSERT_TRUE(r.GetU64(&length).ok());
+      ASSERT_TRUE(r.GetU32(&crc).ok());
+      EXPECT_EQ(crc, kSectionCrcs[s]) << name << " section " << s;
+      ASSERT_TRUE(r.Skip(length).ok());
+    }
+  }
+  simd::UnpinIsa();
+}
+
+TEST_F(PersistTest, SnapshotWrittenUnderOneIsaOpensUnderEveryIsa) {
+  const auto isas = simd::AvailableIsas();
+  for (const simd::Isa writer_isa : isas) {
+    ASSERT_TRUE(simd::PinIsa(writer_isa));
+    const std::string path =
+        Path(std::string(simd::IsaName(writer_isa)) + ".snap");
+    auto store = MakeBootstrappedStore(SmallOptions());
+    ASSERT_TRUE(store->Checkpoint(path).ok());
+    ASSERT_TRUE(store->Put(500, GroupValue(1, 5)).ok());  // one log record
+    for (const simd::Isa reader_isa : isas) {
+      ASSERT_TRUE(simd::PinIsa(reader_isa));
+      auto reopened = PnwStore::Open(path);
+      ASSERT_TRUE(reopened.ok())
+          << simd::IsaName(writer_isa) << " -> " << simd::IsaName(reader_isa)
+          << ": " << reopened.status();
+      EXPECT_EQ(reopened.value()->Get(500).value(), GroupValue(1, 5));
+      EXPECT_EQ(reopened.value()->size(), store->size());
+    }
+  }
+  simd::UnpinIsa();
 }
 
 }  // namespace
