@@ -18,6 +18,8 @@ namespace pnw::core {
 namespace {
 
 constexpr size_t kStoredKeyBytes = 8;
+/// Host cache line, the stride of the freed-bucket prefetch.
+constexpr size_t kCpuLineBytes = 64;
 
 /// Snapshot section ids (layout versioned by PnwStore::kSnapshotVersion).
 enum SnapshotSection : uint32_t {
@@ -99,6 +101,14 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_{};
 };
 
+/// Migration re-points the index by the key stored in the bucket's first
+/// bytes, so a keyless store cannot migrate.
+Status KeylessMigration() {
+  return Status::FailedPrecondition(
+      "hot-bucket migration requires store_keys_in_data_zone (the index "
+      "entry is re-pointed by the key read from the bucket)");
+}
+
 }  // namespace
 
 PnwStore::~PnwStore() = default;
@@ -122,6 +132,10 @@ Result<std::unique_ptr<PnwStore>> PnwStore::Open(const PnwOptions& options) {
   }
   if (options.num_clusters == 0) {
     return Status::InvalidArgument("num_clusters must be positive");
+  }
+  if (options.num_clusters > UINT32_MAX) {
+    // A bucket's label stamp holds its cluster in 32 bits.
+    return Status::InvalidArgument("num_clusters must fit in 32 bits");
   }
   if (options.load_factor <= 0.0 || options.load_factor > 1.0) {
     return Status::InvalidArgument("load_factor must be in (0, 1]");
@@ -153,6 +167,7 @@ Status PnwStore::Init() {
   if (!options_.occupancy_flags_on_nvm) {
     dram_flags_.assign(flag_bytes, 0);
   }
+  stamps_.assign(options_.capacity_buckets, LabelStamp{});
 
   size_t index_bytes = 0;
   if (options_.index_placement == IndexPlacement::kNvmPathHash) {
@@ -252,8 +267,23 @@ std::span<const size_t> PnwStore::RankOf(std::span<const uint8_t> value,
                  : model_->RankClusters(value, predict_scratch_);
 }
 
-void PnwStore::Recycle(size_t bucket, std::span<const uint8_t> resident) {
-  pool_.Insert(LabelOf(resident), BucketAddr(bucket));
+void PnwStore::Recycle(size_t bucket) {
+  const LabelStamp stamp = stamps_[bucket];
+  if (stamp.epoch != model_epoch_) {
+    pool_.Insert(LabelOf(PeekBucketValue(bucket)), BucketAddr(bucket));
+    return;
+  }
+  // The pool pops a cluster's newest address first, so the next PUT of
+  // this cluster diffs every line of this bucket. A predict would have read
+  // them; without one, prefetch them so that PUT does not miss on each.
+  // Into L2 only: that PUT comes rounds later, when L1 has turned over,
+  // and meanwhile the lines would displace L1's working set.
+  const uint8_t* lines =
+      device_->Peek(PhysBucketAddr(bucket), bucket_bytes_).data();
+  for (size_t off = 0; off < bucket_bytes_; off += kCpuLineBytes) {
+    __builtin_prefetch(lines + off, /*rw=*/0, /*locality=*/2);
+  }
+  pool_.Insert(stamp.label, BucketAddr(bucket));
 }
 
 void PnwStore::Stage(uint64_t key, std::span<const uint8_t> value) {
@@ -267,6 +297,9 @@ void PnwStore::Stage(uint64_t key, std::span<const uint8_t> value) {
 }
 
 Status PnwStore::Place(uint64_t key, size_t bucket) {
+  // Cleared before the write, so a failed Place's Unplace predicts from
+  // whatever bytes landed.
+  stamps_[bucket] = LabelStamp{};
   auto write =
       device_->WriteDifferential(PhysBucketAddr(bucket), bucket_scratch_);
   if (!write.ok()) {
@@ -286,7 +319,7 @@ void PnwStore::Unplace(size_t bucket) {
   // status-dropped: best-effort rollback inside an already-failing op; the
   // caller sees the original failure, not the cleanup's.
   (void)SetBucketFlag(bucket, false);
-  Recycle(bucket, PeekBucketValue(bucket));
+  Recycle(bucket);
   ++metrics_.failed_ops;
 }
 
@@ -367,15 +400,25 @@ std::vector<std::vector<uint8_t>> PnwStore::CollectTrainingSamples() const {
   return samples;
 }
 
-void PnwStore::AdoptModel(std::shared_ptr<const ValueModel> model) {
+void PnwStore::InstallModel(std::shared_ptr<const ValueModel> model) {
   model_ = std::move(model);
+  // Epoch 0 marks an unknown stamp: when the counter wraps, every stamp is
+  // forgotten first, so none can come current again.
+  if (++model_epoch_ == 0) {
+    std::fill(stamps_.begin(), stamps_.end(), LabelStamp{});
+    model_epoch_ = 1;
+  }
+}
+
+void PnwStore::AdoptModel(std::shared_ptr<const ValueModel> model) {
+  InstallModel(std::move(model));
   // Algorithm 1 lines 4-5: rebuild the pool from the *available* addresses
   // (the occupancy bitmap is authoritative), labeling each by the stale
   // content resident at it.
   pool_.Clear();
   for (size_t b = 0; b < active_buckets_; ++b) {
     if (!GetBucketFlag(b)) {
-      Recycle(b, PeekBucketValue(b));
+      Recycle(b);
     }
   }
 }
@@ -419,7 +462,7 @@ Status PnwStore::MaybeExtendAndRetrain() {
     const size_t first_new = active_buckets_;
     active_buckets_ += grow;
     for (size_t b = first_new; b < active_buckets_; ++b) {
-      Recycle(b, PeekBucketValue(b));
+      Recycle(b);
     }
     ++metrics_.extensions;
   }
@@ -449,6 +492,10 @@ Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value) {
   // predictions count toward predict_wall_ns.
   const bool placed_by_model = model_ != nullptr;
   double* predict_ns = placed_by_model ? &metrics_.predict_wall_ns : nullptr;
+  // The stamp carries the epoch the label is predicted under: the retry
+  // below may install a model before the write, and the stamp must then be
+  // stale.
+  const uint32_t epoch = model_epoch_;
   // Fast path: one predict (Algorithm 2 line 1) and a pop from that
   // cluster's free-list. Only when the predicted cluster is empty do we pay
   // for the full nearest-centroid ranking.
@@ -496,6 +543,7 @@ Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value) {
     Unplace(bucket);
     return s;
   }
+  stamps_[bucket] = LabelStamp{epoch, static_cast<uint32_t>(label)};
   // Attribute only successful placements (counted alongside `puts` so the
   // predicted/fallback split always sums to the placed PUTs): a trained
   // model steered this PUT, or the store was serving model-less and the
@@ -559,20 +607,30 @@ std::vector<Status> PnwStore::MultiPut(
   return MultiPut(keys, spans);
 }
 
+Result<size_t> PnwStore::IndexedBucket(uint64_t addr) const {
+  // Translating before the range check is plain arithmetic; the check must
+  // test the bucket itself, because Start-Gap wraps any index into the zone.
+  const size_t bucket = addr / bucket_bytes_;
+  if (bucket >= options_.capacity_buckets ||
+      PhysBucketAddr(bucket) + bucket_bytes_ > device_->size()) {
+    return Status::Internal("index points outside the data zone");
+  }
+  return bucket;
+}
+
 template <auto Copy>
 PnwStore::BucketRead PnwStore::ReadBucket(uint64_t key) const {
   auto addr = index_->Get(key);
   if (!addr.ok()) {
     return {addr.status()};
   }
-  // Translating before the range check is plain arithmetic; the check must
-  // test the bucket itself, because Start-Gap wraps any index into the zone.
-  const size_t bucket = addr.value() / bucket_bytes_;
-  const uint64_t phys = PhysBucketAddr(bucket);
-  if (bucket >= options_.capacity_buckets ||
-      phys + bucket_bytes_ > device_->size()) {
-    return {Status::Internal("index points outside the data zone")};
+  auto bucket = IndexedBucket(addr.value());
+  if (!bucket.ok()) {
+    return {bucket.status()};
   }
+  // Any bucket below capacity translates into the zone, whatever the
+  // remapper registers read, so this translation is in range too.
+  const uint64_t phys = PhysBucketAddr(bucket.value());
   // Without keys in the data zone nothing is copied into stored_key, so
   // it keeps `key` and the check below passes.
   const uint8_t* resident = device_->Peek(phys, bucket_bytes_).data();
@@ -646,17 +704,23 @@ Status PnwStore::DeleteInternal(uint64_t key) {
   if (!addr.ok()) {
     return addr.status();
   }
+  auto indexed = IndexedBucket(addr.value());
+  if (!indexed.ok()) {
+    return indexed.status();
+  }
+  const size_t bucket = indexed.value();
   {
     DeviceDeltaScope scope(device_.get(), &metrics_.delete_device_ns);
     PNW_RETURN_IF_ERROR(index_->Delete(key));
-    const size_t bucket = addr.value() / bucket_bytes_;
     PNW_RETURN_IF_ERROR(SetBucketFlag(bucket, false));
-    // Algorithm 3 line 3: E = model.predict(Read(A)) -- an NVM read,
-    // staged through the reused bucket scratch (DELETE is half of every
-    // endurance-first UPDATE, so it shares the allocation-free discipline
-    // of the write path).
-    PNW_RETURN_IF_ERROR(device_->Read(PhysBucketAddr(bucket), bucket_scratch_));
-    Recycle(bucket, bucket_scratch_.subspan(key_bytes_));
+    // Algorithm 3 line 3: E = model.predict(Read(A)). The NVM read is
+    // charged as the paper models it, but nothing is copied: under the
+    // model that served the PUT, E is the label the PUT stamped, and
+    // Recycle predicts from the resident bytes only when that stamp is
+    // stale.
+    PNW_RETURN_IF_ERROR(
+        device_->ChargeRead(PhysBucketAddr(bucket), bucket_bytes_));
+    Recycle(bucket);
   }
   --used_buckets_;
   ++metrics_.deletes;
@@ -700,8 +764,14 @@ Status PnwStore::Update(uint64_t key, std::span<const uint8_t> value) {
   if (!addr.ok()) {
     return addr.status();
   }
+  auto indexed = IndexedBucket(addr.value());
+  if (!indexed.ok()) {
+    return indexed.status();
+  }
+  const size_t bucket = indexed.value();
   Stage(key, value);
-  const size_t bucket = addr.value() / bucket_bytes_;
+  // The write replaces the bytes the bucket's stamp was predicted from.
+  stamps_[bucket] = LabelStamp{};
   {
     DeviceDeltaScope scope(device_.get(), &metrics_.put_device_ns,
                            &metrics_.put_bits_written,
@@ -725,6 +795,9 @@ Status PnwStore::Update(uint64_t key, std::span<const uint8_t> value) {
 }
 
 Result<bool> PnwStore::MigrateBucket(size_t bucket) {
+  if (key_bytes_ == 0) {
+    return KeylessMigration();
+  }
   if (bucket >= active_buckets_ || !GetBucketFlag(bucket)) {
     return Status::InvalidArgument(
         "migration source is not a resident bucket");
@@ -772,10 +845,12 @@ Result<bool> PnwStore::MigrateBucket(size_t bucket) {
     Unplace(dst_bucket);
     return s;
   }
-  // Free the source under the label of its (still resident, now stale)
-  // content -- exactly how DELETE returns addresses, so the pool keeps
-  // placing future writes onto similar bits.
-  Recycle(bucket, PeekBucketValue(bucket));
+  // The destination now holds the source's bytes, so it takes the source's
+  // stamp. Free the source under the label of its (still resident, now
+  // stale) content -- exactly how DELETE returns addresses, so the pool
+  // keeps placing future writes onto similar bits.
+  stamps_[dst_bucket] = stamps_[bucket];
+  Recycle(bucket);
   ++metrics_.migrations;
   AccountBucketWrite(dst_bucket);
   return true;
@@ -786,9 +861,7 @@ Result<size_t> PnwStore::MigrateHotBuckets(size_t max_buckets) {
     return Status::FailedPrecondition("Bootstrap the store before migration");
   }
   if (key_bytes_ == 0) {
-    return Status::FailedPrecondition(
-        "hot-bucket migration requires store_keys_in_data_zone (the index "
-        "entry is re-pointed by the key read from the bucket)");
+    return KeylessMigration();
   }
   if (max_buckets == 0) {
     return size_t{0};
@@ -1114,6 +1187,12 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
     // checkpointed ones are already folded into metrics_.failed_retrains.
     background_failures_seen_ = 0;
   }
+  // Every address the snapshot hands the index or the pool must name an
+  // active bucket.
+  const auto in_zone = [bucket_bytes = bucket_bytes_,
+                        active = active_buckets_](uint64_t addr) {
+    return addr % bucket_bytes == 0 && addr / bucket_bytes < active;
+  };
   {
     auto section = snap.Section(kSectionDevice);
     if (!section.ok()) {
@@ -1182,6 +1261,9 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
         uint64_t addr = 0;
         PNW_RETURN_IF_ERROR(r.GetU64(&key));
         PNW_RETURN_IF_ERROR(r.GetU64(&addr));
+        if (!in_zone(addr)) {
+          return Status::Corruption("snapshot index address out of range");
+        }
         PNW_RETURN_IF_ERROR(index_->Put(key, addr));
       }
     } else {
@@ -1201,7 +1283,7 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
     }
     // Install without AdoptModel: the pool section below restores the
     // exact checkpointed free-lists, labels and pop order included.
-    model_ = std::move(model.value());
+    InstallModel(std::move(model.value()));
     if (model_ != nullptr && model_->k() > pool_.num_clusters()) {
       return Status::Corruption(
           "snapshot model has more clusters than the address pool");
@@ -1224,8 +1306,7 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
       std::vector<uint64_t> addrs;
       PNW_RETURN_IF_ERROR(r.GetU64Vec(&addrs));
       for (uint64_t addr : addrs) {
-        if (addr % bucket_bytes_ != 0 ||
-            addr / bucket_bytes_ >= active_buckets_) {
+        if (!in_zone(addr)) {
           return Status::Corruption("snapshot pool address out of range");
         }
         pool_.Insert(c, addr);

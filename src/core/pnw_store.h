@@ -201,7 +201,10 @@ class PnwStore {
   std::optional<Result<std::vector<uint8_t>>> TryGetOptimistic(uint64_t key);
 
   /// Algorithm 3: reset flag bit, re-label the freed address by its
-  /// resident content, recycle it into the pool.
+  /// resident content, recycle it into the pool. While the model that
+  /// served the bucket's PUT still serves, that PUT's label is reused
+  /// instead of predicted again; the simulated NVM read of line 3 is
+  /// charged either way.
   Status Delete(uint64_t key) PNW_REQUIRES(mu_);
 
   /// Section V-B3, honoring options.update_mode.
@@ -333,17 +336,18 @@ class PnwStore {
   std::span<const size_t> RankOf(std::span<const uint8_t> value,
                                  bool labeled = false) PNW_REQUIRES(mu_);
 
-  /// Return `bucket`'s address to the pool under the label of `resident`,
-  /// the value bytes now in it: a freed address is filed by its stale
-  /// content (Algorithm 1 lines 4-5, Algorithm 3 line 3).
-  void Recycle(size_t bucket, std::span<const uint8_t> resident)
-      PNW_REQUIRES(mu_);
+  /// Return `bucket`'s address to the pool under the label of the value
+  /// bytes now in it: a freed address is filed by its stale content
+  /// (Algorithm 1 lines 4-5, Algorithm 3 line 3). A current stamp is that
+  /// label already; only a stale or unknown one is predicted again.
+  void Recycle(size_t bucket) PNW_REQUIRES(mu_);
 
   /// Copy [key|value] into bucket_scratch_.
   void Stage(uint64_t key, std::span<const uint8_t> value) PNW_REQUIRES(mu_);
   /// Write bucket_scratch_ into `bucket`, set its occupancy flag and point
-  /// `key` at it, inside the caller's device accounting scope. On failure
-  /// the caller closes that scope and calls Unplace(bucket).
+  /// `key` at it, inside the caller's device accounting scope. Clears the
+  /// bucket's stamp first; the caller stamps a successful write. On
+  /// failure the caller closes that scope and calls Unplace(bucket).
   Status Place(uint64_t key, size_t bucket) PNW_REQUIRES(mu_);
   /// Roll back a failed Place: clear the flag, Recycle the bucket under
   /// whatever bytes it now holds, and count a failed op.
@@ -380,6 +384,10 @@ class PnwStore {
   Result<std::vector<uint8_t>> ChargeRead(BucketRead read,
                                           RelaxedCounter<uint64_t>& hits);
 
+  /// The bucket an index entry's address names, with ReadBucket's range
+  /// check: Internal when it lies outside the data zone.
+  Result<size_t> IndexedBucket(uint64_t addr) const PNW_REQUIRES_SHARED(mu_);
+
   /// Occupancy flag bitmap ops (each is a 1-byte differential NVM write).
   bool GetBucketFlag(size_t bucket) const PNW_REQUIRES_SHARED(mu_);
   Status SetBucketFlag(size_t bucket, bool occupied) PNW_REQUIRES(mu_);
@@ -392,7 +400,11 @@ class PnwStore {
   std::vector<std::vector<uint8_t>> CollectTrainingSamples() const
       PNW_REQUIRES_SHARED(mu_);
 
-  /// Swap in `model` and re-label every free address under it.
+  /// Serve `model` from now on: every install starts a new model epoch,
+  /// which makes every stamp stale.
+  void InstallModel(std::shared_ptr<const ValueModel> model)
+      PNW_REQUIRES(mu_);
+  /// InstallModel(model), then re-label every free address under it.
   void AdoptModel(std::shared_ptr<const ValueModel> model) PNW_REQUIRES(mu_);
 
   /// Grow the active data zone (new free addresses labeled under the
@@ -458,6 +470,21 @@ class PnwStore {
   std::unique_ptr<ModelManager> manager_ PNW_GUARDED_BY(mu_);
   std::shared_ptr<const ValueModel> model_ PNW_GUARDED_BY(mu_);
   DynamicAddressPool pool_ PNW_GUARDED_BY(mu_);
+  /// The cluster label a bucket's value bytes were predicted to, and the
+  /// model epoch of that predict. A stamp is current only while the
+  /// bucket's value bytes are exactly the bytes the label was predicted
+  /// from, under the served model: a successful PUT sets it, a migration
+  /// carries it to the destination, and whatever rewrites the bytes (Place,
+  /// the in-place UPDATE) clears it first. Epoch 0 is unknown. Stamps are
+  /// DRAM-only and never persisted: after Init, Bootstrap and Open every
+  /// one is unknown or stale.
+  struct LabelStamp {
+    uint32_t epoch = 0;
+    uint32_t label = 0;
+  };
+  std::vector<LabelStamp> stamps_ PNW_GUARDED_BY(mu_);
+  /// Epoch of the served model (see InstallModel); never 0.
+  uint32_t model_epoch_ PNW_GUARDED_BY(mu_) = 1;
 
   size_t active_buckets_ PNW_GUARDED_BY(mu_) = 0;
   size_t used_buckets_ PNW_GUARDED_BY(mu_) = 0;

@@ -58,17 +58,26 @@ Status NvmDevice::ConsumeWriteFault() {
   return Status::Internal("injected NVM write fault");
 }
 
-Status NvmDevice::Read(uint64_t addr, std::span<uint8_t> out) {
-  PNW_RETURN_IF_ERROR(CheckRange(addr, out.size()));
-  std::memcpy(out.data(), data_ + addr, out.size());
+uint64_t NvmDevice::LinesSpanned(uint64_t addr, size_t len) const {
   const uint64_t first_line = addr / config_.cache_line_bytes;
   const uint64_t last_line =
-      out.empty() ? first_line
-                  : (addr + out.size() - 1) / config_.cache_line_bytes;
-  const uint64_t lines = last_line - first_line + 1;
+      len == 0 ? first_line : (addr + len - 1) / config_.cache_line_bytes;
+  return last_line - first_line + 1;
+}
+
+Status NvmDevice::ChargeRead(uint64_t addr, size_t len) {
+  PNW_RETURN_IF_ERROR(CheckRange(addr, len));
+  const uint64_t lines = LinesSpanned(addr, len);
   counters_.total_lines_read += lines;
   counters_.total_read_ops += 1;
   counters_.total_latency_ns += latency_model_.NvmReadCostNs(lines);
+  return Status::OK();
+}
+
+Status NvmDevice::Read(uint64_t addr, std::span<uint8_t> out) {
+  PNW_RETURN_IF_ERROR(ChargeRead(addr, out.size()));
+  // copy_n, not memcpy: an empty `out` may have a null data().
+  std::copy_n(data_ + addr, out.size(), out.data());
   return Status::OK();
 }
 
@@ -80,12 +89,9 @@ std::span<const uint8_t> NvmDevice::Peek(uint64_t addr, size_t len) const {
 }
 
 double NvmDevice::ReadCostNs(uint64_t addr, size_t len) const {
-  // Same line-spanning arithmetic as Read(), so a Peek+ReadCostNs pair is
+  // Same line count as ChargeRead(), so a Peek+ReadCostNs pair is
   // accounted identically to the serialized Read() path.
-  const uint64_t first_line = addr / config_.cache_line_bytes;
-  const uint64_t last_line =
-      len == 0 ? first_line : (addr + len - 1) / config_.cache_line_bytes;
-  return latency_model_.NvmReadCostNs(last_line - first_line + 1);
+  return latency_model_.NvmReadCostNs(LinesSpanned(addr, len));
 }
 
 Result<WriteResult> NvmDevice::WriteConventional(

@@ -87,9 +87,17 @@ class NvmDevice {
   /// lifetime allocation: slabs/high-water, no churn).
   util::ArenaStats arena_stats() const { return arena_.Stats(); }
 
-  /// Copy `out.size()` bytes starting at `addr` into `out`.
+  /// Copy `out.size()` bytes starting at `addr` into `out`: ChargeRead of
+  /// the range plus the copy.
   /// Fails with InvalidArgument if the range is out of bounds.
   Status Read(uint64_t addr, std::span<uint8_t> out);
+
+  /// Charge a read of `len` bytes at `addr` to the cumulative counters
+  /// (lines read, one read op, its simulated latency) exactly as Read()
+  /// does, copying nothing. For callers that need the modeled NVM read but
+  /// not its bytes. Fails with InvalidArgument, charging nothing, if the
+  /// range is out of bounds.
+  Status ChargeRead(uint64_t addr, size_t len);
 
   /// Zero-cost inspection of device content (no latency or counter effects);
   /// used by tests and by the PNW model trainer, which the paper places on
@@ -175,6 +183,9 @@ class NvmDevice {
 
  private:
   Status CheckRange(uint64_t addr, size_t len) const;
+  /// Cache lines a read of `len` bytes at `addr` spans (one for an empty
+  /// range).
+  uint64_t LinesSpanned(uint64_t addr, size_t len) const;
   /// Consumes one armed write fault, if any (see InjectWriteFaults).
   Status ConsumeWriteFault();
 

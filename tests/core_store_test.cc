@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <numeric>
 #include <span>
 #include <string_view>
@@ -59,6 +61,9 @@ TEST(PnwStoreTest, OpenValidatesOptions) {
   EXPECT_TRUE(PnwStore::Open(bad).status().IsInvalidArgument());
   bad = SmallOptions();
   bad.load_factor = 1.5;
+  EXPECT_TRUE(PnwStore::Open(bad).status().IsInvalidArgument());
+  bad = SmallOptions();
+  bad.num_clusters = size_t{1} << 32;  // wider than a label stamp
   EXPECT_TRUE(PnwStore::Open(bad).status().IsInvalidArgument());
 }
 
@@ -231,6 +236,46 @@ TEST(PnwStoreTest, KeyMismatchGetChargesDeviceAndCountsMiss) {
   EXPECT_EQ(m.get_misses, 2u);
   EXPECT_EQ(m.get_device_ns, 2 * locked_ns);
   EXPECT_EQ(m.optimistic_gets + m.locked_gets, 0u);
+}
+
+TEST(PnwStoreTest, IndexAddressOutsideTheZoneIsInternal) {
+  // An NVM-resident index cell whose address lies past the data zone (a
+  // damaged cell; a snapshot restores the index cells verbatim with the
+  // device bytes): every operation that follows the index fails with
+  // Internal instead of indexing the flag bitmap or the device past its
+  // end, and the key stays indexed.
+  for (const UpdateMode mode :
+       {UpdateMode::kEnduranceFirst, UpdateMode::kLatencyFirst}) {
+    PnwOptions options = SmallOptions();
+    options.index_placement = IndexPlacement::kNvmPathHash;
+    options.update_mode = mode;
+    auto store = MakeBootstrappedStore(options);
+    // The cell of key 5 holds [key | address of bucket 5 | flags]; it
+    // lies past the data zone.
+    const uint64_t key = 5;
+    const uint64_t addr = store->BucketAddr(5);
+    uint8_t cell[16];
+    std::memcpy(cell, &key, 8);
+    std::memcpy(cell + 8, &addr, 8);
+    const auto contents = store->device().Contents();
+    const auto zone_end = static_cast<ptrdiff_t>(
+        store->BucketAddr(store->options().capacity_buckets));
+    const auto found = std::search(contents.begin() + zone_end, contents.end(),
+                                   std::begin(cell), std::end(cell));
+    ASSERT_NE(found, contents.end());
+    const uint64_t outside = uint64_t{1} << 30;
+    std::vector<uint8_t> bytes(8);
+    std::memcpy(bytes.data(), &outside, 8);
+    ASSERT_TRUE(store->device()
+                    .WriteConventional(
+                        static_cast<uint64_t>(found - contents.begin()) + 8,
+                        bytes)
+                    .ok());
+    EXPECT_TRUE(store->Get(key).status().IsInternal());
+    EXPECT_TRUE(store->Update(key, GroupValue(1, 9)).IsInternal());
+    EXPECT_TRUE(store->Delete(key).IsInternal());
+    EXPECT_EQ(store->size(), 32u);
+  }
 }
 
 // --- PR 5: the batched write path.
@@ -868,6 +913,203 @@ TEST(PnwStoreTest, Table2WorkedExample) {
   EXPECT_LE(d2_bits, 2u + 16u);
   EXPECT_EQ(store->Get(10).value()[0], d1);
   EXPECT_EQ(store->Get(11).value()[0], d2);
+}
+
+// --- Label stamps: a DELETE files its bucket under the label the PUT
+// predicted, and that must be invisible to the pool.
+
+/// A 16-byte value of one of four content groups that lie far apart in
+/// Hamming distance, made distinct within its group by `tweak`.
+std::vector<uint8_t> QuadValue(size_t group, size_t tweak) {
+  static constexpr uint8_t kGroups[4] = {0x00, 0xff, 0x0f, 0xf0};
+  std::vector<uint8_t> v(16, kGroups[group]);
+  v[tweak % 16] ^= static_cast<uint8_t>(1 + tweak / 16);
+  return v;
+}
+
+/// Every free address sits in the cluster the served model predicts for
+/// the value resident at it, and the pool holds every unoccupied bucket.
+void ExpectPoolLabelsMatchModel(PnwStore& store, const char* step) {
+  SCOPED_TRACE(step);
+  const auto model = store.model();
+  const size_t key_bytes = store.bucket_bytes() - store.options().value_bytes;
+  for (size_t c = 0; c < store.pool().num_clusters(); ++c) {
+    for (const uint64_t addr : store.pool().FreeList(c)) {
+      const size_t bucket = addr / store.bucket_bytes();
+      const auto value = store.device().Peek(
+          store.PhysBucketAddr(bucket) + key_bytes,
+          store.options().value_bytes);
+      EXPECT_EQ(c, model->Predict(value)) << "bucket " << bucket;
+    }
+  }
+  EXPECT_EQ(store.pool().FreeCount(), store.active_buckets() - store.size());
+}
+
+/// Whether `after` labels some of `values` differently from `before`: only
+/// then can a stale stamp be told from a current one.
+bool Relabels(const ValueModel& before, const ValueModel& after,
+              const std::vector<std::vector<uint8_t>>& values) {
+  return std::any_of(values.begin(), values.end(), [&](const auto& v) {
+    return before.Predict(v) != after.Predict(v);
+  });
+}
+
+TEST(PnwStoreTest, DeleteFilesUnderTheLabelTheModelPredicts) {
+  PnwOptions options = SmallOptions();
+  options.num_clusters = 4;
+  options.initial_buckets = 32;
+  options.capacity_buckets = 128;
+  options.update_mode = UpdateMode::kLatencyFirst;
+  options.migration_min_writes = 4;
+  options.migration_hot_multiplier = 2.0;
+  auto store = PnwStore::Open(options).value();
+  std::vector<uint64_t> keys(32);
+  std::vector<std::vector<uint8_t>> values(32);
+  for (size_t i = 0; i < 32; ++i) {
+    keys[i] = i;
+    values[i] = QuadValue(i % 4, i);
+  }
+  ASSERT_TRUE(store->Bootstrap(keys, values).ok());
+  std::map<uint64_t, std::vector<uint8_t>> live;
+  for (size_t i = 0; i < 32; ++i) {
+    live[i] = values[i];
+  }
+  uint64_t next_key = 100;
+  const auto put = [&](size_t group) {
+    const uint64_t key = next_key++;
+    live[key] = QuadValue(group, key);
+    EXPECT_TRUE(store->Put(key, live[key]).ok()) << key;
+    return key;
+  };
+  const auto del = [&](uint64_t key) {
+    EXPECT_TRUE(store->Delete(key).ok()) << key;
+    live.erase(key);
+  };
+  const auto live_values = [&] {
+    std::vector<std::vector<uint8_t>> out;
+    for (const auto& [key, value] : live) {
+      out.push_back(value);
+    }
+    return out;
+  };
+
+  // A PUT into the full zone: its predicted cluster and the whole pool are
+  // empty, so its retry extends the zone and retrains between the predict
+  // and the write. Its stamp must be stale by the time it is deleted.
+  {
+    const auto before = store->model();
+    const uint64_t key = put(1);
+    ASSERT_EQ(store->metrics().extensions, 1u);
+    ASSERT_EQ(store->metrics().retrains, 2u);
+    EXPECT_TRUE(Relabels(*before, *store->model(), {live[key]}));
+    del(key);
+    ExpectPoolLabelsMatchModel(*store, "full-zone PUT, then its DELETE");
+  }
+
+  // A PUT/DELETE stream: DELETEs of bootstrapped keys (no stamp) and of
+  // streamed ones (stamped by their PUT).
+  for (size_t i = 0; i < 16; ++i) {
+    put(i % 4);
+    if (i % 2 == 1) {
+      del(i < 8 ? i : next_key - 2);
+    }
+  }
+  ExpectPoolLabelsMatchModel(*store, "PUT/DELETE stream");
+
+  // A synchronous retrain, then DELETEs of keys stamped before it.
+  {
+    const auto before = store->model();
+    ASSERT_TRUE(store->TrainModel().ok());
+    EXPECT_TRUE(Relabels(*before, *store->model(), live_values()));
+    for (size_t i = 0; i < 4; ++i) {
+      del(std::prev(live.end())->first);
+    }
+    ExpectPoolLabelsMatchModel(*store, "synchronous retrain");
+  }
+  for (size_t i = 0; i < 8; ++i) {
+    put(i % 4);
+  }
+
+  // A background model, trained on a reordered sample, adopted by the next
+  // operation; then DELETEs of keys stamped before it.
+  {
+    const auto before = store->model();
+    std::vector<std::vector<uint8_t>> sample;
+    for (size_t i = 0; i < 64; ++i) {
+      sample.push_back(QuadValue(3 - i % 4, 5 * i));
+    }
+    ASSERT_TRUE(store->model_manager().StartBackgroundTrain(sample));
+    for (int spin = 0; spin < 500; ++spin) {
+      if (!store->model_manager().background_training_in_progress()) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_FALSE(store->model_manager().background_training_in_progress());
+    put(0);  // polls the manager and adopts the model
+    ASSERT_NE(store->model(), before);
+    EXPECT_TRUE(Relabels(*before, *store->model(), live_values()));
+    for (size_t i = 0; i < 4; ++i) {
+      del(std::prev(live.end())->first);
+    }
+    ExpectPoolLabelsMatchModel(*store, "background model adopted");
+  }
+
+  // A latency-first UPDATE rewrites the bytes the PUT's label came from.
+  {
+    const uint64_t key = put(2);
+    live[key] = QuadValue(3, key);
+    ASSERT_TRUE(store->Update(key, live[key]).ok());
+    ASSERT_NE(store->model()->Predict(QuadValue(2, key)),
+              store->model()->Predict(live[key]));
+    del(key);
+    ExpectPoolLabelsMatchModel(*store, "in-place UPDATE, then its DELETE");
+  }
+
+  // A migration pass. The hot bucket's last write is a PUT, so its stamp
+  // is current: the source is filed by it and the destination inherits it.
+  {
+    const uint64_t hot = put(1);
+    for (size_t round = 0; round < 8; ++round) {
+      live[hot] = QuadValue(1, hot + round);
+      ASSERT_TRUE(store->Update(hot, live[hot]).ok());
+    }
+    del(hot);
+    const uint64_t moved = put(1);  // pops the hot bucket just freed
+    auto migrated = store->MigrateHotBuckets(8);
+    ASSERT_TRUE(migrated.ok()) << migrated.status();
+    ASSERT_GT(migrated.value(), 0u);
+    ExpectPoolLabelsMatchModel(*store, "migration pass");
+    del(moved);
+    ExpectPoolLabelsMatchModel(*store, "DELETE of a migrated key");
+  }
+
+  // A failed Place: group 1's cluster is emptied, every other cluster's
+  // newest address is a stamped bucket a DELETE just freed, and the
+  // payload of a group-1 PUT lands on one of those before its flag write
+  // fails. The rollback must file the bucket by its new bytes.
+  {
+    const size_t cluster = store->model()->Predict(QuadValue(1, 0));
+    const size_t to_empty = store->pool().FreeCount(cluster);
+    for (size_t i = 0; i < to_empty; ++i) {
+      put(1);
+    }
+    ASSERT_EQ(store->pool().FreeCount(cluster), 0u);
+    for (size_t group : {0, 2, 3}) {
+      del(put(group));
+    }
+    const uint64_t fallbacks = store->metrics().pool_fallbacks;
+    store->device().InjectWriteFaults(/*skip=*/1, /*count=*/1);
+    EXPECT_TRUE(store->Put(next_key++, QuadValue(1, 7)).IsInternal());
+    store->device().InjectWriteFaults(0, 0);
+    ASSERT_EQ(store->metrics().pool_fallbacks, fallbacks + 1);
+    ExpectPoolLabelsMatchModel(*store, "failed Place rolled back");
+  }
+
+  for (const auto& [key, value] : live) {
+    EXPECT_EQ(store->Get(key).value(), value) << key;
+  }
+  EXPECT_TRUE(store->metrics().PlacementAttributionConsistent());
 }
 
 /// What one replay leaves behind: the store's ledger, the device's word

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/nvm/nvm_device.h"
@@ -157,6 +159,46 @@ TEST(NvmDeviceTest, PeekDoesNotAffectCounters) {
   (void)device.Peek(0, 64);
   EXPECT_EQ(device.counters().total_read_ops, 0u);
   EXPECT_EQ(device.counters().total_lines_read, 0u);
+}
+
+void ExpectSameCounters(const NvmCounters& got, const NvmCounters& want) {
+  EXPECT_EQ(got.total_bits_written, want.total_bits_written);
+  EXPECT_EQ(got.total_words_written, want.total_words_written);
+  EXPECT_EQ(got.total_lines_written, want.total_lines_written);
+  EXPECT_EQ(got.total_lines_read, want.total_lines_read);
+  EXPECT_EQ(got.total_write_ops, want.total_write_ops);
+  EXPECT_EQ(got.total_read_ops, want.total_read_ops);
+  EXPECT_EQ(got.total_payload_bits, want.total_payload_bits);
+  EXPECT_EQ(got.total_latency_ns, want.total_latency_ns);
+}
+
+TEST(NvmDeviceTest, ChargeReadChargesWhatReadChargesAndCopiesNothing) {
+  // Two devices with the same bytes: one Reads each range, the other only
+  // charges it. Every counter must move the same, in and out of range.
+  NvmDevice read(SmallConfig());
+  NvmDevice charged(SmallConfig());
+  std::vector<uint8_t> pattern(4096);
+  std::iota(pattern.begin(), pattern.end(), uint8_t{0});
+  ASSERT_TRUE(read.WriteConventional(0, pattern).ok());
+  ASSERT_TRUE(charged.WriteConventional(0, pattern).ok());
+  const std::pair<uint64_t, size_t> ranges[] = {
+      {0, 64}, {60, 8}, {100, 3000}, {4095, 1}, {128, 0}};
+  for (const auto& [addr, len] : ranges) {
+    std::vector<uint8_t> out(len);
+    ASSERT_TRUE(read.Read(addr, out).ok());
+    ASSERT_TRUE(charged.ChargeRead(addr, len).ok());
+    ExpectSameCounters(charged.counters(), read.counters());
+  }
+  std::vector<uint8_t> out(64);
+  EXPECT_TRUE(read.Read(4096 - 32, out).IsInvalidArgument());
+  EXPECT_TRUE(charged.ChargeRead(4096 - 32, 64).IsInvalidArgument());
+  EXPECT_TRUE(read.Read(~uint64_t{0} - 8, out).IsInvalidArgument());
+  EXPECT_TRUE(charged.ChargeRead(~uint64_t{0} - 8, 64).IsInvalidArgument());
+  ExpectSameCounters(charged.counters(), read.counters());
+  EXPECT_EQ(charged.counters().total_read_ops, std::size(ranges));
+  const auto contents = charged.Contents();
+  EXPECT_TRUE(std::equal(contents.begin(), contents.end(), pattern.begin(),
+                         pattern.end()));
 }
 
 // --- Differential-write equivalence: the device's word-at-a-time inner

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -356,6 +357,140 @@ TEST_F(PersistTest, MigrationReplayReproducesEnduranceStateBitForBit) {
     EXPECT_EQ(reopened.Get(key).value(), GroupValue(key % 2, 0x5a));
   }
   EXPECT_EQ(reopened.Get(500).value(), GroupValue(0, 0x11));
+}
+
+// Replay across an automatic retrain: after the checkpoint the traffic
+// crosses the load factor, so the zone extends and a synchronous retrain
+// runs; then DELETEs and endurance-first UPDATEs of keys placed before and
+// after it, and a migration pass. The live store files a DELETE under the
+// label its PUT predicted while that model still serves; replay starts with
+// no such labels. Both must land on the same store.
+TEST_F(PersistTest, ReplayAcrossAutomaticRetrainReproducesTheStore) {
+  PnwOptions options = SmallOptions();
+  options.migration_min_writes = 4;
+  options.migration_hot_multiplier = 2.0;
+  auto store = MakeBootstrappedStore(options);  // 32 of 64 buckets used
+  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+
+  for (size_t i = 0; i < 16; ++i) {
+    ASSERT_TRUE(
+        store->Put(100 + i, GroupValue(i % 2, static_cast<uint8_t>(i))).ok());
+  }
+  ASSERT_TRUE(store->Delete(101).ok());
+  ASSERT_TRUE(store->Update(102, GroupValue(1, 0x21)).ok());
+  ASSERT_EQ(store->metrics().extensions, 0u);
+  for (size_t i = 0; i < 12; ++i) {
+    ASSERT_TRUE(
+        store->Put(200 + i, GroupValue(i % 2, static_cast<uint8_t>(i))).ok());
+  }
+  ASSERT_EQ(store->metrics().extensions, 1u);
+  ASSERT_EQ(store->metrics().retrains, 2u);  // Bootstrap's and this one
+
+  // Keys placed before the retrain (bootstrapped, then post-checkpoint)
+  // and after it.
+  for (const uint64_t key : {3, 104, 106, 201, 203}) {
+    ASSERT_TRUE(store->Delete(key).ok()) << key;
+  }
+  for (const uint64_t key : {4, 105, 108, 202, 205}) {
+    ASSERT_TRUE(store->Update(key, GroupValue(key % 2, 0x42)).ok()) << key;
+  }
+  // An endurance-first UPDATE with a same-group value pops the bucket its
+  // DELETE half just freed, so key 7's bucket runs hot.
+  for (uint8_t round = 0; round < 8; ++round) {
+    ASSERT_TRUE(store->Update(7, GroupValue(1, round)).ok());
+  }
+  auto migrated = store->MigrateHotBuckets(8);
+  ASSERT_TRUE(migrated.ok()) << migrated.status();
+  ASSERT_GT(migrated.value(), 0u);
+  ASSERT_TRUE(store->Delete(7).ok());
+  ASSERT_TRUE(store->Put(300, GroupValue(0, 0x33)).ok());
+
+  auto reopened_result = PnwStore::Open(Path("store.snap"));
+  ASSERT_TRUE(reopened_result.ok()) << reopened_result.status();
+  auto& reopened = *reopened_result.value();
+  ExpectMetricsEqual(reopened.metrics(), store->metrics());
+  EXPECT_EQ(reopened.metrics().migrations, store->metrics().migrations);
+  EXPECT_EQ(reopened.wear_tracker().bucket_write_counts(),
+            store->wear_tracker().bucket_write_counts());
+  EXPECT_EQ(reopened.wear_tracker().physical_write_counts(),
+            store->wear_tracker().physical_write_counts());
+  EXPECT_EQ(reopened.device().word_write_counts(),
+            store->device().word_write_counts());
+  EXPECT_EQ(reopened.device().line_write_counts(),
+            store->device().line_write_counts());
+  ASSERT_EQ(reopened.pool().num_clusters(), store->pool().num_clusters());
+  for (size_t c = 0; c < store->pool().num_clusters(); ++c) {
+    EXPECT_EQ(reopened.pool().FreeList(c), store->pool().FreeList(c)) << c;
+  }
+  const auto got = reopened.device().Contents();
+  const auto want = store->device().Contents();
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+}
+
+// kMigrate re-points the index by the key stored in the bucket, which a
+// keyless store does not have: replaying one must fail, not serve the
+// bucket's value under key 0.
+TEST_F(PersistTest, KeylessStoreRejectsReplayedMigration) {
+  PnwOptions options = SmallOptions();
+  options.store_keys_in_data_zone = false;
+  options.update_mode = UpdateMode::kLatencyFirst;
+  auto store = PnwStore::Open(options).value();
+  const std::vector<uint64_t> keys = {5, 6, 7, 8};
+  std::vector<std::vector<uint8_t>> values;
+  for (const uint64_t key : keys) {
+    values.push_back(GroupValue(key % 2, static_cast<uint8_t>(key)));
+  }
+  ASSERT_TRUE(store->Bootstrap(keys, values).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  // Three in-place writes make key 5's bucket (bucket 0) warmer than every
+  // free one, so a migration of it has a destination.
+  for (uint8_t round = 0; round < 3; ++round) {
+    ASSERT_TRUE(store->Update(5, GroupValue(1, round)).ok());
+  }
+  store.reset();
+  {
+    auto log = persist::OpLogWriter::Open(
+                   Path("store.snap") + PnwStore::kOpLogSuffix,
+                   /*sync_every=*/1, /*epoch=*/0)
+                   .value();
+    ASSERT_TRUE(log->Append(persist::OpType::kMigrate, 0, {}).ok());
+  }
+  auto reopened = PnwStore::Open(Path("store.snap"));
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
+}
+
+// A snapshot whose DRAM index maps a key outside the data zone, or between
+// buckets, is Corruption at Open: no operation may follow that address
+// into the flag bitmap or past the device.
+TEST_F(PersistTest, IndexAddressOutsideTheZoneIsCorruption) {
+  auto store = MakeBootstrappedStore(SmallOptions());
+  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  const auto snap = persist::SnapshotReader::FromFile(
+                        Path("store.snap"), PnwStore::kSnapshotVersion)
+                        .value();
+  constexpr uint32_t kIndexSection = 6;
+  for (const uint64_t bad : {uint64_t{1} << 30, store->BucketAddr(3) + 1}) {
+    persist::SnapshotWriter rewritten(PnwStore::kSnapshotVersion);
+    for (uint32_t id = 1; id <= 9; ++id) {
+      auto section = snap.Section(id);
+      if (!section.ok()) {
+        continue;
+      }
+      std::vector<uint8_t> bytes(section.value().remaining());
+      ASSERT_TRUE(section.value().GetBytes(bytes).ok());
+      if (id == kIndexSection) {
+        // u8 placement | u64 count | count x (u64 key, u64 address): the
+        // first entry's address.
+        std::memcpy(bytes.data() + 1 + 8 + 8, &bad, sizeof(bad));
+      }
+      rewritten.AddSection(id).PutBytes(bytes);
+    }
+    ASSERT_TRUE(rewritten.WriteToFile(Path("bad.snap")).ok());
+    auto reopened = PnwStore::Open(Path("bad.snap"));
+    ASSERT_FALSE(reopened.ok()) << bad;
+    EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
+  }
 }
 
 TEST_F(PersistTest, TornLogTailIsTruncatedNotFatal) {
