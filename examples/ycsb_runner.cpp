@@ -491,9 +491,9 @@ ThreadCounts RunOpStream(Store& store,
         break;
       }
     }
-    // Hot-bucket sweep: thread 0 paces the migrator while the other
-    // threads keep serving (per-shard exclusive locks, same interlock the
-    // background migrator uses).
+    // Hot-bucket sweep: thread 0 paces MigrateOnce while the other
+    // threads keep serving (each pass takes a shard's exclusive lock, like
+    // a writer).
     if constexpr (requires { store.MigrateOnce(size_t{4}); }) {
       if (migrate != nullptr && kMigrateEvery != 0 &&
           (i + 1) % kMigrateEvery == 0) {

@@ -118,10 +118,10 @@ struct PnwOptions {
   /// write amplification is 1/psi.
   size_t gap_write_interval = 100;
 
-  /// Hot-bucket migration thresholds (used by MigrateHotBuckets and the
-  /// sharded background migrator): a resident bucket qualifies as a
-  /// victim when its K/V write count is at least `migration_hot_multiplier`
-  /// times the mean over the active zone...
+  /// Hot-bucket migration thresholds (used by MigrateHotBuckets, which
+  /// ShardedPnwStore::MigrateOnce runs per shard): a resident bucket
+  /// qualifies as a victim when its K/V write count is at least
+  /// `migration_hot_multiplier` times the mean over the active zone...
   double migration_hot_multiplier = 4.0;
   /// ...and at least this many writes absolutely (so a cold store never
   /// churns buckets over single-digit imbalances).

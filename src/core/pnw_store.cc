@@ -712,7 +712,14 @@ Status PnwStore::DeleteInternal(uint64_t key) {
   {
     DeviceDeltaScope scope(device_.get(), &metrics_.delete_device_ns);
     PNW_RETURN_IF_ERROR(index_->Delete(key));
-    PNW_RETURN_IF_ERROR(SetBucketFlag(bucket, false));
+    if (Status s = SetBucketFlag(bucket, false); !s.ok()) {
+      // The bucket still holds the key and its flag, so the index goes back
+      // to it, as a failed migration's rollback does.
+      // status-dropped: best-effort rollback inside an already-failing op;
+      // the caller sees the original failure, not the cleanup's.
+      (void)index_->Put(key, addr.value());
+      return s;
+    }
     // Algorithm 3 line 3: E = model.predict(Read(A)). The NVM read is
     // charged as the paper models it, but nothing is copied: under the
     // model that served the PUT, E is the label the PUT stamped, and
@@ -749,11 +756,14 @@ Status PnwStore::Update(uint64_t key, std::span<const uint8_t> value) {
     // additionally records that it replaced an existing key.
     PNW_RETURN_IF_ERROR(DeleteInternal(key));
     Status s = PutInternal(key, value);
-    if (s.ok()) {
-      ++metrics_.updates;
-      PNW_RETURN_IF_ERROR(LogOp(persist::OpType::kUpdate, key, value));
+    if (!s.ok()) {
+      // The DELETE half is applied: capture it, or recovery brings back the
+      // value the live store no longer serves.
+      PNW_RETURN_IF_ERROR(LogOp(persist::OpType::kDelete, key, {}));
+      return s;
     }
-    return s;
+    ++metrics_.updates;
+    return LogOp(persist::OpType::kUpdate, key, value);
   }
   // Latency-first: in-place differential write through the index only. It
   // counts as a PUT (full value through the PUT accounting scopes) but not

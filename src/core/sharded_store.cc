@@ -1,7 +1,6 @@
 #include "src/core/sharded_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -69,26 +68,21 @@ std::string ShardedMetrics::ToString() const {
 ShardedPnwStore::ShardedPnwStore(const ShardedOptions& options)
     : options_(options) {}
 
-ShardedPnwStore::~ShardedPnwStore() { StopBackgroundMigration(); }
-
 Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
     const ShardedOptions& options) {
   const size_t n = options.num_shards;
   if (n == 0 || (n & (n - 1)) != 0) {
     return Status::InvalidArgument("num_shards must be a power of two");
   }
-  if (options.split_buckets && options.store.initial_buckets < n) {
+  if (options.store.initial_buckets < n) {
     return Status::InvalidArgument(
         "initial_buckets must be >= num_shards to split across shards");
   }
   PnwOptions per_shard = options.store;
-  if (options.split_buckets) {
-    per_shard.initial_buckets =
-        PerShardBuckets(options.store.initial_buckets, n);
-    per_shard.capacity_buckets = std::max(
-        per_shard.initial_buckets,
-        PerShardBuckets(options.store.capacity_buckets, n));
-  }
+  per_shard.initial_buckets = PerShardBuckets(options.store.initial_buckets, n);
+  per_shard.capacity_buckets =
+      std::max(per_shard.initial_buckets,
+               PerShardBuckets(options.store.capacity_buckets, n));
   std::unique_ptr<ShardedPnwStore> store(new ShardedPnwStore(options));
   store->shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -100,9 +94,6 @@ Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
       return shard.status();
     }
     store->shards_.push_back(std::move(shard.value()));
-  }
-  if (options.background_migration) {
-    PNW_RETURN_IF_ERROR(store->StartBackgroundMigration());
   }
   return store;
 }
@@ -130,21 +121,17 @@ size_t CheckpointThreads(size_t num_shards) {
   return std::max<size_t>(1, std::min(num_shards, hw));
 }
 
-/// Runs `per_shard(i)` for every shard i in [0, num_shards) on `pool` (a
-/// fresh CheckpointThreads-sized one when null), waits for all of them, and
-/// returns the first error in shard order.
-Status ForEachShard(size_t num_shards, ThreadPool* pool,
+/// Runs `per_shard(i)` for every shard i in [0, num_shards) on a fresh
+/// CheckpointThreads-sized pool, waits for all of them, and returns the
+/// first error in shard order.
+Status ForEachShard(size_t num_shards,
                     const std::function<Status(size_t)>& per_shard) {
-  std::unique_ptr<ThreadPool> own;
-  if (pool == nullptr) {
-    own = std::make_unique<ThreadPool>(CheckpointThreads(num_shards));
-    pool = own.get();
-  }
+  ThreadPool pool(CheckpointThreads(num_shards));
   std::vector<Status> statuses(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    pool->Submit([&statuses, &per_shard, i] { statuses[i] = per_shard(i); });
+    pool.Submit([&statuses, &per_shard, i] { statuses[i] = per_shard(i); });
   }
-  pool->Wait();
+  pool.Wait();
   for (const Status& s : statuses) {
     PNW_RETURN_IF_ERROR(s);
   }
@@ -179,7 +166,7 @@ Status ShardedPnwStore::Checkpoint(const std::string& dir) {
   // manifest commit leaves the durable state exactly as before this call
   // -- no write is ever captured only by an uncommitted generation.
   PNW_RETURN_IF_ERROR(ForEachShard(
-      shards_.size(), nullptr, [this, &epoch_dir](size_t i) -> Status {
+      shards_.size(), [this, &epoch_dir](size_t i) -> Status {
         // Exclusive: the snapshot must see a quiesced shard, so in-flight
         // shared-lock readers drain first and new ones wait; readers of
         // *other* shards are unaffected (this is the checkpoint-vs-reader
@@ -191,12 +178,8 @@ Status ShardedPnwStore::Checkpoint(const std::string& dir) {
   persist::SnapshotWriter manifest(kManifestVersion);
   auto& w = manifest.AddSection(kManifestSection);
   w.PutU64(shards_.size());
-  w.PutBool(options_.split_buckets);
   w.PutU64(epoch);
   persist::EncodePnwOptions(options_.store, w);
-  w.PutBool(options_.background_migration);
-  w.PutU64(options_.migration_interval_ms);
-  w.PutU64(options_.migration_max_buckets);
   PNW_RETURN_IF_ERROR(manifest.WriteToFile(dir + "/" + kManifestName));
   checkpoint_epoch_ = epoch;
   // Phase 2, after the commit point: switch every shard's op-log to the
@@ -204,7 +187,7 @@ Status ShardedPnwStore::Checkpoint(const std::string& dir) {
   // and its own switch land in the old generation's log only -- the one
   // bounded loss window a crash in this phase can cause.
   PNW_RETURN_IF_ERROR(ForEachShard(
-      shards_.size(), nullptr, [this, &epoch_dir](size_t i) -> Status {
+      shards_.size(), [this, &epoch_dir](size_t i) -> Status {
         PnwStore& shard = *shards_[i];
         util::WriterLock lock(shard.mu());
         return shard.FinishCheckpoint(epoch_dir + "/" + ShardSnapshotName(i));
@@ -243,18 +226,8 @@ Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
   uint64_t num_shards = 0;
   uint64_t epoch = 0;
   PNW_RETURN_IF_ERROR(r.GetU64(&num_shards));
-  PNW_RETURN_IF_ERROR(r.GetBool(&options.split_buckets));
   PNW_RETURN_IF_ERROR(r.GetU64(&epoch));
   PNW_RETURN_IF_ERROR(persist::DecodePnwOptions(r, &options.store));
-  {
-    uint64_t interval = 0;
-    uint64_t max_buckets = 0;
-    PNW_RETURN_IF_ERROR(r.GetBool(&options.background_migration));
-    PNW_RETURN_IF_ERROR(r.GetU64(&interval));
-    PNW_RETURN_IF_ERROR(r.GetU64(&max_buckets));
-    options.migration_interval_ms = interval;
-    options.migration_max_buckets = max_buckets;
-  }
   if (num_shards == 0 || (num_shards & (num_shards - 1)) != 0 ||
       num_shards > (size_t{1} << 20)) {
     return Status::Corruption("sharded manifest shard count out of range");
@@ -266,8 +239,7 @@ Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
   store->shards_.resize(num_shards);
   const std::string epoch_dir = dir + "/" + EpochDirName(epoch);
   PNW_RETURN_IF_ERROR(ForEachShard(
-      num_shards, nullptr,
-      [&store, &epoch_dir, &recovery](size_t i) -> Status {
+      num_shards, [&store, &epoch_dir, &recovery](size_t i) -> Status {
         auto shard =
             PnwStore::Open(epoch_dir + "/" + ShardSnapshotName(i), recovery);
         if (!shard.ok()) {
@@ -276,16 +248,13 @@ Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
         store->shards_[i] = std::move(shard.value());
         return Status::OK();
       }));
-  if (options.background_migration) {
-    PNW_RETURN_IF_ERROR(store->StartBackgroundMigration());
-  }
   return store;
 }
 
 Result<size_t> ShardedPnwStore::MigrateOnce(size_t max_buckets_per_shard) {
   std::vector<size_t> moved(shards_.size(), 0);
   PNW_RETURN_IF_ERROR(ForEachShard(
-      shards_.size(), nullptr,
+      shards_.size(),
       [this, &moved, max_buckets_per_shard](size_t i) -> Status {
         // Exclusive, like any writer: migration mutates the shard's index,
         // pool, flags, and device, so readers drain first and checkpoints
@@ -300,95 +269,6 @@ Result<size_t> ShardedPnwStore::MigrateOnce(size_t max_buckets_per_shard) {
         return Status::OK();
       }));
   return std::accumulate(moved.begin(), moved.end(), size_t{0});
-}
-
-Status ShardedPnwStore::StartBackgroundMigration() {
-  if (!options_.store.store_keys_in_data_zone) {
-    return Status::FailedPrecondition(
-        "background migration requires store_keys_in_data_zone");
-  }
-  // Lifecycle lock first: unsynchronized, two concurrent Starts (or a
-  // Start racing the destructor's Stop) would both see a non-joinable
-  // pacer, then assign over a joinable std::thread -- std::terminate --
-  // while racing on migration_stop_. The flag itself still needs
-  // migration_mu_, the lock the pacer's wait loop holds.
-  util::MutexLock lifecycle(migration_lifecycle_mu_);
-  if (migration_pacer_.joinable()) {
-    return Status::OK();  // already running
-  }
-  {
-    util::MutexLock lock(migration_mu_);
-    migration_stop_ = false;
-  }
-  migrator_pool_ =
-      std::make_unique<ThreadPool>(CheckpointThreads(shards_.size()));
-  // The pacer borrows the pool by raw pointer instead of re-reading the
-  // lifecycle-guarded member: Stop joins the pacer before resetting the
-  // pool, so the borrow outlives every use.
-  ThreadPool* pool = migrator_pool_.get();
-  const auto interval = std::chrono::milliseconds(
-      std::max<size_t>(1, options_.migration_interval_ms));
-  migration_pacer_ =
-      std::thread([this, interval, pool] { MigrationPacerLoop(interval, pool); });
-  return Status::OK();
-}
-
-void ShardedPnwStore::MigrationPacerLoop(std::chrono::milliseconds interval,
-                                         ThreadPool* pool) {
-  util::UniqueLock lock(migration_mu_);
-  for (;;) {
-    // Sleep one interval, waking early only for the stop signal (spurious
-    // wakeups re-wait on the same deadline).
-    const auto deadline = std::chrono::steady_clock::now() + interval;
-    while (!migration_stop_ &&
-           migration_cv_.WaitUntil(lock, deadline) != std::cv_status::timeout) {
-    }
-    if (migration_stop_) {
-      return;
-    }
-    // Run the pass outside the pacer mutex so Stop never waits on a full
-    // pass's worth of shard locks just to deliver its signal.
-    lock.Unlock();
-    RunMigrationPass(pool);
-    lock.Lock();
-  }
-}
-
-void ShardedPnwStore::RunMigrationPass(ThreadPool* pool) {
-  const Status s =
-      ForEachShard(shards_.size(), pool, [this](size_t i) -> Status {
-        PnwStore& shard = *shards_[i];
-        util::WriterLock shard_lock(shard.mu());
-        auto migrated =
-            shard.MigrateHotBuckets(options_.migration_max_buckets);
-        // A FailedPrecondition here only means the shard is not
-        // bootstrapped yet (Open starts the pacer before the caller
-        // loads data): a benign no-op sweep, not a failure.
-        if (!migrated.ok() && !migrated.status().IsFailedPrecondition()) {
-          return migrated.status();
-        }
-        return Status::OK();
-      });
-  if (!s.ok()) {
-    background_migration_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ShardedPnwStore::StopBackgroundMigration() {
-  // Same lifecycle lock as Start: the join below must never race another
-  // Start's thread assignment. The pacer never takes this lock, so holding
-  // it across the join cannot deadlock.
-  util::MutexLock lifecycle(migration_lifecycle_mu_);
-  {
-    util::MutexLock lock(migration_mu_);
-    migration_stop_ = true;
-  }
-  migration_cv_.NotifyAll();
-  if (migration_pacer_.joinable()) {
-    migration_pacer_.join();
-    migration_pacer_ = std::thread();
-  }
-  migrator_pool_.reset();
 }
 
 Status ShardedPnwStore::Bootstrap(

@@ -1,33 +1,26 @@
 #ifndef PNW_CORE_SHARDED_STORE_H_
 #define PNW_CORE_SHARDED_STORE_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/metrics.h"
 #include "src/core/pnw_store.h"
 #include "src/persist/recovery.h"
-#include "src/util/mutex.h"
 #include "src/util/status.h"
-#include "src/util/thread_annotations.h"
-
-namespace pnw {
-class ThreadPool;
-}
 
 namespace pnw::core {
 
 /// Configuration of a ShardedPnwStore.
 struct ShardedOptions {
-  /// Template for every shard. With `split_buckets` (the default) the
-  /// bucket counts below are divided across the shards; everything else
-  /// (value size, clustering, update mode, ...) applies to each shard
+  /// Template for every shard. The bucket counts are divided across the
+  /// shards (ceiling division plus a ~4-sigma binomial headroom per shard,
+  /// covering hash-routing imbalance), so total capacity tracks the
+  /// unsharded configuration. Everything else (value size, clustering,
+  /// update mode, migration thresholds, ...) applies to each shard
   /// verbatim, so the paper's per-shard placement behaviour is exactly a
   /// PnwStore's.
   PnwOptions store;
@@ -35,25 +28,6 @@ struct ShardedOptions {
   /// Number of independent shards. Must be a power of two (the router
   /// masks a mixed key hash).
   size_t num_shards = 4;
-
-  /// Divide store.initial_buckets / store.capacity_buckets across the
-  /// shards (ceiling division plus a ~4-sigma binomial headroom per shard,
-  /// covering hash-routing imbalance) so total capacity tracks the
-  /// unsharded configuration. Disable to give every shard the full bucket
-  /// counts as written.
-  bool split_buckets = true;
-
-  /// Run the background hot-bucket migrator: a pacer thread wakes every
-  /// `migration_interval_ms` and fans one migration pass per shard out on
-  /// a util::ThreadPool; each pass takes that shard's *exclusive* lock
-  /// (the same lock writers and checkpoints take, so migration never
-  /// races either) and calls PnwStore::MigrateHotBuckets. Requires
-  /// store.store_keys_in_data_zone.
-  bool background_migration = false;
-  size_t migration_interval_ms = 20;
-  /// Victim budget of each per-shard pass (relocations are paced, not
-  /// bursty: a pass moves at most this many buckets).
-  size_t migration_max_buckets = 4;
 };
 
 /// One shard's health snapshot inside a ShardedMetrics report: enough to
@@ -111,15 +85,18 @@ struct ShardedMetrics {
 ///   - shared:    Get, MultiGet, AggregatedMetrics, size -- any number of
 ///                readers proceed concurrently, even on the *same* shard.
 ///   - exclusive: Put, Delete, Update, Bootstrap, TrainModel,
-///                ResetWearAndMetrics, and both Checkpoint phases (the
-///                snapshot is a consistent read of a quiesced shard).
+///                ResetWearAndMetrics, MigrateOnce, and both Checkpoint
+///                phases (the snapshot is a consistent read of a quiesced
+///                shard).
 /// The PnwStore read path holds up its end: under a shared lock it only
 /// does const index lookups, device Peeks, and relaxed-atomic metrics
 /// updates (StoreMetrics::gets/get_misses/get_device_ns).
 ///
 /// Thread-safe: any number of threads may call Put/Get/MultiGet/Delete/
-/// Update concurrently. Bootstrap/TrainModel/ResetWearAndMetrics also lock
-/// per shard but are intended for single-threaded setup phases. The
+/// Update/MigrateOnce concurrently. Bootstrap/TrainModel/
+/// ResetWearAndMetrics also lock per shard but are intended for
+/// single-threaded setup phases. The store keeps no background thread:
+/// hot-bucket migration runs only when a caller invokes MigrateOnce. The
 /// unlocked `shard(i)` accessor is for tests/benches inspecting a quiesced
 /// store.
 class ShardedPnwStore {
@@ -132,7 +109,10 @@ class ShardedPnwStore {
   ///       knob (never read), so they are one double shorter.
   ///   v4: the encoded store options lost the mini-batch training knob (no
   ///       caller set it), so they are one u64 shorter.
-  static constexpr uint32_t kManifestVersion = 4;
+  ///   v5: the split-buckets flag and v2's background-migration options are
+  ///       gone (bucket counts are always split; MigrateOnce is the only
+  ///       migration driver): shard count, epoch, encoded store options.
+  static constexpr uint32_t kManifestVersion = 5;
   /// Checkpoint-directory file names: the manifest, and one snapshot (plus
   /// its `.oplog`) per shard, named by ShardSnapshotName().
   static constexpr const char* kManifestName = "MANIFEST";
@@ -174,15 +154,14 @@ class ShardedPnwStore {
   /// File name of shard `i`'s snapshot inside a checkpoint generation.
   static std::string ShardSnapshotName(size_t i);
 
-  /// Stops the background migrator (if running) before the shards die.
-  ~ShardedPnwStore();
   ShardedPnwStore(const ShardedPnwStore&) = delete;
   ShardedPnwStore& operator=(const ShardedPnwStore&) = delete;
 
   /// Routes each warm-up item to its shard, then bootstraps every shard
   /// (training a per-shard model unless options.store.train_on_bootstrap
-  /// is off). Items must fit each shard's initial buckets; the headroom
-  /// applied by `split_buckets` makes hash-imbalance overflow improbable.
+  /// is off). Items must fit each shard's initial buckets; the per-shard
+  /// headroom (see ShardedOptions::store) makes hash-imbalance overflow
+  /// improbable.
   Status Bootstrap(std::span<const uint64_t> keys,
                    std::span<const std::vector<uint8_t>> values);
 
@@ -217,30 +196,14 @@ class ShardedPnwStore {
   std::vector<Result<std::vector<uint8_t>>> MultiGet(
       std::span<const uint64_t> keys);
 
-  /// One synchronous migration pass: fans MigrateHotBuckets(
-  /// max_buckets_per_shard) out across the shards on a util::ThreadPool,
-  /// each task under its shard's exclusive lock, and returns the total
-  /// number of buckets relocated (or the first shard error). This is the
-  /// same pass the background pacer runs on its interval; callers that
-  /// want deterministic pacing (benchmarks, tests, the YCSB runner's
-  /// --migrate-every) drive it directly instead of enabling the thread.
+  /// One synchronous migration pass, the only driver of hot-bucket
+  /// migration: fans MigrateHotBuckets(max_buckets_per_shard) out across
+  /// the shards on a util::ThreadPool, each task under its shard's
+  /// exclusive lock, and returns the total number of buckets relocated (or
+  /// the first shard error). Callers pace it themselves (the YCSB runner's
+  /// --migrate-every, tests). Needs bootstrapped shards that store keys in
+  /// the data zone; otherwise FailedPrecondition.
   Result<size_t> MigrateOnce(size_t max_buckets_per_shard);
-
-  /// Start/stop the background migration pacer explicitly. Open() starts
-  /// it automatically when options.background_migration is set; Stop is
-  /// idempotent and is always called by the destructor before the shards
-  /// are torn down.
-  Status StartBackgroundMigration()
-      PNW_EXCLUDES(migration_lifecycle_mu_, migration_mu_);
-  void StopBackgroundMigration()
-      PNW_EXCLUDES(migration_lifecycle_mu_, migration_mu_);
-
-  /// Migration passes the background pacer observed failing (the pass's
-  /// first error is counted; the pacer keeps running -- endurance work is
-  /// best-effort and must never take the store down).
-  uint64_t background_migration_failures() const {
-    return background_migration_failures_.load(std::memory_order_relaxed);
-  }
 
   /// Retrains every shard's model synchronously.
   Status TrainModel();
@@ -273,20 +236,6 @@ class ShardedPnwStore {
  private:
   explicit ShardedPnwStore(const ShardedOptions& options);
 
-  /// Body of the background pacer thread: sleep `interval`, fan one
-  /// migration pass per shard out on `pool`, repeat until
-  /// StopBackgroundMigration raises migration_stop_. A named method (not
-  /// a lambda) so its lock contract is statable: the pacer owns no lock
-  /// while a pass runs, which is what lets Stop deliver its signal without
-  /// waiting out a full pass.
-  void MigrationPacerLoop(std::chrono::milliseconds interval, ThreadPool* pool)
-      PNW_EXCLUDES(migration_mu_);
-
-  /// One fanned-out migration pass over all shards (each task takes its
-  /// shard's exclusive capability); pass failures land in
-  /// background_migration_failures_.
-  void RunMigrationPass(ThreadPool* pool);
-
   /// Shared scatter/gather scaffolding of the batched entry points
   /// (MultiGet/MultiPut): group batch slots by owning shard, invoke
   /// `per_shard(shard, slot_indices)` once per involved shard -- the
@@ -307,24 +256,6 @@ class ShardedPnwStore {
   /// dir/epoch-<n>/ and commits it via the manifest (restored on Open).
   /// Guarded by Checkpoint's "call from one thread at a time" contract.
   uint64_t checkpoint_epoch_ = 0;
-
-  /// Background migrator: `migration_pacer_` sleeps on the condition
-  /// variable (so StopBackgroundMigration interrupts a wait instead of
-  /// riding it out) and fans per-shard passes out on `migrator_pool_`.
-  /// Two locks with disjoint jobs: `migration_lifecycle_mu_` serializes
-  /// Start/Stop (thread spawn + join + pool teardown -- without it two
-  /// Starts, or a Start racing ~ShardedPnwStore's Stop, assign over a
-  /// joinable std::thread and terminate); `migration_mu_` covers only the
-  /// stop flag the pacer sleeps on. The pacer never takes the lifecycle
-  /// lock, so Stop can hold it across the join without deadlock.
-  util::Mutex migration_lifecycle_mu_;
-  std::unique_ptr<ThreadPool> migrator_pool_
-      PNW_GUARDED_BY(migration_lifecycle_mu_);
-  std::thread migration_pacer_ PNW_GUARDED_BY(migration_lifecycle_mu_);
-  util::Mutex migration_mu_;
-  util::CondVar migration_cv_;
-  bool migration_stop_ PNW_GUARDED_BY(migration_mu_) = false;
-  std::atomic<uint64_t> background_migration_failures_{0};
 };
 
 }  // namespace pnw::core

@@ -179,11 +179,10 @@ class PnwServer {
 
   ServerMetrics metrics_;
 
-  /// Start/Stop serialization, exactly the migration-pacer pattern: the
-  /// lifecycle lock owns the thread object (spawn + join); the loop never
-  /// takes it, so Stop can hold it across the join without deadlock. The
-  /// stop flag is an atomic the loop polls after every epoll wake (the
-  /// eventfd write makes that wake immediate).
+  /// Start/Stop serialization: the lifecycle lock owns the thread object
+  /// (spawn + join); the loop never takes it, so Stop can hold it across
+  /// the join without deadlock. The stop flag is an atomic the loop polls
+  /// after every epoll wake (the eventfd write makes that wake immediate).
   util::Mutex lifecycle_mu_;
   std::thread loop_thread_ PNW_GUARDED_BY(lifecycle_mu_);
   std::atomic<bool> stop_{false};

@@ -17,7 +17,6 @@
 #define PNW_UTIL_MUTEX_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -176,17 +175,14 @@ class PNW_SCOPED_CAPABILITY ReaderLock {
   SharedMutex& mu_;
 };
 
-// Re-lockable exclusive guard over Mutex, for condition-variable waits
-// and drop-the-lock-around-work patterns. Starts locked.
+// Exclusive guard over Mutex that a CondVar can wait on (the wait drops
+// and re-takes the lock). Starts locked.
 class PNW_SCOPED_CAPABILITY UniqueLock {
  public:
   explicit UniqueLock(Mutex& mu) PNW_ACQUIRE(mu) : lock_(mu.native()) {}
   ~UniqueLock() PNW_RELEASE() {}
   UniqueLock(const UniqueLock&) = delete;
   UniqueLock& operator=(const UniqueLock&) = delete;
-
-  void Lock() PNW_ACQUIRE() { lock_.lock(); }
-  void Unlock() PNW_RELEASE() { lock_.unlock(); }
 
   // For CondVar only.
   std::unique_lock<std::mutex>& native() { return lock_; }
@@ -205,13 +201,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(UniqueLock& lock) { cv_.wait(lock.native()); }
-
-  template <typename Clock, typename Duration>
-  std::cv_status WaitUntil(
-      UniqueLock& lock,
-      const std::chrono::time_point<Clock, Duration>& deadline) {
-    return cv_.wait_until(lock.native(), deadline);
-  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

@@ -608,6 +608,39 @@ TEST(PnwStoreTest, FailedPutFlagWriteRollsBackAndReinserts) {
   EXPECT_EQ(store->size(), 16u);
 }
 
+TEST(PnwStoreTest, FailedDeleteLeavesTheKeyInPlace) {
+  // Regression: a DELETE whose occupancy-flag write failed had already
+  // dropped the index entry, so the key read NotFound while its bucket
+  // stayed flagged and out of the pool for good. The NVM path-hash index
+  // writes its cell first, so there the flag write is the second write.
+  struct Case {
+    IndexPlacement placement;
+    uint64_t writes_before_flag;
+  };
+  for (const Case c : {Case{IndexPlacement::kDram, 0},
+                       Case{IndexPlacement::kNvmPathHash, 1}}) {
+    SCOPED_TRACE(c.placement == IndexPlacement::kDram ? "dram" : "nvm");
+    PnwOptions options = SmallOptions();
+    options.index_placement = c.placement;
+    options.occupancy_flags_on_nvm = true;
+    auto store = MakeBootstrappedStore(options, 16);
+    const size_t free_before = store->pool().FreeCount();
+
+    store->device().InjectWriteFaults(c.writes_before_flag, /*count=*/1);
+    EXPECT_TRUE(store->Delete(5).IsInternal());
+    store->device().InjectWriteFaults(0, 0);
+    EXPECT_EQ(store->Get(5).value(), GroupValue(1, 2));
+    EXPECT_EQ(store->size(), 16u);
+    EXPECT_EQ(store->pool().FreeCount(), free_before);
+
+    // A retried DELETE frees the bucket.
+    ASSERT_TRUE(store->Delete(5).ok());
+    EXPECT_TRUE(store->Get(5).status().IsNotFound());
+    EXPECT_EQ(store->size(), 15u);
+    EXPECT_EQ(store->pool().FreeCount(), free_before + 1);
+  }
+}
+
 TEST(PnwStoreTest, InPlaceUpdateKeepsAttributionInvariant) {
   // Regression: latency-first updates bumped `puts` without landing in
   // either placement bucket, breaking predicted + fallback (+ inplace)

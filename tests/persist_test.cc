@@ -972,6 +972,44 @@ TEST_F(PersistTest, MultiPutBatchCaptureReplaysOnRecovery) {
             store->device().counters().total_bits_written);
 }
 
+TEST_F(PersistTest, FailedEnduranceUpdateReplaysAsItsDelete) {
+  // An endurance-first UPDATE is a DELETE then a PUT. When the PUT half's
+  // payload write (the second device write, after the DELETE's flag clear)
+  // fails, the key is gone from the live store, and recovery must agree,
+  // both for a single op and for a slot of a MultiPut batch.
+  auto store = MakeBootstrappedStore(SmallOptions());
+  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  store->device().InjectWriteFaults(/*skip=*/1, /*count=*/1);
+  EXPECT_TRUE(store->Update(3, GroupValue(0, 0x5a)).IsInternal());
+  const std::vector<uint64_t> keys = {100, 4};
+  const std::vector<std::vector<uint8_t>> values = {GroupValue(0, 0x11),
+                                                    GroupValue(1, 0x22)};
+  // Key 100 is a fresh PUT (payload and flag writes), so the fault lands on
+  // key 4's payload write.
+  store->device().InjectWriteFaults(/*skip=*/3, /*count=*/1);
+  const auto statuses = store->MultiPut(keys, values);
+  store->device().InjectWriteFaults(0, 0);
+  ASSERT_TRUE(statuses[0].ok());
+  EXPECT_TRUE(statuses[1].IsInternal()) << statuses[1];
+  EXPECT_TRUE(store->Get(3).status().IsNotFound());
+  EXPECT_TRUE(store->Get(4).status().IsNotFound());
+
+  auto reopened = PnwStore::Open(Path("store.snap"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened.value()->size(), store->size());
+  for (const uint64_t key : {uint64_t{3}, uint64_t{4}, uint64_t{5},
+                             uint64_t{100}}) {
+    const auto live = store->Get(key);
+    const auto recovered = reopened.value()->Get(key);
+    ASSERT_EQ(recovered.ok(), live.ok()) << key;
+    if (live.ok()) {
+      EXPECT_EQ(recovered.value(), live.value()) << key;
+    } else {
+      EXPECT_TRUE(recovered.status().IsNotFound()) << key;
+    }
+  }
+}
+
 TEST_F(PersistTest, LogWallTimeRoundTripsInSnapshot) {
   auto store = MakeBootstrappedStore(SmallOptions());
   ASSERT_TRUE(store->Checkpoint(Path("wall.snap")).ok());

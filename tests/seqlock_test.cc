@@ -335,21 +335,19 @@ TEST(OptimisticConcurrencyTest, ShardedGetUsesOptimisticPath) {
   EXPECT_GT(agg.totals.arena_slabs.load(), 0u);
 }
 
-// The full public-API churn the satellite asks for: optimistic readers
-// (MultiGet) vs a writer vs Checkpoint's two-phase exclusive snapshots vs
-// the paced background migrator, all live at once.
+// The full public-API churn: optimistic readers (MultiGet) vs a writer vs
+// Checkpoint's two-phase exclusive snapshots vs a thread looping
+// MigrateOnce, all live at once.
 TEST(OptimisticConcurrencyTest, ShardedTortureThroughPublicApi) {
   ShardedOptions options;
   options.num_shards = 2;
   options.store = SmallOptions();
-  // Endurance churn under the readers: Start-Gap rotation plus the paced
-  // background migrator with thresholds low enough to actually relocate.
+  // Endurance churn under the readers: Start-Gap rotation plus migration
+  // passes with thresholds low enough to actually relocate.
   options.store.start_gap_wear_leveling = true;
   options.store.gap_write_interval = 8;
   options.store.migration_min_writes = 4;
   options.store.migration_hot_multiplier = 2.0;
-  options.background_migration = true;
-  options.migration_interval_ms = 1;
   auto store = ShardedPnwStore::Open(options).value();
   constexpr size_t kKeys = 64;
   std::vector<uint64_t> keys(kKeys);
@@ -386,6 +384,14 @@ TEST(OptimisticConcurrencyTest, ShardedTortureThroughPublicApi) {
       }
     }
   };
+  std::atomic<uint64_t> migration_failures{0};
+  std::thread migrator([&]() {
+    while (!done.load(std::memory_order_acquire)) {
+      if (!store->MigrateOnce(/*max_buckets_per_shard=*/4).ok()) {
+        migration_failures.fetch_add(1);
+      }
+    }
+  });
   std::thread r1(reader), r2(reader);
   for (uint64_t op = 0; op < 1200; ++op) {
     const uint64_t key = (op * 11) % kKeys;
@@ -398,8 +404,9 @@ TEST(OptimisticConcurrencyTest, ShardedTortureThroughPublicApi) {
   done.store(true, std::memory_order_release);
   r1.join();
   r2.join();
-  store->StopBackgroundMigration();
+  migrator.join();
   EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(migration_failures.load(), 0u);
   const auto agg = store->AggregatedMetrics();
   EXPECT_EQ(agg.totals.gets.load(),
             agg.totals.optimistic_gets.load() +

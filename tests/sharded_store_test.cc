@@ -8,8 +8,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "src/persist/snapshot.h"
+#include "src/persist/store_codec.h"
 
 namespace pnw::core {
 namespace {
@@ -706,13 +710,13 @@ TEST(ShardedPnwStoreTest, MigrateOnceRelocatesHotBucketsAcrossShards) {
 
 TEST(ShardedPnwStoreTest, ManifestRoundTripsMigrationOptions) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "pnw_sharded_manifest_v2";
+  const fs::path dir = fs::temp_directory_path() / "pnw_sharded_manifest_v5";
   fs::remove_all(dir);
   fs::create_directories(dir);
   ShardedOptions options = EnduranceShardedOptions(2);
-  options.background_migration = true;
-  options.migration_interval_ms = 7;
-  options.migration_max_buckets = 3;
+  options.store.gap_write_interval = 5;
+  options.store.migration_min_writes = 7;
+  options.store.migration_hot_multiplier = 3.5;
   {
     auto store = MakeBootstrappedStore(options, 64);
     ASSERT_TRUE(store->Checkpoint(dir.string()).ok());
@@ -720,32 +724,82 @@ TEST(ShardedPnwStoreTest, ManifestRoundTripsMigrationOptions) {
   auto reopened = ShardedPnwStore::Open(dir.string());
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   const ShardedOptions& got = reopened.value()->options();
-  EXPECT_TRUE(got.background_migration);
-  EXPECT_EQ(got.migration_interval_ms, 7u);
-  EXPECT_EQ(got.migration_max_buckets, 3u);
+  EXPECT_EQ(got.num_shards, 2u);
   EXPECT_TRUE(got.store.start_gap_wear_leveling);
+  EXPECT_EQ(got.store.gap_write_interval, 5u);
+  EXPECT_EQ(got.store.migration_min_writes, 7u);
+  EXPECT_DOUBLE_EQ(got.store.migration_hot_multiplier, 3.5);
   fs::remove_all(dir);
 }
 
+TEST(ShardedPnwStoreTest, ManifestFromVersion4IsRejected) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "pnw_sharded_manifest_v4";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const ShardedOptions options = EnduranceShardedOptions(2);
+  {
+    auto store = MakeBootstrappedStore(options, 64);
+    ASSERT_TRUE(store->Checkpoint(dir.string()).ok());
+  }
+  // Overwrite the manifest with its v4 layout: shard count, split flag,
+  // epoch, store options, then the background migrator's enabled flag,
+  // interval and per-pass victim budget.
+  persist::SnapshotWriter v4(/*payload_version=*/4);
+  auto& w = v4.AddSection(/*manifest section=*/1);
+  w.PutU64(options.num_shards);
+  w.PutBool(true);
+  w.PutU64(1);
+  persist::EncodePnwOptions(options.store, w);
+  w.PutBool(false);
+  w.PutU64(20);
+  w.PutU64(4);
+  ASSERT_TRUE(
+      v4.WriteToFile((dir / ShardedPnwStore::kManifestName).string()).ok());
+  auto reopened = ShardedPnwStore::Open(dir.string());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsInvalidArgument()) << reopened.status();
+  EXPECT_NE(reopened.status().message().find("version mismatch"),
+            std::string::npos);
+  fs::remove_all(dir);
+}
+
+/// Loops MigrateOnce(4) until `stop`, so the migration passes race whatever
+/// traffic and checkpoints the test runs beside it. Counts the buckets moved
+/// and the passes that failed.
+std::thread StartMigrator(ShardedPnwStore& store, std::atomic<bool>& stop,
+                          std::atomic<uint64_t>& moved,
+                          std::atomic<uint64_t>& failures) {
+  return std::thread([&store, &stop, &moved, &failures] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const auto pass = store.MigrateOnce(/*max_buckets_per_shard=*/4);
+      if (pass.ok()) {
+        moved += pass.value();
+      } else {
+        ++failures;
+      }
+    }
+  });
+}
+
 TEST(ShardedBackgroundMigrationTest, ConcurrentWithReadersAndWriters) {
-  // The migrate-vs-traffic interlock, under ThreadSanitizer in CI: the
-  // background pacer takes each shard's exclusive lock for its passes
-  // while reader and writer threads hammer the same shards. Values must
-  // stay coherent and no pass may fail.
+  // The migrate-vs-traffic interlock, under ThreadSanitizer in CI: a
+  // migrator thread takes each shard's exclusive lock for its passes while
+  // reader and writer threads hammer the same shards. Values must stay
+  // coherent and no pass may fail.
   ShardedOptions options = EnduranceShardedOptions(2);
-  options.background_migration = true;
-  options.migration_interval_ms = 1;  // migrate as aggressively as possible
-  options.migration_max_buckets = 4;
   auto store = MakeBootstrappedStore(options, 64);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> hard_failures{0};
+  std::atomic<uint64_t> moved{0};
+  std::atomic<uint64_t> migration_failures{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < 2; ++t) {
     threads.emplace_back([&store, &stop, &hard_failures, t] {
       uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         // Updates concentrate on few keys so buckets actually run hot and
-        // the pacer has real victims to relocate mid-traffic.
+        // the migrator has real victims to relocate mid-traffic.
         const uint64_t key = (i + t) % 8;
         if (!store
                  ->Update(key, GroupValue(static_cast<int>(key % 2),
@@ -767,14 +821,16 @@ TEST(ShardedBackgroundMigrationTest, ConcurrentWithReadersAndWriters) {
       ++i;
     }
   });
+  threads.push_back(StartMigrator(*store, stop, moved, migration_failures));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   stop.store(true);
   for (auto& thread : threads) {
     thread.join();
   }
-  store->StopBackgroundMigration();
   EXPECT_EQ(hard_failures.load(), 0u);
-  EXPECT_EQ(store->background_migration_failures(), 0u);
+  EXPECT_EQ(migration_failures.load(), 0u);
+  EXPECT_GT(moved.load(), 0u);
+  EXPECT_EQ(store->AggregatedMetrics().totals.migrations, moved.load());
   // Every key still serves a well-formed value after the relocations.
   for (uint64_t key = 0; key < 64; ++key) {
     EXPECT_EQ(store->Get(key).value().size(), kValueBytes);
@@ -791,10 +847,10 @@ TEST(ShardedBackgroundMigrationTest, ConcurrentWithCheckpoints) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   ShardedOptions options = EnduranceShardedOptions(2);
-  options.background_migration = true;
-  options.migration_interval_ms = 1;
   auto store = MakeBootstrappedStore(options, 64);
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> moved{0};
+  std::atomic<uint64_t> migration_failures{0};
   std::thread writer([&store, &stop] {
     uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -805,13 +861,16 @@ TEST(ShardedBackgroundMigrationTest, ConcurrentWithCheckpoints) {
       ++i;
     }
   });
+  std::thread migrator =
+      StartMigrator(*store, stop, moved, migration_failures);
   for (int round = 0; round < 3; ++round) {
     ASSERT_TRUE(store->Checkpoint(dir.string()).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   stop.store(true);
   writer.join();
-  store->StopBackgroundMigration();
+  migrator.join();
+  EXPECT_EQ(migration_failures.load(), 0u);
 
   auto reopened = ShardedPnwStore::Open(dir.string());
   ASSERT_TRUE(reopened.ok()) << reopened.status();
@@ -820,39 +879,32 @@ TEST(ShardedBackgroundMigrationTest, ConcurrentWithCheckpoints) {
 }
 
 TEST(ShardedBackgroundMigrationTest, StartRequiresKeysInDataZone) {
+  // Relocation re-points the index by the key read from the bucket, so a
+  // store without keys in the data zone refuses every pass.
   ShardedOptions options = EnduranceShardedOptions(2);
   options.store.store_keys_in_data_zone = false;
-  auto store = ShardedPnwStore::Open(options).value();
-  EXPECT_TRUE(store->StartBackgroundMigration().IsFailedPrecondition());
-  // And Open refuses to auto-start a misconfigured migrator.
-  options.background_migration = true;
-  EXPECT_TRUE(ShardedPnwStore::Open(options).status().IsFailedPrecondition());
+  auto store = MakeBootstrappedStore(options, 64);
+  const auto pass = store->MigrateOnce(/*max_buckets_per_shard=*/4);
+  ASSERT_FALSE(pass.ok());
+  EXPECT_TRUE(pass.status().IsFailedPrecondition()) << pass.status();
+  EXPECT_NE(pass.status().message().find("store_keys_in_data_zone"),
+            std::string::npos);
 }
 
 TEST(ShardedBackgroundMigrationTest, ConcurrentStartStopLifecycleChurn) {
-  // Regression test for the lifecycle race the thread-safety annotations
-  // exposed: Start/Stop used to check and assign the pacer std::thread
-  // with no lock, so two concurrent Starts (or a Start racing a Stop)
-  // could both see a non-joinable pacer and assign over a joinable
-  // std::thread -- std::terminate -- while racing on the stop flag.
-  // Several threads now churn Start/Stop against live traffic; under
-  // migration_lifecycle_mu_ every interleaving must leave exactly zero or
-  // one pacer and the store coherent. The TSan CI job runs this suite, so
-  // any residual unsynchronized access is machine-checked too.
+  // Several MigrateOnce callers at once beside a writer: each pass takes a
+  // shard's exclusive lock per task, so concurrent passes serialize per
+  // shard and every interleaving must leave the store coherent. The TSan
+  // CI job runs this suite, so any unsynchronized access is
+  // machine-checked too.
   ShardedOptions options = EnduranceShardedOptions(2);
-  options.migration_interval_ms = 1;
-  options.migration_max_buckets = 4;
   auto store = MakeBootstrappedStore(options, 64);
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> moved{0};
+  std::atomic<uint64_t> migration_failures{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < 3; ++t) {
-    threads.emplace_back([&store, &stop] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        ASSERT_TRUE(store->StartBackgroundMigration().ok());
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        store->StopBackgroundMigration();
-      }
-    });
+    threads.push_back(StartMigrator(*store, stop, moved, migration_failures));
   }
   threads.emplace_back([&store, &stop] {
     uint64_t i = 0;
@@ -869,12 +921,8 @@ TEST(ShardedBackgroundMigrationTest, ConcurrentStartStopLifecycleChurn) {
   for (auto& thread : threads) {
     thread.join();
   }
-  store->StopBackgroundMigration();
-  // Idempotent when already stopped, and restartable after the churn.
-  store->StopBackgroundMigration();
-  ASSERT_TRUE(store->StartBackgroundMigration().ok());
-  store->StopBackgroundMigration();
-  EXPECT_EQ(store->background_migration_failures(), 0u);
+  EXPECT_EQ(migration_failures.load(), 0u);
+  EXPECT_EQ(store->AggregatedMetrics().totals.migrations, moved.load());
   for (uint64_t key = 0; key < 64; ++key) {
     EXPECT_EQ(store->Get(key).value().size(), kValueBytes);
   }
