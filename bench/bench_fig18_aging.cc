@@ -2,15 +2,15 @@
 // skewed traffic. Fast-forwards a Zipfian update stream over a resident
 // working set in latency-first (in-place update) mode -- the regime the
 // paper's content-aware placement alone cannot level, because a hot key
-// keeps hammering one physical bucket. Two cells:
+// keeps hammering one bucket. Two cells:
 //
 //   disabled: the seed behaviour -- max bucket wear diverges with the skew.
-//   enabled:  Start-Gap remapping + periodic hot-bucket migration -- max
-//             bucket wear stays within a small factor of the mean.
+//   enabled:  periodic hot-bucket migration -- max bucket wear stays within
+//             a small factor of the mean.
 //
-// The bench exits nonzero unless the enabled cell's max physical-bucket
-// wear is at most half the disabled cell's, so bench_smoke gates the
-// endurance claim on every run. --json=PATH emits the trajectory in the
+// The bench exits nonzero unless the enabled cell's max bucket wear is at
+// most half the disabled cell's, so bench_smoke gates the endurance claim
+// on every run. --json=PATH emits the trajectory in the
 // BENCH_micro_ops.json style.
 
 #include <cstdint>
@@ -45,13 +45,11 @@ std::vector<uint8_t> MakeValue(uint64_t key, uint64_t salt) {
 }
 
 struct AgingCell {
-  std::vector<uint64_t> trajectory;  // max physical bucket wear over time
+  std::vector<uint64_t> trajectory;  // max bucket wear over time
   uint64_t max_wear = 0;
   double mean_wear = 0.0;
   uint64_t migrations = 0;
-  uint64_t gap_moves = 0;
-  uint64_t rotations = 0;
-  uint64_t total_physical = 0;
+  uint64_t bucket_writes = 0;
   uint64_t client_writes = 0;
 };
 
@@ -66,8 +64,6 @@ AgingCell RunCell(bool endurance, size_t zone, size_t stream) {
   options.update_mode = pnw::core::UpdateMode::kLatencyFirst;
   options.auto_retrain = false;
   if (endurance) {
-    options.start_gap_wear_leveling = true;
-    options.gap_write_interval = 8;
     options.migration_hot_multiplier = 2.0;
     options.migration_min_writes = 8;
   }
@@ -101,21 +97,16 @@ AgingCell RunCell(bool endurance, size_t zone, size_t stream) {
                         "migration sweep");
     }
     if ((i + 1) % sample_every == 0) {
-      cell.trajectory.push_back(store->wear_tracker().MaxPhysicalWrites());
+      cell.trajectory.push_back(store->wear_tracker().MaxBucketWrites());
     }
   }
 
   const auto& wear = store->wear_tracker();
-  cell.max_wear = wear.MaxPhysicalWrites();
-  cell.total_physical = wear.TotalPhysicalWrites();
-  // Mean over the data-zone slots (Start-Gap adds one spare slot).
-  const size_t slots = zone + (endurance ? 1 : 0);
-  cell.mean_wear = static_cast<double>(cell.total_physical) /
-                   static_cast<double>(slots);
+  cell.max_wear = wear.MaxBucketWrites();
+  cell.bucket_writes = wear.TotalBucketWrites();
+  cell.mean_wear = static_cast<double>(cell.bucket_writes) /
+                   static_cast<double>(zone);
   cell.migrations = store->metrics().migrations;
-  cell.gap_moves = store->metrics().gap_moves;
-  cell.rotations =
-      store->remapper() != nullptr ? store->remapper()->rotations() : 0;
   cell.client_writes = store->metrics().puts;
   return cell;
 }
@@ -133,7 +124,7 @@ int main(int argc, char** argv) {
   const AgingCell enabled = RunCell(true, zone, stream);
 
   pnw::TablePrinter table({"writes", "max_wear (seed)",
-                           "max_wear (start-gap+migration)"});
+                           "max_wear (migration)"});
   for (size_t p = 0; p < disabled.trajectory.size(); ++p) {
     table.AddRow({pnw::TablePrinter::Fmt(
                       static_cast<double>((p + 1) * (stream / 8)), 0),
@@ -148,13 +139,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(disabled.max_wear), disabled.mean_wear,
       static_cast<double>(disabled.max_wear) / disabled.mean_wear);
   std::printf(
-      "endurance: max=%llu mean=%.1f (max/mean %.1fx)  migrations=%llu "
-      "gap_moves=%llu rotations=%llu\n",
+      "endurance: max=%llu mean=%.1f (max/mean %.1fx)  migrations=%llu\n",
       static_cast<unsigned long long>(enabled.max_wear), enabled.mean_wear,
       static_cast<double>(enabled.max_wear) / enabled.mean_wear,
-      static_cast<unsigned long long>(enabled.migrations),
-      static_cast<unsigned long long>(enabled.gap_moves),
-      static_cast<unsigned long long>(enabled.rotations));
+      static_cast<unsigned long long>(enabled.migrations));
 
   if (!json_path.empty()) {
     std::vector<pnw::bench::JsonMetric> metrics;
@@ -166,10 +154,6 @@ int main(int argc, char** argv) {
     metrics.push_back({"enabled/mean_bucket_writes", enabled.mean_wear});
     metrics.push_back({"enabled/migrations",
                        static_cast<double>(enabled.migrations)});
-    metrics.push_back({"enabled/gap_moves",
-                       static_cast<double>(enabled.gap_moves)});
-    metrics.push_back({"enabled/rotations",
-                       static_cast<double>(enabled.rotations)});
     for (size_t p = 0; p < disabled.trajectory.size(); ++p) {
       const std::string writes = std::to_string((p + 1) * (stream / 8));
       metrics.push_back({"disabled/max_at_" + writes,
@@ -186,21 +170,16 @@ int main(int argc, char** argv) {
   // the device's own accounting consistent, and at least halve the seed's
   // max bucket wear -- bench_smoke fails the build otherwise.
   bool ok = true;
-  if (enabled.migrations == 0 || enabled.gap_moves == 0) {
-    std::printf("[MISMATCH] endurance cell idle: migrations=%llu "
-                "gap_moves=%llu\n",
-                static_cast<unsigned long long>(enabled.migrations),
-                static_cast<unsigned long long>(enabled.gap_moves));
+  if (enabled.migrations == 0) {
+    std::printf("[MISMATCH] endurance cell idle: migrations=0\n");
     ok = false;
   }
-  if (enabled.total_physical !=
-      enabled.client_writes + enabled.migrations + enabled.gap_moves) {
-    std::printf("[MISMATCH] physical writes %llu != client %llu + "
-                "migrations %llu + gap moves %llu\n",
-                static_cast<unsigned long long>(enabled.total_physical),
+  if (enabled.bucket_writes != enabled.client_writes + enabled.migrations) {
+    std::printf("[MISMATCH] bucket writes %llu != client %llu + "
+                "migrations %llu\n",
+                static_cast<unsigned long long>(enabled.bucket_writes),
                 static_cast<unsigned long long>(enabled.client_writes),
-                static_cast<unsigned long long>(enabled.migrations),
-                static_cast<unsigned long long>(enabled.gap_moves));
+                static_cast<unsigned long long>(enabled.migrations));
     ok = false;
   }
   if (enabled.max_wear * 2 > disabled.max_wear) {

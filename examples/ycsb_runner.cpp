@@ -42,17 +42,15 @@
 // lines as the local mode, plus one three-way line: client tallies == the
 // server's ServerMetrics key counts == the store's StoreMetrics. Exits
 // nonzero on any mismatch, exactly like the local mode.
-// Local-only machinery (--checkpoint-every, --migrate-every, --start-gap,
-// --wear-report) is rejected with --remote (exit 2).
+// Local-only machinery (--checkpoint-every, --migrate-every, --wear-report)
+// is rejected with --remote (exit 2).
 //
-// --start-gap=N turns on Start-Gap wear leveling under the address pool
-// (gap moves every N data-zone writes per shard); --migrate-every=N makes
-// thread 0 sweep the store for hot buckets every N of its ops
-// (ShardedPnwStore::MigrateOnce). --wear-report prints the endurance
-// ledger per shard at the end of each mix -- max/mean physical bucket
-// wear, rotations, migrations -- plus a reconcile line proving client
-// writes + migration copies + gap moves == device bucket writes, exiting
-// nonzero on a mismatch exactly like the read/write reconcile lines.
+// --migrate-every=N makes thread 0 sweep the store for hot buckets every N
+// of its ops (ShardedPnwStore::MigrateOnce). --wear-report prints the
+// endurance ledger per shard at the end of each mix -- max/mean bucket
+// wear, migrations -- plus a reconcile line proving client writes +
+// migration copies == bucket writes, exiting nonzero on a mismatch
+// exactly like the read/write reconcile lines.
 //
 // The flags exist so CTest can smoke-run the binary with tiny parameters.
 
@@ -83,7 +81,6 @@ size_t kShards = 1;
 size_t kBatch = 1;  // 1 = per-key Get; >1 = MultiGet batches of this size
 size_t kCheckpointEvery = 0;  // 0 = checkpointing off
 std::string kCheckpointDir;
-size_t kStartGap = 0;      // 0 = wear leveling off; else gap-move interval
 size_t kMigrateEvery = 0;  // 0 = no hot-bucket sweeps
 bool kWearReport = false;
 std::string kRemote;  // empty = in-process store; else "host:port"
@@ -113,17 +110,13 @@ void PrintUsage(const char* argv0) {
       "  --checkpoint-dir=PATH  checkpoint directory (default: a\n"
       "                         pnw_ycsb_ckpt dir under the system temp\n"
       "                         path)\n"
-      "  --start-gap=N          Start-Gap wear leveling: move the gap every\n"
-      "                         N data-zone writes per shard (default 0 =\n"
-      "                         off)\n"
       "  --migrate-every=N      thread 0 sweeps every shard for hot\n"
       "                         buckets every N of its ops and re-places\n"
       "                         them into cold addresses (default off)\n"
       "  --wear-report          per-shard endurance ledger after each mix:\n"
-      "                         max/mean physical bucket wear, rotations,\n"
-      "                         migrations, and a reconcile line (client\n"
-      "                         writes + migrations + gap moves == device\n"
-      "                         bucket writes) that fails the run on\n"
+      "                         max/mean bucket wear, migrations, and a\n"
+      "                         reconcile line (client writes + migrations\n"
+      "                         == bucket writes) that fails the run on\n"
       "                         mismatch\n"
       "  --remote=HOST:PORT     run against a pnw_server over the binary\n"
       "                         wire protocol instead of an in-process\n"
@@ -132,7 +125,7 @@ void PrintUsage(const char* argv0) {
       "                         reconcile lines become client == server\n"
       "                         == store, via STATS deltas). Incompatible\n"
       "                         with --checkpoint-every, --migrate-every,\n"
-      "                         --start-gap, --wear-report\n"
+      "                         --wear-report\n"
       "  --help                 this text\n"
       "\n"
       "--flag N is accepted as well as --flag=N. Each mix row prints\n"
@@ -844,8 +837,7 @@ int main(int argc, char** argv) {
   kCheckpointDir = StringFlagOr(
       argc, argv, "checkpoint-dir",
       (std::filesystem::temp_directory_path() / "pnw_ycsb_ckpt").string());
-  // 0 is the documented "off" value for both endurance pacers.
-  kStartGap = FlagOr(argc, argv, "start-gap", kStartGap, /*min_value=*/0);
+  // 0 is the documented "off" value.
   kMigrateEvery = FlagOr(argc, argv, "migrate-every", kMigrateEvery,
                          /*min_value=*/0);
   for (int i = 1; i < argc; ++i) {
@@ -856,12 +848,11 @@ int main(int argc, char** argv) {
   kRemote = StringFlagOr(argc, argv, "remote", "");
 
   if (!kRemote.empty()) {
-    if (kCheckpointEvery != 0 || kMigrateEvery != 0 || kStartGap != 0 ||
-        kWearReport) {
+    if (kCheckpointEvery != 0 || kMigrateEvery != 0 || kWearReport) {
       std::fprintf(stderr,
                    "--remote drives a pnw_server; --checkpoint-every, "
-                   "--migrate-every, --start-gap, and --wear-report are "
-                   "local-store machinery and cannot be combined with it\n");
+                   "--migrate-every, and --wear-report are local-store "
+                   "machinery and cannot be combined with it\n");
       return 2;
     }
     const size_t colon = kRemote.rfind(':');
@@ -889,10 +880,6 @@ int main(int argc, char** argv) {
     std::printf("live checkpoints: every %zu thread-0 ops into %s\n",
                 kCheckpointEvery, kCheckpointDir.c_str());
   }
-  if (kStartGap != 0) {
-    std::printf("start-gap wear leveling: gap moves every %zu writes per "
-                "shard\n", kStartGap);
-  }
   if (kMigrateEvery != 0) {
     std::printf("hot-bucket migration: sweep every %zu thread-0 ops\n",
                 kMigrateEvery);
@@ -913,10 +900,6 @@ int main(int argc, char** argv) {
     options.store.num_clusters = 8;
     options.store.max_features = 256;
     options.store.load_factor = 0.85;
-    if (kStartGap != 0) {
-      options.store.start_gap_wear_leveling = true;
-      options.store.gap_write_interval = kStartGap;
-    }
     auto opened = pnw::core::ShardedPnwStore::Open(options);
     if (!opened.ok()) {
       std::fprintf(stderr, "open failed: %s\n",
@@ -956,27 +939,22 @@ int main(int argc, char** argv) {
                    agg.totals.failed_ops != 0 || !store_reconciles;
     if (kWearReport) {
       // Endurance ledger, per shard: the clients' successful writes plus
-      // the endurance layer's own copies (hot-bucket migrations, Start-Gap
-      // moves) must equal the device bucket writes the wear histogram
-      // recorded -- every physical write accounted exactly once.
-      const size_t slots =
-          options.store.capacity_buckets + (kStartGap != 0 ? 1 : 0);
+      // the hot-bucket migrations' copies must equal the bucket writes the
+      // wear histogram recorded -- every bucket write accounted exactly
+      // once. The mean is over the shard's own buckets.
       for (const auto& s : agg.shards) {
         const pnw::core::StoreMetrics& sm = s.metrics;
-        const uint64_t accounted = sm.puts + sm.migrations + sm.gap_moves;
-        const bool wear_reconciles = s.physical_bucket_writes == accounted;
+        const bool wear_reconciles = s.bucket_writes == sm.puts + sm.migrations;
+        const size_t buckets = store->shard(s.shard).options().capacity_buckets;
         std::printf(
-            "  wear[shard %zu]: max=%u mean=%.2f rotations=%llu "
-            "migrations=%llu gap_moves=%llu | puts=%llu + migrations + "
-            "gap_moves == device bucket writes=%llu [%s]\n",
-            s.shard, s.max_physical_writes,
-            static_cast<double>(s.physical_bucket_writes) /
-                static_cast<double>(slots),
-            static_cast<unsigned long long>(s.start_gap_rotations),
+            "  wear[shard %zu]: max=%u mean=%.2f migrations=%llu | "
+            "puts=%llu + migrations == bucket writes=%llu [%s]\n",
+            s.shard, s.max_bucket_writes,
+            static_cast<double>(s.bucket_writes) /
+                static_cast<double>(buckets),
             static_cast<unsigned long long>(sm.migrations),
-            static_cast<unsigned long long>(sm.gap_moves),
             static_cast<unsigned long long>(sm.puts),
-            static_cast<unsigned long long>(s.physical_bucket_writes),
+            static_cast<unsigned long long>(s.bucket_writes),
             wear_reconciles ? "ok" : "MISMATCH");
         any_failures = any_failures || !wear_reconciles;
       }

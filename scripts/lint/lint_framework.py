@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Shared framework for the second-generation architecture lints.
 
-The first-generation lints (address_domain_lint.py, metrics_reconcile_lint.py)
-are standalone regex checkers. This module is the substrate for the lints
+The first-generation lint (metrics_reconcile_lint.py) is a standalone regex
+checker. This module is the substrate for the lints
 that reason about *program structure* -- discarded return values, codec
 write/read symmetry, enum/dispatch exhaustiveness. Every lint has one
 engine: a deterministic tokenizer over comment-stripped source, with no

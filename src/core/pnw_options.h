@@ -106,18 +106,6 @@ struct PnwOptions {
   /// Runtime knob, deliberately not serialized in checkpoints.
   bool optimistic_reads = true;
 
-  /// Rotate data-zone buckets through physical slots with Start-Gap wear
-  /// leveling (Qureshi et al., MICRO'09): the data zone gains one spare
-  /// bucket slot and every bucket access translates through the remapper's
-  /// (start, gap) registers -- the orthogonal endurance substrate under
-  /// the paper's content-aware placement (Section VI-G). Off by default:
-  /// the figure harnesses reproduce the paper without it.
-  bool start_gap_wear_leveling = false;
-  /// Bucket writes between gap movements (Start-Gap's psi; Qureshi et al.
-  /// use 100). Smaller rotates faster at a higher copy overhead; the
-  /// write amplification is 1/psi.
-  size_t gap_write_interval = 100;
-
   /// Hot-bucket migration thresholds (used by MigrateHotBuckets, which
   /// ShardedPnwStore::MigrateOnce runs per shard): a resident bucket
   /// qualifies as a victim when its K/V write count is at least

@@ -31,9 +31,6 @@ enum SnapshotSection : uint32_t {
   kSectionIndex = 6,
   kSectionModel = 7,
   kSectionPool = 8,
-  /// Start-Gap translation registers; present iff the store was opened
-  /// with start_gap_wear_leveling (v4).
-  kSectionRemap = 9,
 };
 
 /// Scoped attribution of device-counter deltas to a metrics slot: every NVM
@@ -152,15 +149,8 @@ Result<std::unique_ptr<PnwStore>> PnwStore::Open(const PnwOptions& options) {
 }
 
 Status PnwStore::Init() {
-  // With Start-Gap wear leveling the data zone holds one spare bucket slot
-  // (the initial gap); the flag bitmap and NVM index regions sit above it
-  // and are never remapped -- only bucket-granular data-zone accesses
-  // translate.
-  const size_t data_bytes =
-      options_.start_gap_wear_leveling
-          ? nvm::StartGapRemapper::StorageBytes(options_.capacity_buckets,
-                                                bucket_bytes_)
-          : options_.capacity_buckets * bucket_bytes_;
+  // The flag bitmap and the NVM index regions sit above the data zone.
+  const size_t data_bytes = options_.capacity_buckets * bucket_bytes_;
   const size_t flag_bytes = (options_.capacity_buckets + 7) / 8;
   flags_base_ = data_bytes;
   index_base_ = data_bytes + flag_bytes;
@@ -181,11 +171,6 @@ Status PnwStore::Init() {
   config.latency = options_.latency;
   device_ = std::make_unique<nvm::NvmDevice>(config);
   wear_ = std::make_unique<nvm::WearTracker>(device_.get(), bucket_bytes_);
-  if (options_.start_gap_wear_leveling) {
-    remapper_ = std::make_unique<nvm::StartGapRemapper>(
-        device_.get(), /*base=*/0, options_.capacity_buckets, bucket_bytes_,
-        options_.gap_write_interval);
-  }
 
   if (options_.index_placement == IndexPlacement::kNvmPathHash) {
     index_ = std::make_unique<index::PathHashIndex>(
@@ -249,7 +234,7 @@ Status PnwStore::SetBucketFlag(size_t bucket, bool occupied) {
 }
 
 std::span<const uint8_t> PnwStore::PeekBucketValue(size_t bucket) const {
-  return device_->Peek(PhysBucketAddr(bucket) + key_bytes_,
+  return device_->Peek(BucketAddr(bucket) + key_bytes_,
                        options_.value_bytes);
 }
 
@@ -279,7 +264,7 @@ void PnwStore::Recycle(size_t bucket) {
   // Into L2 only: that PUT comes rounds later, when L1 has turned over,
   // and meanwhile the lines would displace L1's working set.
   const uint8_t* lines =
-      device_->Peek(PhysBucketAddr(bucket), bucket_bytes_).data();
+      device_->Peek(BucketAddr(bucket), bucket_bytes_).data();
   for (size_t off = 0; off < bucket_bytes_; off += kCpuLineBytes) {
     __builtin_prefetch(lines + off, /*rw=*/0, /*locality=*/2);
   }
@@ -301,12 +286,12 @@ Status PnwStore::Place(uint64_t key, size_t bucket) {
   // whatever bytes landed.
   stamps_[bucket] = LabelStamp{};
   auto write =
-      device_->WriteDifferential(PhysBucketAddr(bucket), bucket_scratch_);
+      device_->WriteDifferential(BucketAddr(bucket), bucket_scratch_);
   if (!write.ok()) {
     return write.status();
   }
   PNW_RETURN_IF_ERROR(SetBucketFlag(bucket, true));
-  // The index upsert points the key at its new logical home; a reader that
+  // The index upsert points the key at its new home; a reader that
   // raced in before this line still found the old copy (or nothing).
   return index_->Put(key, BucketAddr(bucket));
 }
@@ -321,27 +306,6 @@ void PnwStore::Unplace(size_t bucket) {
   (void)SetBucketFlag(bucket, false);
   Recycle(bucket);
   ++metrics_.failed_ops;
-}
-
-void PnwStore::AccountBucketWrite(size_t bucket) {
-  wear_->RecordBucketWrite(BucketAddr(bucket));
-  wear_->RecordPhysicalWrite(PhysBucketAddr(bucket));
-  if (remapper_ == nullptr) {
-    return;
-  }
-  // The gap move's block copy is endurance overhead, not client traffic:
-  // its device costs land in wear_device_ns, outside the write's own
-  // accounting scope, which already closed.
-  DeviceDeltaScope scope(device_.get(), &metrics_.wear_device_ns);
-  uint64_t moved = 0;
-  auto advanced = remapper_->AdvanceAfterWrite(&moved);
-  if (advanced.ok() && advanced.value()) {
-    ++metrics_.gap_moves;
-    wear_->RecordPhysicalWrite(moved);
-  }
-  // On failure the remapper keeps its interval counter saturated and the
-  // next bucket write retries the move; the client write that triggered
-  // this advance already landed, so nothing is surfaced here.
 }
 
 Status PnwStore::Bootstrap(std::span<const uint64_t> keys,
@@ -365,7 +329,7 @@ Status PnwStore::Bootstrap(std::span<const uint64_t> keys,
     }
     std::memcpy(bucket.data() + key_bytes_, values[i].data(),
                 options_.value_bytes);
-    auto write = device_->WriteConventional(PhysBucketAddr(i), bucket);
+    auto write = device_->WriteConventional(BucketAddr(i), bucket);
     if (!write.ok()) {
       return write.status();
     }
@@ -557,7 +521,7 @@ Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value) {
   ++used_buckets_;
   ++metrics_.puts;
   ++puts_since_retrain_;
-  AccountBucketWrite(bucket);
+  wear_->RecordBucketWrite(BucketAddr(bucket));
   return MaybeExtendAndRetrain();
 }
 
@@ -608,11 +572,8 @@ std::vector<Status> PnwStore::MultiPut(
 }
 
 Result<size_t> PnwStore::IndexedBucket(uint64_t addr) const {
-  // Translating before the range check is plain arithmetic; the check must
-  // test the bucket itself, because Start-Gap wraps any index into the zone.
   const size_t bucket = addr / bucket_bytes_;
-  if (bucket >= options_.capacity_buckets ||
-      PhysBucketAddr(bucket) + bucket_bytes_ > device_->size()) {
+  if (bucket >= options_.capacity_buckets) {
     return Status::Internal("index points outside the data zone");
   }
   return bucket;
@@ -628,12 +589,10 @@ PnwStore::BucketRead PnwStore::ReadBucket(uint64_t key) const {
   if (!bucket.ok()) {
     return {bucket.status()};
   }
-  // Any bucket below capacity translates into the zone, whatever the
-  // remapper registers read, so this translation is in range too.
-  const uint64_t phys = PhysBucketAddr(bucket.value());
+  const uint64_t bucket_addr = BucketAddr(bucket.value());
   // Without keys in the data zone nothing is copied into stored_key, so
   // it keeps `key` and the check below passes.
-  const uint8_t* resident = device_->Peek(phys, bucket_bytes_).data();
+  const uint8_t* resident = device_->Peek(bucket_addr, bucket_bytes_).data();
   uint64_t stored_key = key;
   Copy(reinterpret_cast<uint8_t*>(&stored_key), resident, key_bytes_);
   const uint8_t* value_bytes = resident + key_bytes_;
@@ -649,7 +608,7 @@ PnwStore::BucketRead PnwStore::ReadBucket(uint64_t key) const {
     value.assign(value_bytes, value_bytes + options_.value_bytes);
   }
   // A key-mismatch miss has already paid for its bucket read.
-  const double device_ns = device_->ReadCostNs(phys, bucket_bytes_);
+  const double device_ns = device_->ReadCostNs(bucket_addr, bucket_bytes_);
   if (stored_key != key) {
     return {Status::Internal("index/data-zone key mismatch"), device_ns};
   }
@@ -726,7 +685,7 @@ Status PnwStore::DeleteInternal(uint64_t key) {
     // Recycle predicts from the resident bytes only when that stamp is
     // stale.
     PNW_RETURN_IF_ERROR(
-        device_->ChargeRead(PhysBucketAddr(bucket), bucket_bytes_));
+        device_->ChargeRead(BucketAddr(bucket), bucket_bytes_));
     Recycle(bucket);
   }
   --used_buckets_;
@@ -788,7 +747,7 @@ Status PnwStore::Update(uint64_t key, std::span<const uint8_t> value) {
                            &metrics_.put_lines_written,
                            &metrics_.put_words_written);
     auto write =
-        device_->WriteDifferential(PhysBucketAddr(bucket), bucket_scratch_);
+        device_->WriteDifferential(BucketAddr(bucket), bucket_scratch_);
     if (!write.ok()) {
       // Nothing to roll back: no address was acquired and the index still
       // points at the (unmodified or partially updated) resident bucket.
@@ -800,7 +759,7 @@ Status PnwStore::Update(uint64_t key, std::span<const uint8_t> value) {
   ++metrics_.puts;
   ++metrics_.inplace_updates;
   ++metrics_.updates;
-  AccountBucketWrite(bucket);
+  wear_->RecordBucketWrite(BucketAddr(bucket));
   return LogOp(persist::OpType::kUpdate, key, value);
 }
 
@@ -817,7 +776,7 @@ Result<bool> PnwStore::MigrateBucket(size_t bucket) {
   // is what lets replay -- which only sees the *logged* migrations --
   // reproduce device counters and wear histograms bit-for-bit.
   const std::span<const uint8_t> resident =
-      device_->Peek(PhysBucketAddr(bucket), bucket_bytes_);
+      device_->Peek(BucketAddr(bucket), bucket_bytes_);
   uint64_t key = 0;
   std::memcpy(&key, resident.data(), key_bytes_);
   // Untimed ranking: migration is background work, so its prediction cost
@@ -837,7 +796,7 @@ Result<bool> PnwStore::MigrateBucket(size_t bucket) {
   Status s;
   {
     DeviceDeltaScope scope(device_.get(), &metrics_.wear_device_ns);
-    s = device_->Read(PhysBucketAddr(bucket), bucket_scratch_);
+    s = device_->Read(BucketAddr(bucket), bucket_scratch_);
     if (s.ok()) {
       s = Place(key, dst_bucket);
     }
@@ -862,7 +821,7 @@ Result<bool> PnwStore::MigrateBucket(size_t bucket) {
   stamps_[dst_bucket] = stamps_[bucket];
   Recycle(bucket);
   ++metrics_.migrations;
-  AccountBucketWrite(dst_bucket);
+  wear_->RecordBucketWrite(BucketAddr(dst_bucket));
   return true;
 }
 
@@ -955,7 +914,6 @@ Status PnwStore::WriteCheckpoint(const std::string& path) {
   {
     auto& w = snap.AddSection(kSectionWear);
     w.PutU32Vec(wear_->bucket_write_counts());
-    w.PutU32Vec(wear_->physical_write_counts());
   }
   if (!options_.occupancy_flags_on_nvm) {
     auto& w = snap.AddSection(kSectionDramFlags);
@@ -987,15 +945,6 @@ Status PnwStore::WriteCheckpoint(const std::string& path) {
     for (size_t c = 0; c < pool_.num_clusters(); ++c) {
       w.PutU64Vec(pool_.FreeList(c));
     }
-  }
-  if (remapper_ != nullptr) {
-    auto& w = snap.AddSection(kSectionRemap);
-    const nvm::StartGapRegisters regs = remapper_->registers();
-    w.PutU64(regs.start);
-    w.PutU64(regs.gap);
-    w.PutU64(regs.writes_since_move);
-    w.PutU64(regs.gap_moves);
-    w.PutU64(regs.rotations);
   }
   Status s = snap.WriteToFile(path);
   if (!s.ok()) {
@@ -1232,9 +1181,6 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
     std::vector<uint32_t> counts;
     PNW_RETURN_IF_ERROR(r.GetU32Vec(&counts));
     PNW_RETURN_IF_ERROR(wear_->RestoreCounts(counts));
-    std::vector<uint32_t> physical;
-    PNW_RETURN_IF_ERROR(r.GetU32Vec(&physical));
-    PNW_RETURN_IF_ERROR(wear_->RestorePhysicalCounts(physical));
   }
   if (!options_.occupancy_flags_on_nvm) {
     auto section = snap.Section(kSectionDramFlags);
@@ -1322,21 +1268,6 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
         pool_.Insert(c, addr);
       }
     }
-  }
-  if (options_.start_gap_wear_leveling) {
-    auto section = snap.Section(kSectionRemap);
-    if (!section.ok()) {
-      return Status::Corruption(
-          "snapshot has no remap section (start_gap_wear_leveling on)");
-    }
-    persist::BufferReader& r = section.value();
-    nvm::StartGapRegisters regs;
-    PNW_RETURN_IF_ERROR(r.GetU64(&regs.start));
-    PNW_RETURN_IF_ERROR(r.GetU64(&regs.gap));
-    PNW_RETURN_IF_ERROR(r.GetU64(&regs.writes_since_move));
-    PNW_RETURN_IF_ERROR(r.GetU64(&regs.gap_moves));
-    PNW_RETURN_IF_ERROR(r.GetU64(&regs.rotations));
-    PNW_RETURN_IF_ERROR(remapper_->RestoreRegisters(regs));
   }
   return Status::OK();
 }

@@ -15,7 +15,6 @@
 #include "src/index/key_index.h"
 #include "src/nvm/nvm_device.h"
 #include "src/util/arena.h"
-#include "src/nvm/start_gap.h"
 #include "src/nvm/wear_tracker.h"
 #include "src/persist/op_log.h"
 #include "src/persist/recovery.h"
@@ -77,7 +76,10 @@ class PnwStore {
   ///     (never read), so the options section is one double shorter.
   /// v7: the encoded PnwOptions lost the mini-batch training knob (no
   ///     caller set it), so the options section is one u64 shorter.
-  static constexpr uint32_t kSnapshotVersion = 7;
+  /// v8: Start-Gap is gone: PnwOptions lost its two knobs, StoreMetrics
+  ///     lost gap_moves, the wear section holds one histogram (per bucket),
+  ///     and the remap section is gone.
+  static constexpr uint32_t kSnapshotVersion = 8;
   /// The op-log of a checkpoint at `path` lives at `path + kOpLogSuffix`.
   static constexpr const char* kOpLogSuffix = ".oplog";
 
@@ -223,7 +225,7 @@ class PnwStore {
   /// options().migration_min_writes and migration_hot_multiplier times
   /// the active-zone mean; a victim with no colder free destination is
   /// skipped without side effects. Each performed relocation is op-logged
-  /// (OpType::kMigrate, keyed by the logical bucket index) and replayed
+  /// (OpType::kMigrate, keyed by the bucket index) and replayed
   /// deterministically on recovery. Requires store_keys_in_data_zone (the
   /// index entry is re-pointed via the bucket's key prefix). Callers
   /// serialize like any mutating op (ShardedPnwStore's migrator holds the
@@ -269,11 +271,6 @@ class PnwStore {
   const nvm::WearTracker& wear_tracker() const PNW_REQUIRES_SHARED(mu_) {
     return *wear_;
   }
-  /// The Start-Gap remapper in front of the data zone; null unless
-  /// options().start_gap_wear_leveling.
-  const nvm::StartGapRemapper* remapper() const PNW_REQUIRES_SHARED(mu_) {
-    return remapper_.get();
-  }
   /// The dynamic address pool: one free-list per predicted cluster. Same
   /// split as device(): mutation demands the exclusive capability.
   DynamicAddressPool& pool() PNW_REQUIRES(mu_) { return pool_; }
@@ -299,21 +296,11 @@ class PnwStore {
   /// AggregatedMetrics refreshes every shard before summing.
   void RefreshArenaStats() PNW_REQUIRES_SHARED(mu_);
 
-  /// Data-zone bucket geometry (exposed for tests and benches). Addresses
-  /// everywhere above the device -- index entries, pool free-lists, the
-  /// occupancy bitmap, the per-bucket wear histogram -- are *logical*
-  /// (BucketAddr); only the final device access translates, through
-  /// PhysBucketAddr.
+  /// Data-zone bucket geometry (exposed for tests and benches): index
+  /// entries, pool free-lists and device accesses all name a bucket by
+  /// its device address, BucketAddr.
   size_t bucket_bytes() const { return bucket_bytes_; }
   uint64_t BucketAddr(size_t bucket) const { return bucket * bucket_bytes_; }
-  /// Physical device address currently backing `bucket`: the Start-Gap
-  /// translation when wear leveling is on, the identity otherwise. Shared
-  /// suffices -- the remapper registers only move under the exclusive
-  /// capability (AdvanceGapAfterBlockWrite), so readers translate stably.
-  uint64_t PhysBucketAddr(size_t bucket) const PNW_REQUIRES_SHARED(mu_) {
-    return remapper_ != nullptr ? remapper_->Translate(bucket)
-                                : BucketAddr(bucket);
-  }
 
  private:
   explicit PnwStore(const PnwOptions& options);
@@ -352,11 +339,6 @@ class PnwStore {
   /// Roll back a failed Place: clear the flag, Recycle the bucket under
   /// whatever bytes it now holds, and count a failed op.
   void Unplace(size_t bucket) PNW_REQUIRES(mu_);
-  /// After a (successful, already accounted) write of `bucket`: record its
-  /// logical and physical wear, then advance the Start-Gap interval,
-  /// charging a resulting gap move to metrics_.wear_device_ns / gap_moves
-  /// and the physical histogram.
-  void AccountBucketWrite(size_t bucket) PNW_REQUIRES(mu_);
 
   /// A GET's outcome before it is charged: the value (or why there is
   /// none) and the simulated cost of the bucket read, zero when no bucket
@@ -370,12 +352,12 @@ class PnwStore {
   /// check, copy of the bucket's key and value with `Copy` (a memcpy
   /// signature, fixed at compile time so the call inlines), simulated read
   /// cost, key check. Charges nothing. Safe without the lock: the
-  /// index_/device_/remapper_ pointers are set once in Init and never
-  /// reseated, the DRAM index lookup and the remapper registers are
-  /// lock-free, and a lock-free caller copies with relaxed-atomic loads
-  /// and validates its seqlock before trusting the result. Get copies with
-  /// memcpy, which vectorizes, and builds the value straight from the
-  /// resident bytes; the byte-wise atomic loads fill a sized vector.
+  /// index_/device_ pointers are set once in Init and never reseated, the
+  /// DRAM index lookup is lock-free, and a lock-free caller copies with
+  /// relaxed-atomic loads and validates its seqlock before trusting the
+  /// result. Get copies with memcpy, which vectorizes, and builds the value
+  /// straight from the resident bytes; the byte-wise atomic loads fill a
+  /// sized vector.
   template <auto Copy>
   BucketRead ReadBucket(uint64_t key) const PNW_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -461,11 +443,6 @@ class PnwStore {
 
   std::unique_ptr<nvm::NvmDevice> device_ PNW_GUARDED_BY(mu_);
   std::unique_ptr<nvm::WearTracker> wear_ PNW_GUARDED_BY(mu_);
-  /// Logical->physical indirection over the data zone (one spare bucket
-  /// slot at the top); null unless options_.start_gap_wear_leveling. Its
-  /// registers are position state, not metrics: ResetWearAndMetrics leaves
-  /// them alone and checkpoints serialize them (kSectionRemap).
-  std::unique_ptr<nvm::StartGapRemapper> remapper_ PNW_GUARDED_BY(mu_);
   std::unique_ptr<index::KeyIndex> index_ PNW_GUARDED_BY(mu_);
   std::unique_ptr<ModelManager> manager_ PNW_GUARDED_BY(mu_);
   std::shared_ptr<const ValueModel> model_ PNW_GUARDED_BY(mu_);

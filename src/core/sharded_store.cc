@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -252,23 +251,20 @@ Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
 }
 
 Result<size_t> ShardedPnwStore::MigrateOnce(size_t max_buckets_per_shard) {
-  std::vector<size_t> moved(shards_.size(), 0);
-  PNW_RETURN_IF_ERROR(ForEachShard(
-      shards_.size(),
-      [this, &moved, max_buckets_per_shard](size_t i) -> Status {
-        // Exclusive, like any writer: migration mutates the shard's index,
-        // pool, flags, and device, so readers drain first and checkpoints
-        // never observe a half-moved bucket.
-        PnwStore& shard = *shards_[i];
-        util::WriterLock lock(shard.mu());
-        auto migrated = shard.MigrateHotBuckets(max_buckets_per_shard);
-        if (!migrated.ok()) {
-          return migrated.status();
-        }
-        moved[i] = migrated.value();
-        return Status::OK();
-      }));
-  return std::accumulate(moved.begin(), moved.end(), size_t{0});
+  size_t moved = 0;
+  for (const auto& shard_ptr : shards_) {
+    // Exclusive, like any writer: migration mutates the shard's index,
+    // pool, flags, and device, so readers drain first and checkpoints
+    // never observe a half-moved bucket.
+    PnwStore& shard = *shard_ptr;
+    util::WriterLock lock(shard.mu());
+    auto migrated = shard.MigrateHotBuckets(max_buckets_per_shard);
+    if (!migrated.ok()) {
+      return migrated.status();
+    }
+    moved += migrated.value();
+  }
+  return moved;
 }
 
 Status ShardedPnwStore::Bootstrap(
@@ -466,11 +462,8 @@ ShardedMetrics ShardedPnwStore::AggregatedMetrics() const {
     summary.active_buckets = store.active_buckets();
     summary.free_addresses = store.pool().FreeCount();
     summary.max_bucket_writes = store.wear_tracker().MaxBucketWrites();
+    summary.bucket_writes = store.wear_tracker().TotalBucketWrites();
     summary.device_bits_written = store.device().counters().total_bits_written;
-    summary.max_physical_writes = store.wear_tracker().MaxPhysicalWrites();
-    summary.physical_bucket_writes = store.wear_tracker().TotalPhysicalWrites();
-    summary.start_gap_rotations =
-        store.remapper() != nullptr ? store.remapper()->rotations() : 0;
     aggregated.shards.push_back(summary);
   }
   return aggregated;

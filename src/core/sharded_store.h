@@ -42,14 +42,10 @@ struct ShardSummary {
   size_t free_addresses = 0;
   /// Max K/V writes any single bucket of this shard received.
   uint32_t max_bucket_writes = 0;
+  /// Bucket writes this shard took in total (client + migration).
+  uint64_t bucket_writes = 0;
   /// NVM cells this shard's device updated in total.
   uint64_t device_bits_written = 0;
-  /// Endurance-layer view of the same shard: hottest *physical* bucket
-  /// slot, total physical bucket writes (client + migration + gap moves),
-  /// and how much endurance work produced them.
-  uint32_t max_physical_writes = 0;
-  uint64_t physical_bucket_writes = 0;
-  uint64_t start_gap_rotations = 0;
 };
 
 /// Cross-shard aggregate: summed StoreMetrics plus per-shard summaries.
@@ -112,7 +108,8 @@ class ShardedPnwStore {
   ///   v5: the split-buckets flag and v2's background-migration options are
   ///       gone (bucket counts are always split; MigrateOnce is the only
   ///       migration driver): shard count, epoch, encoded store options.
-  static constexpr uint32_t kManifestVersion = 5;
+  ///   v6: the encoded store options lost the two Start-Gap knobs.
+  static constexpr uint32_t kManifestVersion = 6;
   /// Checkpoint-directory file names: the manifest, and one snapshot (plus
   /// its `.oplog`) per shard, named by ShardSnapshotName().
   static constexpr const char* kManifestName = "MANIFEST";
@@ -197,10 +194,10 @@ class ShardedPnwStore {
       std::span<const uint64_t> keys);
 
   /// One synchronous migration pass, the only driver of hot-bucket
-  /// migration: fans MigrateHotBuckets(max_buckets_per_shard) out across
-  /// the shards on a util::ThreadPool, each task under its shard's
-  /// exclusive lock, and returns the total number of buckets relocated (or
-  /// the first shard error). Callers pace it themselves (the YCSB runner's
+  /// migration: runs MigrateHotBuckets(max_buckets_per_shard) on each
+  /// shard in turn, under that shard's exclusive lock, and returns the
+  /// total number of buckets relocated (or the first shard error, which
+  /// ends the pass). Callers pace it themselves (the YCSB runner's
   /// --migrate-every, tests). Needs bootstrapped shards that store keys in
   /// the data zone; otherwise FailedPrecondition.
   Result<size_t> MigrateOnce(size_t max_buckets_per_shard);

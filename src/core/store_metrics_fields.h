@@ -22,7 +22,7 @@
 //   gets == optimistic_gets + locked_gets
 //   predicted_placements + fallback_placements + inplace_updates == puts
 //   puts + failed_ops == client writes
-//   puts + migrations + gap_moves == physical bucket writes
+//   puts + migrations == bucket writes (the wear histogram's total)
 #define PNW_STORE_COUNTERS(X)                                                \
   X(uint64_t, puts)                                                          \
   /* GETs that returned a value; a GET that found nothing is a miss. */     \
@@ -69,10 +69,9 @@
   /* Background retrains that ended in an error (the stale model stays). */ \
   X(uint64_t, failed_retrains)                                               \
   X(uint64_t, extensions)                                                    \
-  /* Endurance layer: hot buckets re-placed into colder addresses, */       \
-  /* Start-Gap copies, and the simulated device time of both. */            \
+  /* Endurance layer: hot buckets re-placed into colder addresses, and */   \
+  /* the simulated device time of those copies. */                          \
   X(uint64_t, migrations)                                                    \
-  X(uint64_t, gap_moves)                                                     \
   X(double, wear_device_ns)
 
 // Arena-allocator gauges, summed over the store's arenas (device data

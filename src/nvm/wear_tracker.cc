@@ -7,20 +7,12 @@ namespace pnw::nvm {
 WearTracker::WearTracker(const NvmDevice* device, size_t bucket_bytes)
     : device_(device),
       bucket_bytes_(bucket_bytes),
-      bucket_write_counts_(device->size() / bucket_bytes, 0),
-      physical_write_counts_(device->size() / bucket_bytes, 0) {}
+      bucket_write_counts_(device->size() / bucket_bytes, 0) {}
 
 void WearTracker::RecordBucketWrite(uint64_t addr) {
   const uint64_t bucket = addr / bucket_bytes_;
   if (bucket < bucket_write_counts_.size()) {
     ++bucket_write_counts_[bucket];
-  }
-}
-
-void WearTracker::RecordPhysicalWrite(uint64_t addr) {
-  const uint64_t slot = addr / bucket_bytes_;
-  if (slot < physical_write_counts_.size()) {
-    ++physical_write_counts_[slot];
   }
 }
 
@@ -63,30 +55,12 @@ uint32_t WearTracker::MaxBucketWrites() const {
   return max;
 }
 
-uint32_t WearTracker::MaxPhysicalWrites() const {
-  uint32_t max = 0;
-  for (uint32_t c : physical_write_counts_) {
-    max = std::max(max, c);
-  }
-  return max;
-}
-
-uint64_t WearTracker::TotalPhysicalWrites() const {
+uint64_t WearTracker::TotalBucketWrites() const {
   uint64_t total = 0;
-  for (uint32_t c : physical_write_counts_) {
+  for (uint32_t c : bucket_write_counts_) {
     total += c;
   }
   return total;
-}
-
-Status WearTracker::RestorePhysicalCounts(std::span<const uint32_t> counts) {
-  if (counts.size() != physical_write_counts_.size()) {
-    return Status::Corruption(
-        "checkpointed physical wear counters do not match this store's "
-        "slot count");
-  }
-  std::copy(counts.begin(), counts.end(), physical_write_counts_.begin());
-  return Status::OK();
 }
 
 }  // namespace pnw::nvm

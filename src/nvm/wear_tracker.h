@@ -23,28 +23,14 @@ class WearTracker {
   /// `bucket_bytes` is the allocation unit of the data zone on `device`.
   WearTracker(const NvmDevice* device, size_t bucket_bytes);
 
-  /// Record that the bucket starting at `addr` received one K/V write.
-  /// `addr` is a *logical* address: with Start-Gap wear leveling in front
-  /// of the device the same logical bucket rotates through physical slots,
-  /// and this histogram keeps following the logical bucket (it is the
-  /// migration victim-selection signal and the paper's Fig. 12 input).
+  /// Record that the bucket starting at `addr` received one write (a
+  /// client write or a migration copy). The histogram is the migration
+  /// victim-selection signal and the paper's Fig. 12 input.
   void RecordBucketWrite(uint64_t addr);
 
-  /// Record one block write to the *physical* slot containing `addr` (a
-  /// client write at its translated slot, a migration copy, or a Start-Gap
-  /// move). Physical wear is what the endurance bound is over: without
-  /// remapping it equals the logical view, with remapping it shows whether
-  /// rotation + migration actually flattened the hot spots.
-  void RecordPhysicalWrite(uint64_t addr);
-
-  /// Per-bucket K/V write counts (by bucket index).
+  /// Per-bucket write counts (by bucket index).
   const std::vector<uint32_t>& bucket_write_counts() const {
     return bucket_write_counts_;
-  }
-
-  /// Per-physical-slot block write counts (by slot index).
-  const std::vector<uint32_t>& physical_write_counts() const {
-    return physical_write_counts_;
   }
 
   /// CDF over bucket write counts (paper Fig. 12). Buckets that were never
@@ -59,24 +45,18 @@ class WearTracker {
 
   /// Maximum writes any single bucket received.
   uint32_t MaxBucketWrites() const;
-
-  /// Maximum block writes any single physical slot received.
-  uint32_t MaxPhysicalWrites() const;
-  /// Total block writes across all physical slots (the reconcile side of
-  /// "client writes + migrations + gap moves == device bucket writes").
-  uint64_t TotalPhysicalWrites() const;
+  /// Total writes across all buckets (the reconcile side of
+  /// "puts + migrations == bucket writes").
+  uint64_t TotalBucketWrites() const;
 
   /// Restore checkpointed per-bucket counters verbatim (recovery path;
   /// `counts` must have exactly bucket_write_counts().size() entries).
   Status RestoreCounts(std::span<const uint32_t> counts);
-  /// Same for the physical-slot histogram.
-  Status RestorePhysicalCounts(std::span<const uint32_t> counts);
 
  private:
   const NvmDevice* device_;
   size_t bucket_bytes_;
   std::vector<uint32_t> bucket_write_counts_;
-  std::vector<uint32_t> physical_write_counts_;
 };
 
 }  // namespace pnw::nvm

@@ -17,10 +17,10 @@ namespace pnw::persist {
 /// (PnwStore::Put upgrades to Update when the key exists) but are recorded
 /// distinctly so a log is also a faithful trace of what the client did.
 /// MIGRATE records a hot-bucket relocation the store performed on itself:
-/// the key field holds the *logical bucket index* that was re-placed, and
-/// replay re-runs the relocation deterministically (same victim content,
-/// same pool state, hence the same destination) so wear histograms and
-/// remapper registers come back bit-for-bit.
+/// the key field holds the bucket index that was re-placed, and replay
+/// re-runs the relocation deterministically (same victim content, same
+/// pool state, hence the same destination) so the wear histograms come
+/// back bit-for-bit.
 enum class OpType : uint8_t {
   kPut = 0,
   kUpdate = 1,

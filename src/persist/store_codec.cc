@@ -52,8 +52,6 @@ void EncodePnwOptions(const core::PnwOptions& options, BufferWriter& w) {
   w.PutBool(options.store_keys_in_data_zone);
   w.PutBool(options.occupancy_flags_on_nvm);
   w.PutBool(options.track_bit_wear);
-  w.PutBool(options.start_gap_wear_leveling);
-  w.PutU64(options.gap_write_interval);
   w.PutDouble(options.migration_hot_multiplier);
   w.PutU64(options.migration_min_writes);
   w.PutU64(options.seed);
@@ -106,9 +104,6 @@ Status DecodePnwOptions(BufferReader& r, core::PnwOptions* options) {
   PNW_RETURN_IF_ERROR(r.GetBool(&o.store_keys_in_data_zone));
   PNW_RETURN_IF_ERROR(r.GetBool(&o.occupancy_flags_on_nvm));
   PNW_RETURN_IF_ERROR(r.GetBool(&o.track_bit_wear));
-  PNW_RETURN_IF_ERROR(r.GetBool(&o.start_gap_wear_leveling));
-  PNW_RETURN_IF_ERROR(r.GetU64(&u));
-  o.gap_write_interval = u;
   PNW_RETURN_IF_ERROR(r.GetDouble(&o.migration_hot_multiplier));
   PNW_RETURN_IF_ERROR(r.GetU64(&u));
   o.migration_min_writes = u;

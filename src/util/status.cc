@@ -32,6 +32,16 @@ const char* CodeName(Status::Code code) {
 
 }  // namespace
 
+namespace internal {
+
+void DieOnValueOfError(const Status& status) {
+  std::fprintf(stderr, "Result::value() of an error: %s\n",
+               status.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace internal
+
 std::string Status::ToString() const {
   if (ok()) {
     return "OK";

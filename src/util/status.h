@@ -126,6 +126,12 @@ inline void AbortOnError(const Status& s, const char* what) {
   }
 }
 
+namespace internal {
+/// Prints `status` and aborts: the failure path of Result<T>::value(), out
+/// of line and cold so an inlined value() stays one compare on its ok path.
+[[noreturn, gnu::cold]] void DieOnValueOfError(const Status& status);
+}  // namespace internal
+
 /// A value-or-error holder. `ok()` must be checked before `value()`.
 /// Intentionally minimal: no exceptions, no variant overhead beyond the
 /// Status itself.
@@ -141,12 +147,27 @@ class [[nodiscard]] Result {
   const Status& status() const { return status_; }
 
   /// Pre-condition: ok(). Accessing the value of an error Result is a
-  /// programming error; we keep the check in debug builds only.
-  const T& value() const& { return value_; }
-  T& value() & { return value_; }
-  T&& value() && { return std::move(value_); }
+  /// programming error: every build prints the status and aborts.
+  const T& value() const& {
+    CheckOk();
+    return value_;
+  }
+  T& value() & {
+    CheckOk();
+    return value_;
+  }
+  T&& value() && {
+    CheckOk();
+    return std::move(value_);
+  }
 
  private:
+  void CheckOk() const {
+    if (!status_.ok()) {
+      internal::DieOnValueOfError(status_);
+    }
+  }
+
   T value_{};
   Status status_;
 };

@@ -718,38 +718,10 @@ TEST(PnwStoreTest, ResetWearAndMetricsSettlesBackgroundFailures) {
 
 PnwOptions EnduranceOptions() {
   PnwOptions options = SmallOptions();
-  options.start_gap_wear_leveling = true;
-  options.gap_write_interval = 4;
   options.update_mode = UpdateMode::kLatencyFirst;  // in-place: buckets run hot
   options.migration_min_writes = 4;
   options.migration_hot_multiplier = 2.0;
   return options;
-}
-
-TEST(PnwStoreTest, StartGapServesKeysAcrossRotations) {
-  auto store = MakeBootstrappedStore(EnduranceOptions());
-  ASSERT_NE(store->remapper(), nullptr);
-  // Hammer in-place updates until the start pointer has swept the data
-  // zone at least once: every logical bucket's physical home has moved,
-  // yet every key must keep serving its latest value through Translate().
-  const size_t writes_per_rotation =
-      (store->remapper()->num_blocks() + 1) *
-      store->remapper()->gap_write_interval();
-  size_t writes = 0;
-  uint8_t round = 0;
-  while (store->remapper()->rotations() < 1) {
-    ++round;
-    for (uint64_t key = 0; key < 32; ++key) {
-      ASSERT_TRUE(store->Update(key, GroupValue(key % 2, round)).ok());
-      ++writes;
-    }
-    ASSERT_LT(writes, 4 * writes_per_rotation) << "rotation never completed";
-  }
-  for (uint64_t key = 0; key < 32; ++key) {
-    EXPECT_EQ(store->Get(key).value(), GroupValue(key % 2, round));
-  }
-  EXPECT_GT(store->metrics().gap_moves, 0u);
-  EXPECT_GT(store->metrics().wear_device_ns, 0.0);
 }
 
 TEST(PnwStoreTest, MigrateHotBucketsRelocatesAndReconciles) {
@@ -773,11 +745,10 @@ TEST(PnwStoreTest, MigrateHotBucketsRelocatesAndReconciles) {
   for (uint64_t key = 0; key < 4; ++key) {
     EXPECT_EQ(store->Get(key).value(), GroupValue(key % 2, 15));
   }
-  // Accounting invariant of the endurance layer: every physical bucket
-  // write is a client placement, a migration copy, or a gap-move copy.
-  EXPECT_EQ(store->wear_tracker().TotalPhysicalWrites(),
-            store->metrics().puts + store->metrics().migrations +
-                store->metrics().gap_moves);
+  // Accounting invariant of the endurance layer: every bucket write is a
+  // client placement or a migration copy.
+  EXPECT_EQ(store->wear_tracker().TotalBucketWrites(),
+            store->metrics().puts + store->metrics().migrations);
 }
 
 TEST(PnwStoreTest, MigrationRequiresKeysInDataZone) {
@@ -880,18 +851,6 @@ TEST(PnwStoreTest, FailedMigrationFlagClearKeepsKeyOnSource) {
   }
 }
 
-TEST(PnwStoreTest, WearLevelingDisabledKeepsIdentityTranslation) {
-  auto store = MakeBootstrappedStore(SmallOptions());
-  EXPECT_EQ(store->remapper(), nullptr);
-  for (size_t b = 0; b < 8; ++b) {
-    EXPECT_EQ(store->PhysBucketAddr(b), b * (8 + 16));  // key + value bytes
-  }
-  // Physical and logical wear histograms coincide without the remapper.
-  ASSERT_TRUE(store->Put(100, GroupValue(0, 1)).ok());
-  EXPECT_EQ(store->wear_tracker().TotalPhysicalWrites(),
-            store->metrics().puts);
-}
-
 TEST(PnwStoreTest, Table2WorkedExample) {
   // The paper's Table II: six 8-bit locations in three natural groups.
   // After clustering with k=3, writing d1=00001111 and d2=11110000 must
@@ -970,7 +929,7 @@ void ExpectPoolLabelsMatchModel(PnwStore& store, const char* step) {
     for (const uint64_t addr : store.pool().FreeList(c)) {
       const size_t bucket = addr / store.bucket_bytes();
       const auto value = store.device().Peek(
-          store.PhysBucketAddr(bucket) + key_bytes,
+          store.BucketAddr(bucket) + key_bytes,
           store.options().value_bytes);
       EXPECT_EQ(c, model->Predict(value)) << "bucket " << bucket;
     }

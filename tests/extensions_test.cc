@@ -1,7 +1,6 @@
 // Tests for the extension substrates beyond the paper's core design:
-// Start-Gap wear leveling, mini-batch K-means, parameterized FNW chunk
-// sizes / Captopril segments, encode-stride sampling, and the YCSB
-// operation-mix generator.
+// mini-batch K-means, parameterized FNW chunk sizes / Captopril segments,
+// encode-stride sampling, and the YCSB operation-mix generator.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "src/ml/feature_encoder.h"
 #include "src/ml/kmeans.h"
-#include "src/nvm/start_gap.h"
 #include "src/schemes/captopril.h"
 #include "src/schemes/fnw.h"
 #include "src/util/random.h"
@@ -19,91 +17,6 @@
 
 namespace pnw {
 namespace {
-
-// ----------------------------------------------------------- Start-Gap
-
-nvm::NvmConfig GapConfig(size_t blocks, size_t block_bytes) {
-  nvm::NvmConfig config;
-  config.size_bytes = nvm::StartGapRemapper::StorageBytes(blocks, block_bytes);
-  return config;
-}
-
-TEST(StartGapTest, ReadBackAfterWrite) {
-  nvm::NvmDevice device(GapConfig(8, 64));
-  nvm::StartGapRemapper gap(&device, 0, 8, 64, /*gap_write_interval=*/3);
-  Rng rng(1);
-  std::vector<std::vector<uint8_t>> shadow(8, std::vector<uint8_t>(64, 0));
-  for (int round = 0; round < 200; ++round) {
-    const size_t block = rng.NextBelow(8);
-    for (auto& b : shadow[block]) {
-      b = static_cast<uint8_t>(rng.Next());
-    }
-    ASSERT_TRUE(gap.WriteBlock(block, shadow[block]).ok());
-    // Every block must still read back its latest content across gap moves.
-    for (size_t check = 0; check < 8; ++check) {
-      std::vector<uint8_t> out(64);
-      ASSERT_TRUE(gap.ReadBlock(check, out).ok());
-      ASSERT_EQ(out, shadow[check]) << "round " << round << " block "
-                                    << check;
-    }
-  }
-  EXPECT_GT(gap.gap_moves(), 0u);
-}
-
-TEST(StartGapTest, TranslationIsBijective) {
-  nvm::NvmDevice device(GapConfig(16, 8));
-  nvm::StartGapRemapper gap(&device, 0, 16, 8, 1);
-  std::vector<uint8_t> data(8, 0xab);
-  for (int moves = 0; moves < 40; ++moves) {
-    std::vector<uint64_t> seen;
-    for (size_t b = 0; b < 16; ++b) {
-      seen.push_back(gap.Translate(b));
-    }
-    std::sort(seen.begin(), seen.end());
-    EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end())
-        << "two logical blocks share a physical slot after " << moves
-        << " moves";
-    ASSERT_TRUE(gap.WriteBlock(0, data).ok());  // interval 1: moves the gap
-  }
-  EXPECT_GT(gap.rotations(), 0u);
-}
-
-TEST(StartGapTest, SpreadsAHotBlockAcrossSlots) {
-  // A pathological workload hammering one logical block: without start-gap
-  // one physical line takes every write; with it, wear spreads.
-  constexpr size_t kBlocks = 16;
-  constexpr size_t kBlockBytes = 64;
-  nvm::NvmDevice device(GapConfig(kBlocks, kBlockBytes));
-  nvm::StartGapRemapper gap(&device, 0, kBlocks, kBlockBytes,
-                            /*gap_write_interval=*/4);
-  Rng rng(2);
-  std::vector<uint8_t> data(kBlockBytes);
-  for (int i = 0; i < 800; ++i) {
-    for (auto& b : data) {
-      b = static_cast<uint8_t>(rng.Next());
-    }
-    ASSERT_TRUE(gap.WriteBlock(0, data).ok());
-  }
-  // Count how many distinct physical lines received substantial wear.
-  size_t worn_lines = 0;
-  for (uint32_t c : device.line_write_counts()) {
-    if (c > 10) {
-      ++worn_lines;
-    }
-  }
-  EXPECT_GT(worn_lines, kBlocks / 2) << "hot block should rotate through "
-                                        "most physical slots";
-}
-
-TEST(StartGapTest, RejectsBadArguments) {
-  nvm::NvmDevice device(GapConfig(4, 8));
-  nvm::StartGapRemapper gap(&device, 0, 4, 8);
-  std::vector<uint8_t> wrong_size(4);
-  EXPECT_TRUE(gap.WriteBlock(0, wrong_size).status().IsInvalidArgument());
-  std::vector<uint8_t> ok_size(8);
-  EXPECT_TRUE(gap.WriteBlock(99, ok_size).status().IsInvalidArgument());
-  EXPECT_TRUE(gap.ReadBlock(99, ok_size).IsInvalidArgument());
-}
 
 // ----------------------------------------------------- mini-batch k-means
 

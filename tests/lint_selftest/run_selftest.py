@@ -8,7 +8,7 @@ lint in scripts/lint/ still has teeth by running it three ways:
   1. against a fixture with seeded violations -- must exit nonzero AND
      emit the expected diagnostics (one per seeded violation);
   2. against a clean fixture -- must exit zero (no false positives on the
-     sanctioned idioms: inline PhysBucketAddr, aliases, metadata bases);
+     sanctioned idioms);
   3. against the real tree -- must exit zero (the rule actually holds).
 
 Runs under plain python3 with no third-party imports, so the same file
@@ -53,35 +53,9 @@ def check(name, code, output, want_fail, want_substrings=()):
 
 
 def main():
-    address_lint = os.path.join(LINT_DIR, "address_domain_lint.py")
     metrics_lint = os.path.join(LINT_DIR, "metrics_reconcile_lint.py")
 
-    # 1. Address-domain lint rejects the seeded fixture, naming each
-    #    violation class.
-    code, out = run([address_lint, "--root", ROOT,
-                     os.path.join(FIXTURES, "bad_device_call.cc")])
-    check("address_domain rejects seeded violations", code, out,
-          want_fail=True,
-          want_substrings=[
-              "5 address-domain violation(s)",
-              "WriteDifferential() takes 'bucket_index'",
-              "Peek() takes 'bucket_index * 256 + 8'",
-              "Read() takes 'bucket_index'",
-              "raw Start-Gap Translate() call",
-              "ReadCostNs() takes 'phys_other'",
-          ])
-
-    # 2. ... and accepts every sanctioned idiom.
-    code, out = run([address_lint, "--root", ROOT,
-                     os.path.join(FIXTURES, "good_device_call.cc")])
-    check("address_domain accepts sanctioned idioms", code, out,
-          want_fail=False)
-
-    # 3. ... and the real tree is clean.
-    code, out = run([address_lint, "--root", ROOT])
-    check("address_domain passes on the tree", code, out, want_fail=False)
-
-    # 4. Metrics-reconcile lint flags the seeded orphan counter of a field
+    # 1. Metrics-reconcile lint flags the seeded orphan counter of a field
     #    list (and only it: the referenced fields, including those of a
     #    list expanded by another, must not appear as orphans).
     code, out = run([metrics_lint, "--root", ROOT,
@@ -94,7 +68,7 @@ def main():
           want_substrings=["1 unreconciled StoreMetrics counter(s)",
                            "orphan_counter"])
 
-    # 5. ... flags the seeded ServerMetrics orphan too.
+    # 2. ... flags the seeded ServerMetrics orphan too.
     code, out = run([metrics_lint, "--root", ROOT,
                      "--server-header",
                      os.path.join(FIXTURES, "bad_server_metrics.h"),
@@ -105,7 +79,7 @@ def main():
           want_substrings=["1 unreconciled ServerMetrics counter(s)",
                            "orphan_server_counter"])
 
-    # 5b. ... flags the seeded ArenaStats orphan (the memory layer's
+    # 2b. ... flags the seeded ArenaStats orphan (the memory layer's
     #     ledger joined the lint's coverage with the arena allocator).
     code, out = run([metrics_lint, "--root", ROOT,
                      "--arena-header",
@@ -117,7 +91,7 @@ def main():
           want_substrings=["1 unreconciled ArenaStats counter(s)",
                            "orphan_arena_gauge"])
 
-    # 6. ... and the real tree is clean (all three ledgers).
+    # 3. ... and the real tree is clean (all three ledgers).
     code, out = run([metrics_lint, "--root", ROOT])
     check("metrics_reconcile passes on the tree", code, out,
           want_fail=False,
@@ -129,7 +103,7 @@ def main():
     schema_lint = os.path.join(LINT_DIR, "snapshot_schema_lint.py")
     protocol_lint = os.path.join(LINT_DIR, "protocol_exhaustiveness_lint.py")
 
-    # 7. Status-discipline lint rejects the seeded drops and the degraded
+    # 4. Status-discipline lint rejects the seeded drops and the degraded
     #    Status header (no [[nodiscard]], missing predicate).
     code, out = run([status_lint, "--root", ROOT,
                      "--status-header",
@@ -147,18 +121,18 @@ def main():
               "no `bool IsBoom()` predicate",
           ])
 
-    # 8. ... accepts every sanctioned consumption/drop idiom.
+    # 5. ... accepts every sanctioned consumption/drop idiom.
     code, out = run([status_lint, "--root", ROOT,
                      os.path.join(FIXTURES, "good_status_drop.cc")])
     check("status_discipline accepts sanctioned idioms", code, out,
           want_fail=False)
 
-    # 9. ... and the real tree is clean.
+    # 6. ... and the real tree is clean.
     code, out = run([status_lint, "--root", ROOT])
     check("status_discipline passes on the tree", code, out,
           want_fail=False, want_substrings=["drop no Status silently"])
 
-    # 10. Schema lint flags the order-swapped codec pair and the
+    # 7. Schema lint flags the order-swapped codec pair and the
     #     write-without-read orphan.
     code, out = run([schema_lint, "--root", ROOT,
                      "--codec", os.path.join(FIXTURES, "bad_codec.cc"),
@@ -170,7 +144,7 @@ def main():
               "EncodeOrphan has no matching DecodeOrphan",
           ])
 
-    # 11. ... flags the seeded section asymmetries.
+    # 8. ... flags the seeded section asymmetries.
     code, out = run([schema_lint, "--root", ROOT,
                      "--sections", os.path.join(FIXTURES, "bad_sections.cc"),
                      "--no-fingerprint"])
@@ -181,7 +155,7 @@ def main():
               "section kSectionGhost is written but never read back",
           ])
 
-    # 12. The fingerprint gate fires when the schema hash moved but the
+    # 9. The fingerprint gate fires when the schema hash moved but the
     #     version constants did not (fixture baseline vs the real tree).
     code, out = run([schema_lint, "--root", ROOT,
                      "--versions-from",
@@ -193,7 +167,7 @@ def main():
           want_substrings=["neither kSnapshotVersion nor kManifestVersion "
                            "was bumped"])
 
-    # 13. ... and --update followed by a re-check round-trips to clean.
+    # 10. ... and --update followed by a re-check round-trips to clean.
     with tempfile.TemporaryDirectory() as tmp:
         fp = os.path.join(tmp, "schema.fingerprint")
         code, out = run([schema_lint, "--root", ROOT,
@@ -204,7 +178,7 @@ def main():
         check("snapshot_schema accepts its own baseline", code, out,
               want_fail=False)
 
-    # 13b. The codec expands the StoreMetrics field list, so the schema
+    # 10b. The codec expands the StoreMetrics field list, so the schema
     #      moves with the list: in a copy of the tree, swapping a uint64_t
     #      entry with a double entry must trip the gate. The unmodified
     #      copy passes first, so the swap is what fires it.
@@ -233,13 +207,13 @@ def main():
               want_substrings=["neither kSnapshotVersion nor "
                                "kManifestVersion was bumped"])
 
-    # 14. ... and the real tree (including the committed fingerprint) is
+    # 11. ... and the real tree (including the committed fingerprint) is
     #     clean.
     code, out = run([schema_lint, "--root", ROOT])
     check("snapshot_schema passes on the tree", code, out, want_fail=False,
           want_substrings=["write/read symmetric"])
 
-    # 15. Protocol lint flags the unhandled opcode in every surface: the
+    # 12. Protocol lint flags the unhandled opcode in every surface: the
     #     stale OpcodeKnown bound, the dispatch switches, the missing
     #     client encoder, and the forked wire-status range check.
     code, out = run([protocol_lint, "--root", ROOT,
@@ -260,7 +234,7 @@ def main():
               "raw wire-status range comparison outside WireStatusKnown",
           ])
 
-    # 16. ... and the real tree is clean.
+    # 13. ... and the real tree is clean.
     code, out = run([protocol_lint, "--root", ROOT])
     check("protocol_exhaustiveness passes on the tree", code, out,
           want_fail=False,

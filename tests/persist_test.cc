@@ -240,7 +240,7 @@ TEST_F(PersistTest, OpLogReplayRecoversPostCheckpointWrites) {
   const auto key_in_bucket = [&reopened](size_t bucket) {
     uint64_t key = 0;
     std::memcpy(&key,
-                reopened.device().Peek(reopened.PhysBucketAddr(bucket),
+                reopened.device().Peek(reopened.BucketAddr(bucket),
                                        sizeof(key)).data(),
                 sizeof(key));
     return key;
@@ -259,32 +259,18 @@ TEST_F(PersistTest, OpLogReplayRecoversPostCheckpointWrites) {
 
 PnwOptions EnduranceOptions() {
   PnwOptions options = SmallOptions();
-  options.start_gap_wear_leveling = true;
-  options.gap_write_interval = 4;
   options.update_mode = UpdateMode::kLatencyFirst;
   options.migration_min_writes = 4;
   options.migration_hot_multiplier = 2.0;
   return options;
 }
 
-/// Endurance state the v4 snapshot must reproduce exactly: Start-Gap
-/// registers, both wear histograms, and the migration/gap-move counters.
+/// Endurance state a snapshot must reproduce exactly: the wear histogram,
+/// the migration counter and its device time, and the device counters.
 void ExpectEnduranceStateEqual(PnwStore& a, PnwStore& b) {
-  ASSERT_NE(a.remapper(), nullptr);
-  ASSERT_NE(b.remapper(), nullptr);
-  const nvm::StartGapRegisters ra = a.remapper()->registers();
-  const nvm::StartGapRegisters rb = b.remapper()->registers();
-  EXPECT_EQ(ra.start, rb.start);
-  EXPECT_EQ(ra.gap, rb.gap);
-  EXPECT_EQ(ra.writes_since_move, rb.writes_since_move);
-  EXPECT_EQ(ra.gap_moves, rb.gap_moves);
-  EXPECT_EQ(ra.rotations, rb.rotations);
   EXPECT_EQ(a.wear_tracker().bucket_write_counts(),
             b.wear_tracker().bucket_write_counts());
-  EXPECT_EQ(a.wear_tracker().physical_write_counts(),
-            b.wear_tracker().physical_write_counts());
   EXPECT_EQ(a.metrics().migrations, b.metrics().migrations);
-  EXPECT_EQ(a.metrics().gap_moves, b.metrics().gap_moves);
   EXPECT_DOUBLE_EQ(a.metrics().wear_device_ns, b.metrics().wear_device_ns);
   EXPECT_EQ(a.device().counters().total_bits_written,
             b.device().counters().total_bits_written);
@@ -293,8 +279,8 @@ void ExpectEnduranceStateEqual(PnwStore& a, PnwStore& b) {
 }
 
 // Acceptance scenario of the endurance layer: traffic + migrations,
-// Checkpoint, crash, Open -- the remapper registers, migration counters,
-// and both wear histograms come back bit-for-bit from the snapshot alone.
+// Checkpoint, crash, Open -- the migration counters and the wear histogram
+// come back bit-for-bit from the snapshot alone.
 TEST_F(PersistTest, EnduranceSnapshotRoundTripsBitForBit) {
   auto store = MakeBootstrappedStore(EnduranceOptions());
   for (int round = 0; round < 16; ++round) {
@@ -307,7 +293,6 @@ TEST_F(PersistTest, EnduranceSnapshotRoundTripsBitForBit) {
   auto migrated = store->MigrateHotBuckets(8);
   ASSERT_TRUE(migrated.ok()) << migrated.status();
   ASSERT_GT(migrated.value(), 0u);
-  ASSERT_GT(store->metrics().gap_moves, 0u);
 
   ASSERT_TRUE(store->Checkpoint(Path("endurance.snap")).ok());
   auto reopened = PnwStore::Open(Path("endurance.snap"));
@@ -412,8 +397,6 @@ TEST_F(PersistTest, ReplayAcrossAutomaticRetrainReproducesTheStore) {
   EXPECT_EQ(reopened.metrics().migrations, store->metrics().migrations);
   EXPECT_EQ(reopened.wear_tracker().bucket_write_counts(),
             store->wear_tracker().bucket_write_counts());
-  EXPECT_EQ(reopened.wear_tracker().physical_write_counts(),
-            store->wear_tracker().physical_write_counts());
   EXPECT_EQ(reopened.device().word_write_counts(),
             store->device().word_write_counts());
   EXPECT_EQ(reopened.device().line_write_counts(),
@@ -546,20 +529,25 @@ TEST_F(PersistTest, CorruptedSnapshotChecksumIsCleanError) {
 TEST_F(PersistTest, SnapshotVersionMismatchIsCleanError) {
   auto store = MakeBootstrappedStore(SmallOptions());
   ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  const auto written = persist::ReadFileBytes(Path("store.snap")).value();
 
-  // Byte 8 is the low byte of the little-endian payload version.
-  auto bytes = persist::ReadFileBytes(Path("store.snap")).value();
-  bytes[8] = static_cast<uint8_t>(PnwStore::kSnapshotVersion + 1);
-  std::ofstream out(Path("store.snap"), std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.close();
+  // A version from the future, and v7: the last layout with the Start-Gap
+  // fields.
+  for (const uint32_t version : {PnwStore::kSnapshotVersion + 1, 7u}) {
+    // Byte 8 is the low byte of the little-endian payload version.
+    auto bytes = written;
+    bytes[8] = static_cast<uint8_t>(version);
+    std::ofstream out(Path("store.snap"), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.close();
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsInvalidArgument()) << reopened.status();
-  EXPECT_NE(reopened.status().message().find("version mismatch"),
-            std::string::npos);
+    auto reopened = PnwStore::Open(Path("store.snap"));
+    ASSERT_FALSE(reopened.ok()) << "v" << version;
+    EXPECT_TRUE(reopened.status().IsInvalidArgument()) << reopened.status();
+    EXPECT_NE(reopened.status().message().find("version mismatch"),
+              std::string::npos);
+  }
 }
 
 TEST_F(PersistTest, NotASnapshotIsCleanError) {
@@ -1046,8 +1034,8 @@ std::string Hex(std::span<const uint8_t> bytes) {
 TEST_F(PersistTest, StoreMetricsEncodingIsPinned) {
   // Every field (the unserialized gauges too) gets a value derived from
   // its name, so reordering, retyping or dropping a list entry changes
-  // the bytes. The literal is the snapshot-v6 metrics encoding: files
-  // written by any v6 build must keep decoding to the same counters.
+  // the bytes. The literal is the snapshot-v8 metrics encoding: files
+  // written by any v8 build must keep decoding to the same counters.
   StoreMetrics m;
 #define PNW_SET_FIELD(type, name) m.name = NameValue(#name);
   PNW_STORE_METRICS(PNW_SET_FIELD)
@@ -1061,7 +1049,7 @@ TEST_F(PersistTest, StoreMetricsEncodingIsPinned) {
             "86ee66e5aa3f0600641b5ea839f123433cdeb0fffa173543d698a6ea86c32843"
             "a03b7f242281fa42a906be4dc5d53b436f9c6aec20081800c802f130f6850300"
             "cbe7ddf874fe1900a127e1e14aa215006f5a55f49da60a00a5220e907dd70300"
-            "5d27d34d028803002b411657cef91e00b7bec54c5bc00700ab9efa7442363443");
+            "5d27d34d028803002b411657cef91e00ab9efa7442363443");
 
   persist::BufferReader r(w.data());
   StoreMetrics decoded;

@@ -139,8 +139,8 @@ TEST(OptimisticConcurrencyTest, RefreshArenaStatsPopulatesGauges) {
 constexpr size_t kTortureKeys = 64;
 
 // Readers hammer the lock-free path while a writer churns values; torn
-// reads must never validate. Also exercised: Start-Gap translation racing
-// gap moves, and lock-free lookups in an index that recovery rebuilt.
+// reads must never validate. Also exercised: lock-free lookups in an index
+// that recovery rebuilt.
 void RunTorture(PnwStore& store) {
   constexpr uint64_t kWriterOps = 1500;
 
@@ -195,14 +195,6 @@ void RunTorture(PnwStore& store) {
 
 TEST(OptimisticConcurrencyTest, TortureReadersVsWriter) {
   auto store = BootstrappedStore(SmallOptions(), kTortureKeys);
-  RunTorture(*store);
-}
-
-TEST(OptimisticConcurrencyTest, TortureWithStartGapRotation) {
-  PnwOptions options = SmallOptions();
-  options.start_gap_wear_leveling = true;
-  options.gap_write_interval = 8;  // rotate aggressively under the readers
-  auto store = BootstrappedStore(options, kTortureKeys);
   RunTorture(*store);
 }
 
@@ -342,10 +334,8 @@ TEST(OptimisticConcurrencyTest, ShardedTortureThroughPublicApi) {
   ShardedOptions options;
   options.num_shards = 2;
   options.store = SmallOptions();
-  // Endurance churn under the readers: Start-Gap rotation plus migration
-  // passes with thresholds low enough to actually relocate.
-  options.store.start_gap_wear_leveling = true;
-  options.store.gap_write_interval = 8;
+  // Endurance churn under the readers: migration passes with thresholds
+  // low enough to actually relocate.
   options.store.migration_min_writes = 4;
   options.store.migration_hot_multiplier = 2.0;
   auto store = ShardedPnwStore::Open(options).value();

@@ -670,8 +670,6 @@ TEST(ShardedConcurrencyTest, ConcurrentAggregationIsSafe) {
 
 ShardedOptions EnduranceShardedOptions(size_t num_shards) {
   ShardedOptions options = SmallShardedOptions(num_shards);
-  options.store.start_gap_wear_leveling = true;
-  options.store.gap_write_interval = 8;
   options.store.update_mode = UpdateMode::kLatencyFirst;
   options.store.migration_min_writes = 4;
   options.store.migration_hot_multiplier = 2.0;
@@ -694,14 +692,14 @@ TEST(ShardedPnwStoreTest, MigrateOnceRelocatesHotBucketsAcrossShards) {
   EXPECT_GT(migrated.value(), 0u);
   const ShardedMetrics aggregated = store->AggregatedMetrics();
   EXPECT_EQ(aggregated.totals.migrations, migrated.value());
-  uint64_t physical = 0;
+  uint64_t bucket_writes = 0;
   for (const auto& shard : aggregated.shards) {
-    physical += shard.physical_bucket_writes;
+    bucket_writes += shard.bucket_writes;
   }
-  // Reconcile: client placements + migration copies + gap moves account
-  // for every physical bucket write across every shard.
-  EXPECT_EQ(physical, aggregated.totals.puts + aggregated.totals.migrations +
-                          aggregated.totals.gap_moves);
+  // Reconcile: client placements + migration copies account for every
+  // bucket write across every shard.
+  EXPECT_EQ(bucket_writes,
+            aggregated.totals.puts + aggregated.totals.migrations);
   for (uint64_t key = 0; key < 16; ++key) {
     EXPECT_EQ(store->Get(key).value(),
               GroupValue(static_cast<int>(key % 2), 15));
@@ -710,11 +708,10 @@ TEST(ShardedPnwStoreTest, MigrateOnceRelocatesHotBucketsAcrossShards) {
 
 TEST(ShardedPnwStoreTest, ManifestRoundTripsMigrationOptions) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "pnw_sharded_manifest_v5";
+  const fs::path dir = fs::temp_directory_path() / "pnw_sharded_manifest_v6";
   fs::remove_all(dir);
   fs::create_directories(dir);
   ShardedOptions options = EnduranceShardedOptions(2);
-  options.store.gap_write_interval = 5;
   options.store.migration_min_writes = 7;
   options.store.migration_hot_multiplier = 3.5;
   {
@@ -725,8 +722,6 @@ TEST(ShardedPnwStoreTest, ManifestRoundTripsMigrationOptions) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   const ShardedOptions& got = reopened.value()->options();
   EXPECT_EQ(got.num_shards, 2u);
-  EXPECT_TRUE(got.store.start_gap_wear_leveling);
-  EXPECT_EQ(got.store.gap_write_interval, 5u);
   EXPECT_EQ(got.store.migration_min_writes, 7u);
   EXPECT_DOUBLE_EQ(got.store.migration_hot_multiplier, 3.5);
   fs::remove_all(dir);
@@ -742,6 +737,21 @@ TEST(ShardedPnwStoreTest, ManifestFromVersion4IsRejected) {
     auto store = MakeBootstrappedStore(options, 64);
     ASSERT_TRUE(store->Checkpoint(dir.string()).ok());
   }
+  const std::string manifest = (dir / ShardedPnwStore::kManifestName).string();
+  const auto expect_rejected = [&dir] {
+    auto reopened = ShardedPnwStore::Open(dir.string());
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_TRUE(reopened.status().IsInvalidArgument()) << reopened.status();
+    EXPECT_NE(reopened.status().message().find("version mismatch"),
+              std::string::npos);
+  };
+  // The manifest stamped v5, whose encoded store options still carried
+  // the two Start-Gap knobs. Byte 8 is the low byte of the little-endian
+  // payload version.
+  auto bytes = persist::ReadFileBytes(manifest).value();
+  bytes[8] = 5;
+  ASSERT_TRUE(persist::AtomicWriteFile(manifest, bytes).ok());
+  expect_rejected();
   // Overwrite the manifest with its v4 layout: shard count, split flag,
   // epoch, store options, then the background migrator's enabled flag,
   // interval and per-pass victim budget.
@@ -754,13 +764,8 @@ TEST(ShardedPnwStoreTest, ManifestFromVersion4IsRejected) {
   w.PutBool(false);
   w.PutU64(20);
   w.PutU64(4);
-  ASSERT_TRUE(
-      v4.WriteToFile((dir / ShardedPnwStore::kManifestName).string()).ok());
-  auto reopened = ShardedPnwStore::Open(dir.string());
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsInvalidArgument()) << reopened.status();
-  EXPECT_NE(reopened.status().message().find("version mismatch"),
-            std::string::npos);
+  ASSERT_TRUE(v4.WriteToFile(manifest).ok());
+  expect_rejected();
   fs::remove_all(dir);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/util/bitvec.h"
@@ -44,6 +45,18 @@ TEST(ResultTest, HoldsValueOrStatus) {
   Result<int> err_result(Status::OutOfSpace("full"));
   EXPECT_FALSE(err_result.ok());
   EXPECT_TRUE(err_result.status().IsOutOfSpace());
+}
+
+TEST(ResultTest, ValueOfAnErrorAborts) {
+  // Every build, not only debug ones: handing out a default-constructed
+  // value for an error would hide the error from the caller.
+  Result<int> missing(Status::NotFound("no such key"));
+  const Result<int>& as_const = missing;
+  EXPECT_DEATH(missing.value(), "of an error: NotFound: no such key");
+  EXPECT_DEATH(as_const.value(), "of an error: NotFound: no such key");
+  EXPECT_DEATH(std::move(missing).value(), "of an error: NotFound");
+  EXPECT_DEATH(Result<std::vector<uint8_t>>(Status::Internal("boom")).value(),
+               "of an error: Internal: boom");
 }
 
 // --------------------------------------------------------------- Hamming
