@@ -6,7 +6,9 @@
 //                                [--shards=N] [--checkpoint-every=N]
 //                                [--checkpoint-dir=PATH]
 //
-// (--flag N is accepted as well as --flag=N; --help prints the flag list.)
+// (--flag N is accepted as well as --flag=N; --help prints the flag list.
+// An unknown argument or a malformed number prints the usage line and
+// exits 2.)
 //
 // --threads/--shards drive the concurrent ShardedPnwStore front-end: each
 // thread runs its own operation stream (own generator seed, own value RNG)
@@ -55,6 +57,8 @@
 // The flags exist so CTest can smoke-run the binary with tiny parameters.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -134,6 +138,45 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
+/// Flags that take a value (--name=V or --name V), and the switches.
+constexpr const char* kValueFlags[] = {
+    "records",          "ops",           "threads",
+    "shards",           "batch",         "checkpoint-every",
+    "checkpoint-dir",   "migrate-every", "remote"};
+constexpr const char* kSwitches[] = {"wear-report"};
+
+/// A command-line mistake: say what, print the usage line, exit 2.
+[[noreturn]] void UsageError(const std::string& what) {
+  std::fprintf(stderr, "%s\nusage: ycsb_runner [flags] (--help lists them)\n",
+               what.c_str());
+  std::exit(2);
+}
+
+/// Every argument must be a known flag or a bare value flag's value, so a
+/// stale or misspelled flag stops the run instead of silently leaving its
+/// machinery off.
+void RejectUnknownArgs(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    bool known = false;
+    for (const char* name : kValueFlags) {
+      const std::string flag = std::string("--") + name;
+      if (arg == flag) {
+        ++i;  // its value; FindFlag reports a missing one
+        known = true;
+      } else if (arg.rfind(flag + "=", 0) == 0) {
+        known = true;
+      }
+    }
+    for (const char* name : kSwitches) {
+      known = known || arg == std::string("--") + name;
+    }
+    if (!known) {
+      UsageError("unknown argument '" + arg + "'");
+    }
+  }
+}
+
 /// Single argv scan shared by every flag type: accepts --name=value and
 /// the bare "--name value" form (exiting 2 when the value is missing).
 /// Returns false when the flag is absent.
@@ -149,8 +192,7 @@ bool FindFlag(int argc, char** argv, const std::string& name,
     }
     if (arg == bare) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "--%s needs a value\n", name.c_str());
-        std::exit(2);
+        UsageError("--" + name + " needs a value");
       }
       *value = argv[i + 1];
       return true;
@@ -171,12 +213,21 @@ size_t FlagOr(int argc, char** argv, const std::string& name,
   if (!FindFlag(argc, argv, name, &digits)) {
     return fallback;
   }
+  // strtol alone would take " 5", "+5" and an out-of-range value clamped
+  // to LONG_MAX.
   char* end = nullptr;
+  errno = 0;
   const long parsed = std::strtol(digits.c_str(), &end, 10);
-  if (digits.empty() || *end != '\0' || parsed < min_value) {
-    std::fprintf(stderr, "invalid --%s value '%s' (want an integer >= "
-                         "%ld)\n", name.c_str(), digits.c_str(), min_value);
-    std::exit(2);
+  const bool number = !digits.empty() &&
+                      (std::isdigit(static_cast<unsigned char>(digits[0])) ||
+                       digits[0] == '-') &&
+                      *end == '\0' && errno == 0;
+  if (!number || parsed < min_value) {
+    std::string what = "invalid --";
+    what += name;
+    what += " value '" + digits + "' (want an integer >= ";
+    what += std::to_string(min_value) + ")";
+    UsageError(what);
   }
   return static_cast<size_t>(parsed);
 }
@@ -826,6 +877,7 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
+  RejectUnknownArgs(argc, argv);
   kRecords = FlagOr(argc, argv, "records", kRecords);
   kOps = FlagOr(argc, argv, "ops", kOps);
   kThreads = FlagOr(argc, argv, "threads", kThreads);

@@ -879,15 +879,23 @@ Result<size_t> PnwStore::MigrateHotBuckets(size_t max_buckets) {
 }
 
 Status PnwStore::Checkpoint(const std::string& path) {
-  PNW_RETURN_IF_ERROR(WriteCheckpoint(path));
+  auto pending = CaptureCheckpoint(path);
+  if (!pending.ok()) {
+    return pending.status();
+  }
+  const Status committed = pending.value().Commit();
+  if (!committed.ok()) {
+    AbortCheckpoint();
+    return committed;
+  }
   return FinishCheckpoint(path);
 }
 
-Status PnwStore::WriteCheckpoint(const std::string& path) {
+Result<persist::PendingFile> PnwStore::CaptureCheckpoint(
+    const std::string& path) {
   // The new epoch ties this snapshot to the op-log FinishCheckpoint will
-  // reset; the bump is rolled back only if the snapshot itself failed to
-  // land (once it is durably renamed in, the epoch must stand -- see
-  // FinishCheckpoint).
+  // attach; it is rolled back if the snapshot never lands (here, or in
+  // AbortCheckpoint after a failed commit).
   ++checkpoint_epoch_;
   persist::SnapshotWriter snap(kSnapshotVersion);
   {
@@ -946,28 +954,33 @@ Status PnwStore::WriteCheckpoint(const std::string& path) {
       w.PutU64Vec(pool_.FreeList(c));
     }
   }
-  Status s = snap.WriteToFile(path);
-  if (!s.ok()) {
+  // The only write the lock must cover: the temp file gets the bytes of
+  // the quiesced store, borrowed arrays included. Its fsync and rename
+  // are the caller's Commit().
+  auto pending = snap.WriteTemp(path);
+  if (!pending.ok()) {
     --checkpoint_epoch_;
-    return s;
+    return pending.status();
   }
   carry_log_path_.clear();
   carry_log_mark_ = 0;
-  log_switched_in_write_ = false;
+  log_switched_in_capture_ = false;
   if (op_log_ == nullptr) {
     // No previous log exists to carry racing operations from (first
     // checkpoint ever, or a store whose log was detached after an append
     // failure) -- and in either case no committed checkpoint+log pair is
     // being protected. Switch to the new generation's log right here,
     // while the caller still holds the operation lock, so operations
-    // between the two phases are captured instead of falling into a gap.
-    s = AttachOpLog(path + kOpLogSuffix, /*truncate=*/true);
+    // between capture and finish are captured instead of falling into a
+    // gap.
+    const Status s = AttachOpLog(path + kOpLogSuffix, /*truncate=*/true);
     if (!s.ok()) {
       op_log_.reset();
+      --checkpoint_epoch_;
       return s;
     }
-    log_switched_in_write_ = true;
-    return Status::OK();
+    log_switched_in_capture_ = true;
+    return pending;
   }
   // Remember where the still-attached previous log stands right now:
   // anything appended past this mark happened after the snapshot and
@@ -975,54 +988,66 @@ Status PnwStore::WriteCheckpoint(const std::string& path) {
   std::error_code ec;
   const auto size = std::filesystem::file_size(op_log_->path(), ec);
   if (ec) {
-    // The epoch-N+1 snapshot is already durable, so the old log's epoch
-    // can never legally replay again: detach it (like FinishCheckpoint's
-    // failure paths) rather than keep acknowledging writes into a file
-    // recovery must discard.
-    const std::string log_path = op_log_->path();
-    op_log_.reset();
-    return Status::Internal("cannot stat op-log " + log_path + ": " +
+    --checkpoint_epoch_;
+    return Status::Internal("cannot stat op-log " + op_log_->path() + ": " +
                             ec.message());
   }
   carry_log_path_ = op_log_->path();
   carry_log_mark_ = size;
-  return s;
+  return pending;
+}
+
+void PnwStore::AbortCheckpoint() {
+  --checkpoint_epoch_;
+  carry_log_path_.clear();
+  carry_log_mark_ = 0;
+  if (log_switched_in_capture_) {
+    // The log the capture attached extends a snapshot that never landed,
+    // so no recovery can read it: detach it, leaving the store without a
+    // log as it was before the capture.
+    persist::OpLogWriter::CloseSuperseded(std::exchange(op_log_, nullptr));
+    log_switched_in_capture_ = false;
+  }
 }
 
 Status PnwStore::FinishCheckpoint(const std::string& path) {
-  if (log_switched_in_write_) {
-    // WriteCheckpoint already put the new generation's log in place.
-    log_switched_in_write_ = false;
+  if (log_switched_in_capture_) {
+    // CaptureCheckpoint already put the new generation's log in place.
+    log_switched_in_capture_ = false;
     return Status::OK();
   }
+  // The new snapshot is durable, so the previous log is superseded: no
+  // recovery reads it again, and it closes without an fsync. Every record
+  // was handed to the OS on append, so the tail read below sees them all.
+  persist::OpLogWriter::CloseSuperseded(std::exchange(op_log_, nullptr));
   // Collect the records that raced the snapshot (appended to the old log
-  // after WriteCheckpoint's mark) BEFORE any reset -- with an unchanged
-  // log path the reset below would destroy them.
+  // after the capture's mark) BEFORE the switch -- with an unchanged log
+  // path the new log's reset would destroy them. Only the old log's
+  // header and the bytes past the mark are read.
   std::vector<persist::OpRecord> carried;
   if (!carry_log_path_.empty()) {
     auto tail = persist::ReadOpLog(carry_log_path_, carry_log_mark_);
+    carry_log_path_.clear();
+    carry_log_mark_ = 0;
     if (!tail.ok()) {
-      op_log_.reset();
       return tail.status();
     }
     carried = std::move(tail.value().records);
   }
-  carry_log_path_.clear();
-  carry_log_mark_ = 0;
-  // Reset the log under the new epoch and keep capturing from there. On
-  // failure the log is detached rather than the epoch rolled back -- the
-  // epoch-N+1 snapshot is already durable, and appending more records to
-  // a stale-epoch log would only grow a file recovery must discard. The
-  // caller sees the error and knows durability is degraded until the
-  // next successful Checkpoint.
+  // Attach the new generation's log and carry the tail in one group
+  // append (one flush, at most one group fsync). On failure the log stays
+  // detached rather than the epoch rolled back -- the new snapshot is
+  // already durable, and appending to a stale-epoch log would only grow a
+  // file recovery must discard. The caller sees the error and knows
+  // durability is degraded until the next successful Checkpoint.
   Status s = AttachOpLog(path + kOpLogSuffix, /*truncate=*/true);
   if (s.ok()) {
-    for (const auto& rec : carried) {
-      s = op_log_->Append(rec.op, rec.key, rec.value);
-      if (!s.ok()) {
-        break;
-      }
+    std::vector<persist::OpLogEntry> entries;
+    entries.reserve(carried.size());
+    for (const persist::OpRecord& rec : carried) {
+      entries.push_back(persist::OpLogEntry{rec.op, rec.key, rec.value});
     }
+    s = op_log_->AppendBatch(entries);
   }
   if (!s.ok()) {
     op_log_.reset();
@@ -1279,7 +1304,12 @@ Status PnwStore::AttachOpLog(const std::string& path, bool truncate) {
     return log.status();
   }
   op_log_ = std::move(log.value());
-  if (truncate) {
+  if (truncate && !op_log_->created()) {
+    // Open stamped a new log already. One that held bytes belongs to
+    // another epoch -- a single store re-checkpointed to the same path, or
+    // recovery over a stale-epoch or unreplayed log -- and only a Reset
+    // empties it. Truncating a new log as well would cost every
+    // checkpoint a write back on ext4 (see OpLogWriter::Open).
     return op_log_->Reset(checkpoint_epoch_);
   }
   return Status::OK();

@@ -117,16 +117,34 @@ class PnwStore {
   /// A background training run in flight is deliberately not captured
   /// (the snapshot holds the currently-served model); after a crash the
   /// run is simply lost and retraining re-triggers by the usual pacing.
+  ///
+  /// Runs CaptureCheckpoint, the commit and FinishCheckpoint all under the
+  /// caller's lock.
   Status Checkpoint(const std::string& path) PNW_REQUIRES(mu_);
 
-  /// Two-phase form of Checkpoint() for coordinated multi-store commits
-  /// (ShardedPnwStore): WriteCheckpoint writes the snapshot only, leaving
-  /// the live op-log untouched -- operations keep being captured against
-  /// the *previous* checkpoint until the coordinator reaches its commit
-  /// point -- and FinishCheckpoint then resets + re-attaches the log at
-  /// `path + kOpLogSuffix` under the new epoch. Checkpoint(path) is
-  /// exactly WriteCheckpoint(path) + FinishCheckpoint(path).
-  Status WriteCheckpoint(const std::string& path) PNW_REQUIRES(mu_);
+  /// Checkpoint() in three steps, for a coordinator that commits several
+  /// stores at once and must not hold a store's lock across an fsync
+  /// (ShardedPnwStore):
+  ///   1. CaptureCheckpoint, under the exclusive lock: bump the checkpoint
+  ///      epoch, encode the small sections, write the snapshot into
+  ///      `path`'s temp file straight from live memory (the device
+  ///      contents and wear arrays are borrowed, not copied), and record
+  ///      where the live op-log stands (the mark).
+  ///   2. The returned PendingFile's Commit(), with no lock held: fsync,
+  ///      rename over `path`, fsync the directory. Operations keep being
+  ///      captured by the *previous* checkpoint's log meanwhile. If the
+  ///      commit fails, the caller retakes the lock and calls
+  ///      AbortCheckpoint, which rolls back the epoch and the mark.
+  ///   3. FinishCheckpoint, under the lock again, once the coordinator has
+  ///      reached its commit point: switch the op-log to `path +
+  ///      kOpLogSuffix` under the new epoch, carrying the records appended
+  ///      past the mark, and close the superseded log.
+  /// With no log attached yet (first checkpoint, or a log detached after
+  /// an append failure) the capture attaches the new generation's log at
+  /// once, so nothing falls into a gap, and AbortCheckpoint detaches it.
+  Result<persist::PendingFile> CaptureCheckpoint(const std::string& path)
+      PNW_REQUIRES(mu_);
+  void AbortCheckpoint() PNW_REQUIRES(mu_);
   Status FinishCheckpoint(const std::string& path) PNW_REQUIRES(mu_);
 
   /// True while an op-log is attached and healthy (Checkpoint/Open attach
@@ -407,9 +425,10 @@ class PnwStore {
   /// store (geometry mismatches fail with Corruption).
   Status RestoreFrom(const persist::SnapshotReader& snap) PNW_REQUIRES(mu_);
 
-  /// Open (and optionally truncate + re-stamp with the current checkpoint
-  /// epoch) the op-log at `path` and attach it so LogOp captures
-  /// subsequent operations.
+  /// Open the op-log at `path` and attach it so LogOp captures subsequent
+  /// operations. With `truncate`, the attached log is empty and stamped
+  /// with the current checkpoint epoch: a new file is created that way,
+  /// and one that already holds bytes is Reset.
   Status AttachOpLog(const std::string& path, bool truncate)
       PNW_REQUIRES(mu_);
 
@@ -494,17 +513,19 @@ class PnwStore {
   /// carries the previous epoch and is discarded on recovery instead of
   /// replaying records the snapshot already contains.
   uint64_t checkpoint_epoch_ PNW_GUARDED_BY(mu_) = 0;
-  /// Between WriteCheckpoint and FinishCheckpoint: the previous log and
-  /// its size at snapshot time. Operations logged past that mark raced
-  /// the snapshot (sharded phase-1 runs shard by shard while the others
-  /// keep serving); FinishCheckpoint re-appends them to the fresh log so
-  /// they stay durable even though the new snapshot predates them.
+  /// Between CaptureCheckpoint and FinishCheckpoint: the previous log and
+  /// its size at capture time. Operations logged past that mark raced
+  /// the snapshot (its commit runs unlocked, and a sharded checkpoint
+  /// commits every shard before any switches its log); FinishCheckpoint
+  /// re-appends them to the fresh log so they stay durable even though
+  /// the new snapshot predates them.
   std::string carry_log_path_ PNW_GUARDED_BY(mu_);
   uint64_t carry_log_mark_ PNW_GUARDED_BY(mu_) = 0;
-  /// Set when WriteCheckpoint already attached the new generation's log
+  /// Set when CaptureCheckpoint already attached the new generation's log
   /// (no previous log existed to carry from -- first checkpoint or a
-  /// degraded store); FinishCheckpoint then has nothing left to switch.
-  bool log_switched_in_write_ PNW_GUARDED_BY(mu_) = false;
+  /// degraded store); FinishCheckpoint then has nothing left to switch,
+  /// and AbortCheckpoint detaches it.
+  bool log_switched_in_capture_ PNW_GUARDED_BY(mu_) = false;
   /// True while Open() replays the log: replayed ops must not re-append.
   bool replaying_ PNW_GUARDED_BY(mu_) = false;
 

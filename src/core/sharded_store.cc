@@ -166,13 +166,29 @@ Status ShardedPnwStore::Checkpoint(const std::string& dir) {
   // -- no write is ever captured only by an uncommitted generation.
   PNW_RETURN_IF_ERROR(ForEachShard(
       shards_.size(), [this, &epoch_dir](size_t i) -> Status {
-        // Exclusive: the snapshot must see a quiesced shard, so in-flight
+        PnwStore& shard = *shards_[i];
+        const std::string path = epoch_dir + "/" + ShardSnapshotName(i);
+        // Exclusive only while the snapshot is captured into its temp
+        // file: the capture must see a quiesced shard, so in-flight
         // shared-lock readers drain first and new ones wait; readers of
         // *other* shards are unaffected (this is the checkpoint-vs-reader
         // interlock).
-        PnwStore& shard = *shards_[i];
-        util::WriterLock lock(shard.mu());
-        return shard.WriteCheckpoint(epoch_dir + "/" + ShardSnapshotName(i));
+        auto pending = [&shard, &path] {
+          util::WriterLock lock(shard.mu());
+          return shard.CaptureCheckpoint(path);
+        }();
+        if (!pending.ok()) {
+          return pending.status();
+        }
+        // The fsync, rename and directory fsync run unlocked: the shard
+        // keeps serving, and its operations keep landing in the committed
+        // generation's log, past the capture's mark.
+        const Status committed = pending.value().Commit();
+        if (!committed.ok()) {
+          util::WriterLock lock(shard.mu());
+          shard.AbortCheckpoint();
+        }
+        return committed;
       }));
   persist::SnapshotWriter manifest(kManifestVersion);
   auto& w = manifest.AddSection(kManifestSection);
@@ -182,8 +198,8 @@ Status ShardedPnwStore::Checkpoint(const std::string& dir) {
   PNW_RETURN_IF_ERROR(manifest.WriteToFile(dir + "/" + kManifestName));
   checkpoint_epoch_ = epoch;
   // Phase 2, after the commit point: switch every shard's op-log to the
-  // new generation. Ops a shard acknowledges between the manifest rename
-  // and its own switch land in the old generation's log only -- the one
+  // new generation. Ops a shard acknowledged after its capture sit in the
+  // old generation's log only until its switch carries them -- the one
   // bounded loss window a crash in this phase can cause.
   PNW_RETURN_IF_ERROR(ForEachShard(
       shards_.size(), [this, &epoch_dir](size_t i) -> Status {

@@ -81,9 +81,10 @@ struct ShardedMetrics {
 ///   - shared:    Get, MultiGet, AggregatedMetrics, size -- any number of
 ///                readers proceed concurrently, even on the *same* shard.
 ///   - exclusive: Put, Delete, Update, Bootstrap, TrainModel,
-///                ResetWearAndMetrics, MigrateOnce, and both Checkpoint
-///                phases (the snapshot is a consistent read of a quiesced
-///                shard).
+///                ResetWearAndMetrics, MigrateOnce, and Checkpoint's
+///                capture and log switch (the snapshot is a consistent
+///                read of a quiesced shard). No fsync runs under it: a
+///                snapshot's fsync and rename run unlocked.
 /// The PnwStore read path holds up its end: under a shared lock it only
 /// does const index lookups, device Peeks, and relaxed-atomic metrics
 /// updates (StoreMetrics::gets/get_misses/get_device_ns).
@@ -131,21 +132,28 @@ class ShardedPnwStore {
 
   /// Two-phase checkpoint into a fresh `dir/epoch-NNNNNN/` generation.
   /// Phase 1 snapshots every shard in parallel (one thread-pool task per
-  /// shard, each locking only its shard) while the shards keep logging
-  /// into the *committed* generation -- so an error or crash anywhere up
-  /// to the commit leaves durability exactly as before the call. The
-  /// commit point is the atomic write of `dir/MANIFEST`; phase 2 then
-  /// switches every shard's op-log (`shard-NNNN.snap.oplog` inside the
-  /// generation) to the new generation -- carrying over the records of
-  /// operations that raced the shard's snapshot, so in the absence of a
-  /// crash no acknowledged write is ever dropped -- and superseded or
-  /// partial generations are garbage-collected. A crash mid-checkpoint
-  /// therefore recovers the previous complete generation; a crash
-  /// between the manifest commit and a shard's log switch can lose only
-  /// the operations that shard acknowledged inside that window. The snapshot
-  /// is crash-consistent *per shard*, not a global point in time (keys
-  /// routed to different shards may be captured at slightly different
-  /// moments). Call from one thread at a time.
+  /// shard) while the shards keep logging into the *committed*
+  /// generation -- so an error or crash anywhere up to the commit leaves
+  /// durability exactly as before the call. A shard's exclusive lock
+  /// covers only its capture: the small sections encoded and the snapshot
+  /// written into its temp file straight from live memory, plus the
+  /// op-log mark. The fsync, rename and directory fsync follow unlocked
+  /// (PnwStore::CaptureCheckpoint); a failed one retakes the lock to roll
+  /// the capture back. The commit point is the atomic write of
+  /// `dir/MANIFEST`; phase 2 then switches every shard's op-log
+  /// (`shard-NNNN.snap.oplog` inside the generation) to the new
+  /// generation under its lock -- carrying over the records of operations
+  /// that raced the shard's snapshot, so in the absence of a crash no
+  /// acknowledged write is ever dropped, and closing the superseded log
+  /// without an fsync -- and superseded or partial generations are
+  /// garbage-collected. A crash mid-checkpoint therefore recovers the
+  /// previous complete generation; a crash between the manifest commit
+  /// and a shard's log switch can lose only the operations that shard
+  /// acknowledged after its capture, which until the switch sit in the
+  /// superseded generation's log alone. The snapshot is crash-consistent
+  /// *per shard*, not a global point in time (keys routed to different
+  /// shards may be captured at slightly different moments). Call from one
+  /// thread at a time.
   Status Checkpoint(const std::string& dir);
 
   /// File name of shard `i`'s snapshot inside a checkpoint generation.

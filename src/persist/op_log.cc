@@ -44,6 +44,7 @@ Result<std::unique_ptr<OpLogWriter>> OpLogWriter::Open(
   const auto size = std::filesystem::file_size(path, ec);
   if (!ec && size == 0) {
     PNW_RETURN_IF_ERROR(writer->WriteHeader(epoch));
+    writer->created_ = true;
     // A brand-new log file is a new directory entry: persist it, or a
     // power failure could drop the whole (otherwise fsync'd) log.
     SyncParentDir(path);
@@ -124,6 +125,15 @@ Status OpLogWriter::Sync() {
   return Status::OK();
 }
 
+void OpLogWriter::CloseSuperseded(std::unique_ptr<OpLogWriter> log) {
+  if (log != nullptr) {
+    // status-dropped: every record was flushed to the OS on append, and no
+    // recovery reads a superseded log, so a close error loses nothing.
+    (void)std::fclose(log->file_);
+    log->file_ = nullptr;  // the destructor has nothing left to sync
+  }
+}
+
 Status OpLogWriter::Reset(uint64_t epoch) {
   if (std::fflush(file_) != 0 || ::ftruncate(fileno(file_), 0) != 0) {
     return Status::Internal("op-log truncate failed for " + path_);
@@ -137,33 +147,40 @@ Status OpLogWriter::Reset(uint64_t epoch) {
 Result<OpLogContents> ReadOpLog(const std::string& path,
                                 uint64_t resume_offset) {
   OpLogContents contents;
-  auto file = ReadFileBytes(path);
-  if (!file.ok()) {
-    if (file.status().IsNotFound()) {
+  // The header first, then only the bytes past the resume offset: a
+  // checkpoint carrying a few records from a log of megabytes must not
+  // read the rest.
+  uint64_t file_size = 0;
+  auto head = ReadFileBytes(path, 0, kHeaderBytes, &file_size);
+  if (!head.ok()) {
+    if (head.status().IsNotFound()) {
       return contents;  // no log yet: nothing to replay
     }
-    return file.status();
+    return head.status();
   }
-  const std::vector<uint8_t>& bytes = file.value();
-  if (bytes.empty()) {
+  const std::vector<uint8_t>& header_bytes = head.value();
+  if (header_bytes.empty()) {
     return contents;
   }
-  if (bytes.size() < kHeaderBytes ||
-      std::memcmp(bytes.data(), kLogMagic, sizeof(kLogMagic)) != 0) {
+  if (header_bytes.size() < kHeaderBytes ||
+      std::memcmp(header_bytes.data(), kLogMagic, sizeof(kLogMagic)) != 0) {
     return Status::Corruption("not a PNW op-log: " + path);
   }
   {
     BufferReader header(std::span<const uint8_t>(
-        bytes.data() + sizeof(kLogMagic), kHeaderBytes - sizeof(kLogMagic)));
+        header_bytes.data() + sizeof(kLogMagic),
+        kHeaderBytes - sizeof(kLogMagic)));
     PNW_RETURN_IF_ERROR(header.GetU64(&contents.epoch));
   }
   contents.has_header = true;
-  const size_t start =
-      std::max<uint64_t>(kHeaderBytes,
-                         std::min<uint64_t>(resume_offset, bytes.size()));
+  const uint64_t start = std::max<uint64_t>(
+      kHeaderBytes, std::min<uint64_t>(resume_offset, file_size));
   contents.valid_bytes = start;
-  BufferReader r(std::span<const uint8_t>(bytes.data() + start,
-                                          bytes.size() - start));
+  auto tail = ReadFileBytes(path, start);
+  if (!tail.ok()) {
+    return tail.status();
+  }
+  BufferReader r(tail.value());
   while (!r.AtEnd()) {
     uint32_t crc = 0;
     uint32_t body_len = 0;

@@ -85,13 +85,17 @@ class OpLogWriter {
  public:
   /// Open `path` for appending, creating it (with a header stamping
   /// `epoch`) if absent or empty; an existing non-empty log keeps its
-  /// header (callers verify its epoch via ReadOpLog before appending).
-  /// `sync_every` = N means one fdatasync per N appended records
+  /// header (callers verify its epoch via ReadOpLog before appending, or
+  /// Reset it). A log is stamped on creation, never created and then
+  /// truncated: on ext4 a file truncated to zero has its dirty pages
+  /// flushed when it is closed, so a truncate costs a checkpoint a write
+  /// back. `sync_every` = N means one fdatasync per N appended records
   /// (1 = sync every record; the durable-but-slow setting).
   static Result<std::unique_ptr<OpLogWriter>> Open(const std::string& path,
                                                    size_t sync_every,
                                                    uint64_t epoch);
 
+  /// Syncs what was appended (see CloseSuperseded for the exception).
   ~OpLogWriter();
   OpLogWriter(const OpLogWriter&) = delete;
   OpLogWriter& operator=(const OpLogWriter&) = delete;
@@ -115,8 +119,19 @@ class OpLogWriter {
 
   /// Truncate the log to empty and stamp a fresh header carrying `epoch`
   /// (called after a successful checkpoint captured everything the log
-  /// held; the new epoch ties the emptied log to that snapshot).
+  /// held; the new epoch ties the emptied log to that snapshot). Only for
+  /// a log that already holds bytes; Open stamps a new one.
   Status Reset(uint64_t epoch);
+
+  /// Close `log` (if any) without an fsync: for a log that a durable,
+  /// newer checkpoint has superseded, which recovery never reads again.
+  /// Its records were handed to the OS on append; forcing them to the
+  /// disk would only stall the checkpoint.
+  static void CloseSuperseded(std::unique_ptr<OpLogWriter> log);
+
+  /// True when Open created the file or found it empty and stamped its
+  /// header; false when it attached to a log that already held bytes.
+  bool created() const { return created_; }
 
   /// Records appended through this writer (not counting pre-existing ones).
   uint64_t appended() const { return appended_; }
@@ -134,6 +149,7 @@ class OpLogWriter {
   size_t sync_every_;
   size_t since_sync_ = 0;
   uint64_t appended_ = 0;
+  bool created_ = false;
   /// Reusable framing scratch (capacity persists across appends, so the
   /// steady-state append path performs no heap allocation).
   BufferWriter body_scratch_;
@@ -144,9 +160,11 @@ class OpLogWriter {
 /// record (the torn tail a crash mid-append leaves behind). A missing file
 /// parses as an empty log; a file whose header is not an op-log header is
 /// Corruption. A nonzero `resume_offset` (a record boundary previously
-/// observed, e.g. the log size at snapshot time) skips the records before
-/// it and returns only the tail -- how a coordinated checkpoint carries
-/// the operations that raced its snapshot into the next generation's log.
+/// observed, e.g. the log size at snapshot time) returns only the records
+/// after it, reading nothing but the header and those bytes from disk --
+/// how a coordinated checkpoint carries the operations that raced its
+/// snapshot into the next generation's log. `valid_bytes` stays an
+/// absolute file offset either way.
 Result<OpLogContents> ReadOpLog(const std::string& path,
                                 uint64_t resume_offset = 0);
 

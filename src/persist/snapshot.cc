@@ -6,16 +6,15 @@
 
 namespace pnw::persist {
 
-BufferWriter& SnapshotWriter::AddSection(uint32_t id) {
-  sections_.emplace_back(id, BufferWriter{});
+SectionWriter& SnapshotWriter::AddSection(uint32_t id) {
+  sections_.emplace_back(id, SectionWriter{});
   return sections_.back().second;
 }
 
-Status SnapshotWriter::WriteToFile(const std::string& path) const {
-  // Stream header + per-section frames + the payloads themselves straight
-  // from their owning buffers: no second full-container copy in memory
-  // (the device-contents section alone is the size of the simulated
-  // chip).
+Result<PendingFile> SnapshotWriter::WriteTemp(const std::string& path) const {
+  // Stream header + per-section frames + the payload pieces themselves
+  // straight from their owning memory: no full-container copy (the
+  // device-contents section alone is the size of the simulated chip).
   BufferWriter header;
   header.PutU32(kSnapshotMagic);
   header.PutU32(kSnapshotContainerVersion);
@@ -24,17 +23,29 @@ Status SnapshotWriter::WriteToFile(const std::string& path) const {
   std::vector<BufferWriter> frames;
   frames.reserve(sections_.size());
   std::vector<std::span<const uint8_t>> parts;
-  parts.reserve(1 + 2 * sections_.size());
   parts.emplace_back(header.data());
   for (const auto& [id, payload] : sections_) {
+    const std::vector<std::span<const uint8_t>> pieces = payload.Parts();
+    uint32_t crc = kCrc32Init;
+    for (const auto& piece : pieces) {
+      crc = Crc32Update(crc, piece);
+    }
     BufferWriter& frame = frames.emplace_back();
     frame.PutU32(id);
     frame.PutU64(payload.size());
-    frame.PutU32(Crc32(payload.data()));
+    frame.PutU32(Crc32Finish(crc));
     parts.emplace_back(frame.data());
-    parts.emplace_back(payload.data());
+    parts.insert(parts.end(), pieces.begin(), pieces.end());
   }
-  return AtomicWriteFileParts(path, parts);
+  return WriteTempFile(path, parts);
+}
+
+Status SnapshotWriter::WriteToFile(const std::string& path) const {
+  auto pending = WriteTemp(path);
+  if (!pending.ok()) {
+    return pending.status();
+  }
+  return pending.value().Commit();
 }
 
 Result<SnapshotReader> SnapshotReader::Parse(

@@ -33,9 +33,11 @@ namespace pnw::persist {
 inline constexpr uint32_t kSnapshotMagic = 0x53574E50u;  // "PNWS"
 inline constexpr uint32_t kSnapshotContainerVersion = 1;
 
-/// Builds a snapshot in memory section by section, then writes it to disk
+/// Builds a snapshot section by section, then writes it to disk
 /// atomically (temp file + fsync + rename, see AtomicWriteFile) so a crash
-/// during Checkpoint never destroys the previous checkpoint.
+/// during Checkpoint never destroys the previous checkpoint. Sections are
+/// SectionWriters: their bulk arrays stay in the caller's memory, borrowed
+/// until the container is written.
 class SnapshotWriter {
  public:
   explicit SnapshotWriter(uint32_t payload_version)
@@ -43,16 +45,21 @@ class SnapshotWriter {
 
   /// Start a new section; returns the writer the caller fills with the
   /// section payload. Section ids must be unique within one snapshot.
-  BufferWriter& AddSection(uint32_t id);
+  SectionWriter& AddSection(uint32_t id);
 
-  /// Stream header + CRC-framed sections to `path` atomically (temp file
-  /// + fsync + rename), straight from the section buffers -- no second
-  /// full-container copy in memory.
+  /// Stream header + CRC-framed sections into `path + ".tmp"` straight
+  /// from the section writers and the memory they borrow -- no copy of
+  /// the container in memory, and no fsync. Once this returns, nothing
+  /// borrowed is read again; the PendingFile's Commit() makes the file
+  /// durable and renames it over `path`.
+  Result<PendingFile> WriteTemp(const std::string& path) const;
+
+  /// WriteTemp + Commit.
   Status WriteToFile(const std::string& path) const;
 
  private:
   uint32_t payload_version_;
-  std::vector<std::pair<uint32_t, BufferWriter>> sections_;
+  std::vector<std::pair<uint32_t, SectionWriter>> sections_;
 };
 
 /// Parses and validates a snapshot container: magic, versions, and every

@@ -6,8 +6,9 @@
 //   pnw_server --port=0 --shards=4 --buckets=4096 --value-bytes=128
 //              [--data-dir=/path/to/dir]
 //
-// --port=0 binds an ephemeral port; the assigned one is announced on
-// stdout as "pnw_server listening on 127.0.0.1:PORT" (machine-parseable:
+// Any other argument, or a malformed number, prints the usage line and
+// exits 2. --port=0 binds an ephemeral port; the assigned one is announced
+// on stdout as "pnw_server listening on 127.0.0.1:PORT" (machine-parseable:
 // scripts/remote_smoke.py and the e2e fixtures scrape it).
 //
 // With --data-dir the store checkpoints into the directory and reopens
@@ -16,6 +17,8 @@
 // store batch, not a no-op.
 #include <unistd.h>
 
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -36,30 +39,81 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStopSignal(int /*signum*/) { g_stop = 1; }
 
-const char* FindFlag(int argc, char** argv, const char* name) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return nullptr;
+constexpr char kUsage[] =
+    "usage: pnw_server [--port=N] [--shards=N] [--buckets=N] "
+    "[--value-bytes=N] [--data-dir=PATH]\n";
+
+struct Flags {
+  uint64_t port = 0;
+  uint64_t shards = 4;
+  uint64_t buckets = 4096;
+  uint64_t value_bytes = 128;
+  const char* data_dir = nullptr;
+};
+
+/// A command-line mistake: say what and print the usage line.
+bool UsageError(const char* what, const char* arg) {
+  std::fprintf(stderr, "pnw_server: %s '%s'\n%s", what, arg, kUsage);
+  return false;
 }
 
-uint64_t FlagOr(int argc, char** argv, const char* name, uint64_t fallback) {
-  const char* v = FindFlag(argc, argv, name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
+/// Every argument must be one of the flags above, and a number must be
+/// all digits and at most `max`: a misspelled --data-dir would otherwise
+/// serve a store with no checkpoint and no op-log, and strtoull alone
+/// reads "--port=abc" as 0. Returns false after a UsageError.
+bool ParseFlags(int argc, char** argv, Flags& flags) {
+  struct Numeric {
+    const char* prefix;
+    uint64_t* value;
+    uint64_t max;
+  };
+  const Numeric numeric[] = {
+      {"--port=", &flags.port, 65535},
+      {"--shards=", &flags.shards, UINT64_MAX},
+      {"--buckets=", &flags.buckets, UINT64_MAX},
+      {"--value-bytes=", &flags.value_bytes, UINT64_MAX},
+  };
+  constexpr char kDataDir[] = "--data-dir=";
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strncmp(arg, kDataDir, sizeof(kDataDir) - 1) == 0) {
+      flags.data_dir = arg + sizeof(kDataDir) - 1;
+      continue;
+    }
+    const Numeric* flag = nullptr;
+    for (const Numeric& n : numeric) {
+      if (std::strncmp(arg, n.prefix, std::strlen(n.prefix)) == 0) {
+        flag = &n;
+      }
+    }
+    if (flag == nullptr) {
+      return UsageError("unknown argument", arg);
+    }
+    const char* digits = arg + std::strlen(flag->prefix);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(digits, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(digits[0])) ||
+        *end != '\0' || errno != 0 || v > flag->max) {
+      return UsageError("malformed number in", arg);
+    }
+    *flag->value = v;
+  }
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint16_t port =
-      static_cast<uint16_t>(FlagOr(argc, argv, "port", 0));
-  const size_t shards = FlagOr(argc, argv, "shards", 4);
-  const size_t buckets = FlagOr(argc, argv, "buckets", 4096);
-  const size_t value_bytes = FlagOr(argc, argv, "value-bytes", 128);
-  const char* data_dir = FindFlag(argc, argv, "data-dir");
+  Flags flags;
+  if (!ParseFlags(argc, argv, flags)) {
+    return 2;
+  }
+  const auto port = static_cast<uint16_t>(flags.port);
+  const size_t shards = flags.shards;
+  const size_t buckets = flags.buckets;
+  const size_t value_bytes = flags.value_bytes;
+  const char* data_dir = flags.data_dir;
 
   pnw::core::ShardedOptions options;
   options.num_shards = shards;

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -721,7 +722,9 @@ TEST_F(PersistTest, ShardedLiveCheckpointUnderConcurrentTraffic) {
 
   // Enough writer work that the checkpoints below genuinely race the
   // writers -- operations landing between a shard's snapshot and its log
-  // switch are exactly the records the carry logic must preserve.
+  // switch are exactly the records the carry logic must preserve. Besides
+  // fresh puts, each writer updates and deletes keys it wrote earlier, so
+  // a carried tail holds every record kind.
   constexpr size_t kWriters = 4;
   constexpr size_t kPerWriter = 384;
   std::vector<std::thread> writers;
@@ -732,6 +735,15 @@ TEST_F(PersistTest, ShardedLiveCheckpointUnderConcurrentTraffic) {
         const uint64_t key = w * 1000 + i;
         ASSERT_TRUE(
             store->Put(key, GroupValue(i % 2, static_cast<uint8_t>(i))).ok());
+        if (i % 3 == 1) {
+          ASSERT_TRUE(store
+                          ->Update(key - 1, GroupValue((i + 1) % 2,
+                                                       static_cast<uint8_t>(i)))
+                          .ok());
+        }
+        if (i % 5 == 4) {
+          ASSERT_TRUE(store->Delete(key - 2).ok());
+        }
       }
     });
   }
@@ -751,7 +763,14 @@ TEST_F(PersistTest, ShardedLiveCheckpointUnderConcurrentTraffic) {
   for (size_t w = 0; w < kWriters; ++w) {
     for (size_t i = 0; i < kPerWriter; ++i) {
       const uint64_t key = w * 1000 + i;
-      EXPECT_EQ(reopened.value()->Get(key).value(), store->Get(key).value());
+      const auto live = store->Get(key);
+      const auto recovered = reopened.value()->Get(key);
+      ASSERT_EQ(recovered.ok(), live.ok()) << key;
+      if (live.ok()) {
+        EXPECT_EQ(recovered.value(), live.value()) << key;
+      } else {
+        EXPECT_TRUE(recovered.status().IsNotFound()) << key;
+      }
     }
   }
   EXPECT_EQ(reopened.value()->Get(9999).value(), GroupValue(1, 0x11));
@@ -796,6 +815,29 @@ TEST_F(PersistTest, OpLogReadBackAndTornTailDetection) {
   EXPECT_EQ(contents.records[2].op, persist::OpType::kDelete);
   EXPECT_TRUE(contents.records[2].value.empty());
 
+  // Resuming from a mark (a checkpoint's carry): from every record
+  // boundary, exactly the later records, with valid_bytes still an
+  // absolute offset. 16B header | 8B frame + 12B body | 8 + 11 | 8 + 9.
+  const uint64_t boundaries[] = {16, 36, 55, 72};
+  EXPECT_EQ(contents.valid_bytes, 72u);
+  for (size_t b = 0; b < std::size(boundaries); ++b) {
+    const auto tail = persist::ReadOpLog(path, boundaries[b]).value();
+    EXPECT_TRUE(tail.has_header);
+    EXPECT_EQ(tail.epoch, 7u);
+    EXPECT_FALSE(tail.tail_truncated);
+    EXPECT_EQ(tail.valid_bytes, 72u);
+    ASSERT_EQ(tail.records.size(), 3 - b);
+    for (size_t r = 0; r < tail.records.size(); ++r) {
+      EXPECT_EQ(tail.records[r].op, contents.records[b + r].op);
+      EXPECT_EQ(tail.records[r].key, contents.records[b + r].key);
+      EXPECT_EQ(tail.records[r].value, contents.records[b + r].value);
+    }
+  }
+  const auto past_end = persist::ReadOpLog(path, 1000).value();
+  EXPECT_TRUE(past_end.records.empty());
+  EXPECT_FALSE(past_end.tail_truncated);
+  EXPECT_EQ(past_end.valid_bytes, 72u);
+
   // Corrupt the second record's payload: the scan stops there (the rest
   // of the file is untrusted once one CRC fails) and reports truncation.
   auto bytes = persist::ReadFileBytes(path).value();
@@ -808,6 +850,12 @@ TEST_F(PersistTest, OpLogReadBackAndTornTailDetection) {
   auto damaged = persist::ReadOpLog(path).value();
   EXPECT_EQ(damaged.records.size(), 1u);
   EXPECT_TRUE(damaged.tail_truncated);
+  EXPECT_EQ(damaged.valid_bytes, 36u);
+  // A torn record past the mark is reported the same way.
+  auto damaged_tail = persist::ReadOpLog(path, 36).value();
+  EXPECT_TRUE(damaged_tail.records.empty());
+  EXPECT_TRUE(damaged_tail.tail_truncated);
+  EXPECT_EQ(damaged_tail.valid_bytes, 36u);
 }
 
 // The crash window between a snapshot's rename and the op-log reset: the
@@ -890,6 +938,188 @@ TEST_F(PersistTest, ShardedRepeatedCheckpointsAndCrashFallback) {
   auto latest = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(latest.ok()) << latest.status();
   EXPECT_TRUE(latest.value()->Get(3).ok());
+}
+
+// --- The split checkpoint: capture under the lock, commit without it.
+
+/// The suite of the split checkpoint's tests: in each, writers hold the
+/// store's lock while the unlocked commit runs.
+using PersistConcurrencyTest = PersistTest;
+
+/// Commit `pending` on this thread while a second thread applies `writes`
+/// under the store's exclusive lock, as a sharded checkpoint's commit
+/// races the shard's writers. Returns the commit's status.
+Status CommitRacingWrites(PnwStore& store, persist::PendingFile& pending,
+                          const std::function<void(PnwStore&)>& writes) {
+  std::thread writer([&store, &writes] {
+    util::WriterLock lock(store.mu());
+    writes(store);
+  });
+  const Status committed = pending.Commit();
+  writer.join();
+  return committed;
+}
+
+// Operations that land between a capture and its finish are not in the
+// snapshot (it holds the capture-time state) but in the previous log,
+// past the capture's mark; FinishCheckpoint carries them into the new
+// generation's log, so a replaying open serves them.
+TEST_F(PersistConcurrencyTest, CheckpointCarriesWritesRacingItsCommit) {
+  auto store = MakeBootstrappedStore(SmallOptions());
+  ASSERT_TRUE(store->Checkpoint(Path("old.snap")).ok());
+  ASSERT_TRUE(store->Put(100, GroupValue(0, 1)).ok());
+
+  auto pending = store->CaptureCheckpoint(Path("new.snap"));
+  ASSERT_TRUE(pending.ok()) << pending.status();
+  EXPECT_FALSE(fs::exists(Path("new.snap")));
+  // Every record kind races the commit.
+  const Status committed =
+      CommitRacingWrites(*store, pending.value(), [](PnwStore& s) {
+        ASSERT_TRUE(s.Put(200, GroupValue(1, 2)).ok());
+        ASSERT_TRUE(s.Update(100, GroupValue(1, 3)).ok());
+        ASSERT_TRUE(s.Delete(5).ok());
+      });
+  ASSERT_TRUE(committed.ok()) << committed;
+  ASSERT_TRUE(store->FinishCheckpoint(Path("new.snap")).ok());
+
+  const auto carried =
+      persist::ReadOpLog(Path("new.snap") + PnwStore::kOpLogSuffix).value();
+  ASSERT_EQ(carried.records.size(), 3u);
+  EXPECT_EQ(carried.records[0].op, persist::OpType::kPut);
+  EXPECT_EQ(carried.records[2].op, persist::OpType::kDelete);
+
+  persist::RecoveryOptions read_only;
+  read_only.attach_op_log = false;
+  auto replayed = PnwStore::Open(Path("new.snap"), read_only);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  ExpectMetricsEqual(replayed.value()->metrics(), store->metrics());
+  EXPECT_EQ(replayed.value()->wear_tracker().bucket_write_counts(),
+            store->wear_tracker().bucket_write_counts());
+  EXPECT_EQ(replayed.value()->Get(200).value(), GroupValue(1, 2));
+  EXPECT_EQ(replayed.value()->Get(100).value(), GroupValue(1, 3));
+  EXPECT_TRUE(replayed.value()->Get(5).status().IsNotFound());
+
+  read_only.replay_op_log = false;
+  auto snapshot_only = PnwStore::Open(Path("new.snap"), read_only);
+  ASSERT_TRUE(snapshot_only.ok()) << snapshot_only.status();
+  EXPECT_TRUE(snapshot_only.value()->Get(200).status().IsNotFound());
+  EXPECT_EQ(snapshot_only.value()->Get(100).value(), GroupValue(0, 1));
+  EXPECT_TRUE(snapshot_only.value()->Get(5).ok());
+}
+
+// A commit that fails (here: the generation directory vanished, so the
+// rename has nowhere to land) leaves the previous checkpoint and its log
+// in charge, and AbortCheckpoint rolls the epoch back.
+TEST_F(PersistConcurrencyTest, FailedCheckpointCommitKeepsTheOldGeneration) {
+  auto store = MakeBootstrappedStore(SmallOptions());
+  ASSERT_TRUE(store->Checkpoint(Path("old.snap")).ok());  // epoch 1
+  fs::create_directories(Path("gen"));
+  auto pending = store->CaptureCheckpoint(Path("gen") + "/new.snap");
+  ASSERT_TRUE(pending.ok()) << pending.status();
+  fs::remove_all(Path("gen"));
+  EXPECT_FALSE(CommitRacingWrites(*store, pending.value(), [](PnwStore& s) {
+                 ASSERT_TRUE(s.Put(300, GroupValue(1, 4)).ok());
+               }).ok());
+  store->AbortCheckpoint();
+  EXPECT_TRUE(store->op_log_attached());
+
+  // Writes during and after the failed commit replay from the old
+  // generation.
+  ASSERT_TRUE(store->Put(301, GroupValue(0, 5)).ok());
+  persist::RecoveryOptions read_only;
+  read_only.attach_op_log = false;
+  auto old = PnwStore::Open(Path("old.snap"), read_only);
+  ASSERT_TRUE(old.ok()) << old.status();
+  EXPECT_EQ(old.value()->Get(300).value(), GroupValue(1, 4));
+  EXPECT_EQ(old.value()->Get(301).value(), GroupValue(0, 5));
+
+  // The next checkpoint succeeds under epoch 2, not 3.
+  ASSERT_TRUE(store->Checkpoint(Path("next.snap")).ok());
+  EXPECT_EQ(
+      persist::ReadOpLog(Path("next.snap") + PnwStore::kOpLogSuffix)
+          .value()
+          .epoch,
+      2u);
+  auto next = PnwStore::Open(Path("next.snap"), read_only);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next.value()->Get(301).value(), GroupValue(0, 5));
+}
+
+// The first checkpoint has no previous log to carry from, so its capture
+// attaches the new generation's log at once. If the commit fails, that
+// log extends a snapshot that never landed: it must be detached.
+TEST_F(PersistConcurrencyTest, FailedFirstCheckpointCommitDetachesItsLog) {
+  auto store = MakeBootstrappedStore(SmallOptions());
+  ASSERT_FALSE(store->op_log_attached());
+  fs::create_directories(Path("gen"));
+  auto pending = store->CaptureCheckpoint(Path("gen") + "/first.snap");
+  ASSERT_TRUE(pending.ok()) << pending.status();
+  EXPECT_TRUE(store->op_log_attached());
+  fs::remove_all(Path("gen"));
+  EXPECT_FALSE(CommitRacingWrites(*store, pending.value(), [](PnwStore& s) {
+                 ASSERT_TRUE(s.Put(400, GroupValue(1, 6)).ok());
+               }).ok());
+  store->AbortCheckpoint();
+  EXPECT_FALSE(store->op_log_attached());
+
+  ASSERT_TRUE(store->Checkpoint(Path("first.snap")).ok());
+  EXPECT_EQ(
+      persist::ReadOpLog(Path("first.snap") + PnwStore::kOpLogSuffix)
+          .value()
+          .epoch,
+      1u);
+  ASSERT_TRUE(store->Put(401, GroupValue(0, 7)).ok());
+  auto reopened = PnwStore::Open(Path("first.snap"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened.value()->Get(400).value(), GroupValue(1, 6));
+  EXPECT_EQ(reopened.value()->Get(401).value(), GroupValue(0, 7));
+}
+
+// The same through ShardedPnwStore::Checkpoint: one shard's commit fails
+// (a directory squats on its snapshot's name, so the rename fails), the
+// checkpoint reports it before the manifest moves, the committed
+// generation keeps replaying, and the next checkpoint succeeds.
+TEST_F(PersistTest, ShardedCheckpointCommitFailureKeepsTheOldGeneration) {
+  ShardedOptions options;
+  options.num_shards = 2;
+  options.store = SmallOptions();
+  auto store = ShardedPnwStore::Open(options).value();
+  ASSERT_TRUE(store
+                  ->Bootstrap(std::span<const uint64_t>(),
+                              std::span<const std::vector<uint8_t>>())
+                  .ok());
+  ASSERT_TRUE(store->Put(1, GroupValue(0, 1)).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
+
+  const std::string blocker = Path("ckpt") + "/epoch-000002/" +
+                              ShardedPnwStore::ShardSnapshotName(0) + "/x";
+  fs::create_directories(blocker);
+  EXPECT_FALSE(store->Checkpoint(Path("ckpt")).ok());
+  ASSERT_TRUE(store->Put(2, GroupValue(1, 2)).ok());
+  {
+    persist::RecoveryOptions read_only;
+    read_only.attach_op_log = false;
+    auto reopened = ShardedPnwStore::Open(Path("ckpt"), read_only);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(reopened.value()->Get(1).value(), GroupValue(0, 1));
+    EXPECT_EQ(reopened.value()->Get(2).value(), GroupValue(1, 2));
+  }
+
+  fs::remove_all(Path("ckpt") + "/epoch-000002");
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
+  // Shard 0's epoch was rolled back after its failed commit.
+  EXPECT_EQ(persist::ReadOpLog(Path("ckpt") + "/epoch-000002/" +
+                               ShardedPnwStore::ShardSnapshotName(0) +
+                               PnwStore::kOpLogSuffix)
+                .value()
+                .epoch,
+            2u);
+  ASSERT_TRUE(store->Put(3, GroupValue(0, 3)).ok());
+  auto latest = ShardedPnwStore::Open(Path("ckpt"));
+  ASSERT_TRUE(latest.ok()) << latest.status();
+  for (uint64_t key = 1; key <= 3; ++key) {
+    EXPECT_EQ(latest.value()->Get(key).value(), store->Get(key).value());
+  }
 }
 
 // --- PR 5: batched op-log capture.
