@@ -2,18 +2,15 @@
 //   1. FNW chunk size (flag overhead vs flip bound),
 //   2. Captopril segment count (CAP-n, the paper picks n=16 as its best),
 //   3. PNW pool fallback (ranked next-nearest vs strict predicted cluster),
-//   4. mini-batch vs full-batch retraining (time and placement quality),
-//   5. encode byte stride (prediction latency vs placement quality),
-//   6. PCA pipeline on large values.
+//   4. encode byte stride (prediction latency vs placement quality),
+//   5. PCA pipeline on large values.
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "bench/harness.h"
 #include "src/core/pnw_store.h"
-#include "src/ml/kmeans.h"
 #include "src/schemes/captopril.h"
 #include "src/schemes/fnw.h"
 #include "src/util/stats.h"
@@ -135,45 +132,8 @@ void FallbackAblation() {
               "retraining)\n");
 }
 
-void MiniBatchAblation() {
-  std::printf("\n--- Ablation 4: mini-batch vs full-batch retraining "
-              "(mnist features) ---\n");
-  auto dataset = GetDataset("mnist");
-  pnw::ml::BitFeatureEncoder encoder(dataset.value_bytes, 256);
-  pnw::ml::Matrix features = encoder.EncodeBatch(dataset.old_data);
-  pnw::TablePrinter table({"mode", "train_ms", "sse_ratio"});
-  pnw::ml::KMeansOptions full;
-  full.k = 10;
-  full.seed = 3;
-  const auto t0 = std::chrono::steady_clock::now();
-  const double full_sse =
-      pnw::ml::KMeansTrainer(full).Fit(features).value().sse();
-  const auto t1 = std::chrono::steady_clock::now();
-  table.AddRow({"full Lloyd",
-                pnw::TablePrinter::Fmt(
-                    std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                    1),
-                "1.00"});
-  for (size_t batch : {64, 128, 256}) {
-    pnw::ml::KMeansOptions mini = full;
-    mini.mini_batch_size = batch;
-    const auto t2 = std::chrono::steady_clock::now();
-    const double sse = pnw::ml::KMeansTrainer(mini).Fit(features).value().sse();
-    const auto t3 = std::chrono::steady_clock::now();
-    table.AddRow({"mini-batch " + std::to_string(batch),
-                  pnw::TablePrinter::Fmt(
-                      std::chrono::duration<double, std::milli>(t3 - t2)
-                          .count(),
-                      1),
-                  pnw::TablePrinter::Fmt(sse / full_sse, 2)});
-  }
-  table.Print();
-  std::printf("(background retraining can trade a few %% SSE for a much "
-              "smaller load-factor headroom)\n");
-}
-
 void StrideAblation() {
-  std::printf("\n--- Ablation 5: encode byte stride (sherbrooke, k=8) ---\n");
+  std::printf("\n--- Ablation 4: encode byte stride (sherbrooke, k=8) ---\n");
   pnw::TablePrinter table({"stride", "bits/512b", "pred_us"});
   auto dataset = GetDataset("sherbrooke");
   for (size_t stride : {1, 2, 4, 8, 16}) {
@@ -215,7 +175,7 @@ void StrideAblation() {
 }
 
 void PcaAblation() {
-  std::printf("\n--- Ablation 6: PCA pipeline on large values "
+  std::printf("\n--- Ablation 5: PCA pipeline on large values "
               "(mnist, k=10) ---\n");
   pnw::TablePrinter table({"pipeline", "bits/512b", "pred_us"});
   auto dataset = GetDataset("mnist");
@@ -245,7 +205,6 @@ int main() {
   FnwChunkAblation();
   CaptoprilSegmentsAblation();
   FallbackAblation();
-  MiniBatchAblation();
   StrideAblation();
   PcaAblation();
   return 0;

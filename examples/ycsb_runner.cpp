@@ -7,8 +7,8 @@
 //                                [--checkpoint-dir=PATH]
 //
 // (--flag N is accepted as well as --flag=N; --help prints the flag list.
-// An unknown argument or a malformed number prints the usage line and
-// exits 2.)
+// An unknown argument, a malformed number or a flag given twice prints the
+// usage line and exits 2.)
 //
 // --threads/--shards drive the concurrent ShardedPnwStore front-end: each
 // thread runs its own operation stream (own generator seed, own value RNG)
@@ -65,6 +65,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -152,27 +153,34 @@ constexpr const char* kSwitches[] = {"wear-report"};
   std::exit(2);
 }
 
-/// Every argument must be a known flag or a bare value flag's value, so a
-/// stale or misspelled flag stops the run instead of silently leaving its
-/// machinery off.
+/// Every argument must be a known flag or a bare value flag's value, and
+/// no flag may be given twice, so a stale, misspelled or repeated flag
+/// stops the run instead of silently leaving its machinery off or running
+/// on one of two values.
 void RejectUnknownArgs(int argc, char** argv) {
+  std::set<std::string> seen;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    bool known = false;
+    std::string known;  // the flag `arg` names; empty if none
     for (const char* name : kValueFlags) {
       const std::string flag = std::string("--") + name;
       if (arg == flag) {
         ++i;  // its value; FindFlag reports a missing one
-        known = true;
+        known = name;
       } else if (arg.rfind(flag + "=", 0) == 0) {
-        known = true;
+        known = name;
       }
     }
     for (const char* name : kSwitches) {
-      known = known || arg == std::string("--") + name;
+      if (arg == std::string("--") + name) {
+        known = name;
+      }
     }
-    if (!known) {
+    if (known.empty()) {
       UsageError("unknown argument '" + arg + "'");
+    }
+    if (!seen.insert(known).second) {
+      UsageError("--" + known + " given twice");
     }
   }
 }

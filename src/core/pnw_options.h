@@ -62,20 +62,17 @@ struct PnwOptions {
   /// the available addresses ... are used, the K/V data zone needs to be
   /// extended").
   double load_factor = 0.90;
-  /// Automatically extend/retrain when the load factor is crossed.
+  /// Automatically extend/retrain when the load factor is crossed. Each
+  /// retrain runs synchronously inside the PUT that triggers it. Once the
+  /// zone is at capacity, retrains are paced to one per
+  /// max(256, active_buckets / 4) PUTs, so a store hovering at the
+  /// threshold does not retrain on every operation.
   bool auto_retrain = true;
-  /// Minimum PUTs between two load-factor-triggered retrainings
-  /// (hysteresis so a store hovering at the threshold does not retrain on
-  /// every operation). 0 = auto (max(256, active_buckets / 4)).
-  size_t retrain_min_interval = 0;
-  /// Retrain on a background thread and hot-swap the model (paper
-  /// Section VI-F); if false, retraining blocks the triggering operation.
-  bool background_retrain = false;
   /// Train the bootstrap model (Algorithm 1) at the end of Bootstrap().
   /// With false the store starts model-less and every PUT places like DCW
-  /// (counted in StoreMetrics::fallback_placements) until TrainModel() or a
-  /// background run succeeds -- also the state a store is left in when
-  /// bootstrap training fails.
+  /// (counted in StoreMetrics::fallback_placements) until a TrainModel()
+  /// succeeds -- also the state a store is left in when bootstrap training
+  /// fails.
   bool train_on_bootstrap = true;
 
   IndexPlacement index_placement = IndexPlacement::kDram;

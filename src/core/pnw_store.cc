@@ -186,17 +186,6 @@ Status PnwStore::Init() {
       static_cast<uint8_t*>(staging_arena_.Allocate(bucket_bytes_, 64)),
       bucket_bytes_);
 
-  ModelTrainingConfig training;
-  training.value_bytes = options_.value_bytes;
-  training.num_clusters = options_.num_clusters;
-  training.max_features = options_.max_features;
-  training.pca_components = options_.pca_components;
-  training.max_iterations = options_.max_training_iterations;
-  training.train_threads = options_.train_threads;
-  training.encode_byte_stride = options_.encode_byte_stride;
-  training.seed = options_.seed;
-  manager_ = std::make_unique<ModelManager>(training);
-
   active_buckets_ = options_.initial_buckets;
   // Until a model exists, every free address sits in cluster 0 and PUTs
   // place like DCW.
@@ -341,7 +330,7 @@ Status PnwStore::Bootstrap(std::span<const uint64_t> keys,
   if (!options_.train_on_bootstrap) {
     // Model-less operation: rebuild the pool from the occupancy bitmap with
     // every free address in cluster 0 (pure DCW placement) until
-    // TrainModel() or a background run installs a model.
+    // TrainModel() installs a model.
     AdoptModel(nullptr);
     return Status::OK();
   }
@@ -388,8 +377,7 @@ void PnwStore::AdoptModel(std::shared_ptr<const ValueModel> model) {
 }
 
 Status PnwStore::TrainModel() {
-  const auto samples = CollectTrainingSamples();
-  auto model = manager_->Train(samples);
+  auto model = TrainValueModel(options_, CollectTrainingSamples());
   if (!model.ok()) {
     return model.status();
   }
@@ -399,23 +387,7 @@ Status PnwStore::TrainModel() {
   return Status::OK();
 }
 
-void PnwStore::PollBackgroundModel() {
-  // Surface background-training failures: the worker records its status in
-  // the manager; fold any new failures into the store's metrics so a stale
-  // model in service is visible to operators.
-  const uint64_t failures = manager_->background_failures();
-  if (failures > background_failures_seen_) {
-    metrics_.failed_retrains += failures - background_failures_seen_;
-    background_failures_seen_ = failures;
-  }
-  if (auto model = manager_->TakeTrainedModel(); model != nullptr) {
-    AdoptModel(std::move(model));
-    ++metrics_.retrains;
-  }
-}
-
 Status PnwStore::MaybeExtendAndRetrain() {
-  PollBackgroundModel();
   if (UsedFraction() < options_.load_factor || !options_.auto_retrain) {
     return Status::OK();
   }
@@ -433,17 +405,8 @@ Status PnwStore::MaybeExtendAndRetrain() {
   // Retrain over the (possibly extended) data zone -- but not on every
   // operation while the store hovers at the threshold (steady-state
   // delete+put traffic keeps occupancy pinned there).
-  const size_t min_interval =
-      options_.retrain_min_interval != 0
-          ? options_.retrain_min_interval
-          : std::max<size_t>(256, active_buckets_ / 4);
+  const size_t min_interval = std::max<size_t>(256, active_buckets_ / 4);
   if (grow == 0 && puts_since_retrain_ < min_interval) {
-    return Status::OK();
-  }
-  if (options_.background_retrain) {
-    if (manager_->StartBackgroundTrain(CollectTrainingSamples())) {
-      puts_since_retrain_ = 0;
-    }
     return Status::OK();
   }
   return TrainModel();
@@ -697,12 +660,8 @@ Status PnwStore::Delete(uint64_t key) {
   if (!bootstrapped_) {
     return Status::FailedPrecondition("Bootstrap the store before Delete");
   }
-  Status s = DeleteInternal(key);
-  if (s.ok()) {
-    PollBackgroundModel();
-    PNW_RETURN_IF_ERROR(LogOp(persist::OpType::kDelete, key, {}));
-  }
-  return s;
+  PNW_RETURN_IF_ERROR(DeleteInternal(key));
+  return LogOp(persist::OpType::kDelete, key, {});
 }
 
 Status PnwStore::Update(uint64_t key, std::span<const uint8_t> value) {
@@ -1167,9 +1126,6 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
     active_buckets_ = active;
     used_buckets_ = used;
     puts_since_retrain_ = since_retrain;
-    // The fresh ModelManager starts with zero background failures; the
-    // checkpointed ones are already folded into metrics_.failed_retrains.
-    background_failures_seen_ = 0;
   }
   // Every address the snapshot hands the index or the pool must name an
   // active bucket.
@@ -1365,13 +1321,6 @@ void PnwStore::FlushBatchLog(std::span<Status> statuses) {
 }
 
 void PnwStore::ResetWearAndMetrics() {
-  // Settle background state into the epoch being discarded before zeroing:
-  // any finished background model is adopted now and any pending training
-  // failure is folded into the old metrics, which synchronizes
-  // background_failures_seen_ with the manager. Post-reset deltas then
-  // count only post-reset failures -- a warm-up failure is neither
-  // re-folded into the fresh metrics nor double counted later.
-  PollBackgroundModel();
   device_->ResetCounters();
   metrics_ = StoreMetrics{};
   // Retrain pacing restarts with the new epoch; without this a post-warm-up

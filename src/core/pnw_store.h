@@ -52,12 +52,13 @@ namespace pnw::core {
 /// (matching the paper's single-writer evaluation per shard). The seqlock
 /// read TryGetOptimistic runs the same read body with no lock at all and
 /// keeps its result only if no writer ran meanwhile.
-/// Background retraining runs on its own thread and is integrated via an
-/// atomic model swap. Single-threaded callers (tests, benches) take
-/// util::WriterLock/ReaderLock guards, which are uncontended one-atomic-op
-/// acquisitions; the concurrent entry point is ShardedPnwStore
-/// (src/core/sharded_store.h), which routes keys across N independent
-/// PnwStore shards and locks exactly one shard per operation.
+/// A store starts no thread of its own: (re)training runs synchronously
+/// inside the operation that triggers it, so every model swap happens at a
+/// point in the op sequence that op-log replay reproduces. Single-threaded
+/// callers (tests, benches) take util::WriterLock/ReaderLock guards, which
+/// are uncontended one-atomic-op acquisitions; the concurrent entry point
+/// is ShardedPnwStore (src/core/sharded_store.h), which routes keys across
+/// N independent PnwStore shards and locks exactly one shard per operation.
 class PnwStore {
  public:
   /// Bumped whenever the snapshot section layout changes; a snapshot
@@ -79,7 +80,9 @@ class PnwStore {
   /// v8: Start-Gap is gone: PnwOptions lost its two knobs, StoreMetrics
   ///     lost gap_moves, the wear section holds one histogram (per bucket),
   ///     and the remap section is gone.
-  static constexpr uint32_t kSnapshotVersion = 8;
+  /// v9: background retraining is gone: PnwOptions lost its flag and the
+  ///     retrain-pacing knob, StoreMetrics lost the failed-retrain counter.
+  static constexpr uint32_t kSnapshotVersion = 9;
   /// The op-log of a checkpoint at `path` lives at `path + kOpLogSuffix`.
   static constexpr const char* kOpLogSuffix = ".oplog";
 
@@ -114,9 +117,11 @@ class PnwStore {
   /// checkpoint taken *before* the reset replays the logged ops on the
   /// old epoch, i.e. a reset is durable only once a checkpoint follows it.
   ///
-  /// A background training run in flight is deliberately not captured
-  /// (the snapshot holds the currently-served model); after a crash the
-  /// run is simply lost and retraining re-triggers by the usual pacing.
+  /// The snapshot holds the served model and the retrain pacing state, and
+  /// a load-factor retrain runs synchronously inside the PUT that triggers
+  /// it, so replay retrains at exactly the points the live store did. An
+  /// explicit TrainModel() is, like a reset, not an op-log record: it is
+  /// durable once a checkpoint follows it.
   ///
   /// Runs CaptureCheckpoint, the commit and FinishCheckpoint all under the
   /// caller's lock.
@@ -299,9 +304,6 @@ class PnwStore {
   std::shared_ptr<const ValueModel> model() const PNW_REQUIRES_SHARED(mu_) {
     return model_;
   }
-  /// The (re)training owner, for inspecting background-run status (the
-  /// manager serializes its own state internally).
-  ModelManager& model_manager() PNW_REQUIRES_SHARED(mu_) { return *manager_; }
 
   /// Zero all wear counters and operation metrics (benches call this after
   /// warm-up so only measured traffic is scored).
@@ -418,9 +420,6 @@ class PnwStore {
   /// relocations touch anything, which is what keeps replay bit-for-bit.
   Result<bool> MigrateBucket(size_t bucket) PNW_REQUIRES(mu_);
 
-  /// Collect a finished background model, if any.
-  void PollBackgroundModel() PNW_REQUIRES(mu_);
-
   /// Restore every serialized section of `snap` into this freshly-Init'd
   /// store (geometry mismatches fail with Corruption).
   Status RestoreFrom(const persist::SnapshotReader& snap) PNW_REQUIRES(mu_);
@@ -463,7 +462,6 @@ class PnwStore {
   std::unique_ptr<nvm::NvmDevice> device_ PNW_GUARDED_BY(mu_);
   std::unique_ptr<nvm::WearTracker> wear_ PNW_GUARDED_BY(mu_);
   std::unique_ptr<index::KeyIndex> index_ PNW_GUARDED_BY(mu_);
-  std::unique_ptr<ModelManager> manager_ PNW_GUARDED_BY(mu_);
   std::shared_ptr<const ValueModel> model_ PNW_GUARDED_BY(mu_);
   DynamicAddressPool pool_ PNW_GUARDED_BY(mu_);
   /// The cluster label a bucket's value bytes were predicted to, and the
@@ -485,9 +483,6 @@ class PnwStore {
   size_t active_buckets_ PNW_GUARDED_BY(mu_) = 0;
   size_t used_buckets_ PNW_GUARDED_BY(mu_) = 0;
   size_t puts_since_retrain_ PNW_GUARDED_BY(mu_) = 0;
-  /// ModelManager::background_failures() already folded into
-  /// metrics_.failed_retrains (see PollBackgroundModel).
-  uint64_t background_failures_seen_ PNW_GUARDED_BY(mu_) = 0;
   /// DRAM-side occupancy bitmap, used when !options_.occupancy_flags_on_nvm.
   std::vector<uint8_t> dram_flags_ PNW_GUARDED_BY(mu_);
   bool bootstrapped_ PNW_GUARDED_BY(mu_) = false;

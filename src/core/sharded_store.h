@@ -110,7 +110,9 @@ class ShardedPnwStore {
   ///       gone (bucket counts are always split; MigrateOnce is the only
   ///       migration driver): shard count, epoch, encoded store options.
   ///   v6: the encoded store options lost the two Start-Gap knobs.
-  static constexpr uint32_t kManifestVersion = 6;
+  ///   v7: the encoded store options lost the background-retrain flag and
+  ///       the retrain-pacing knob.
+  static constexpr uint32_t kManifestVersion = 7;
   /// Checkpoint-directory file names: the manifest, and one snapshot (plus
   /// its `.oplog`) per shard, named by ShardSnapshotName().
   static constexpr const char* kManifestName = "MANIFEST";

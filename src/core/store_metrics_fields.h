@@ -66,8 +66,6 @@
   /* Predicted cluster empty, placed in the next-nearest one. */            \
   X(uint64_t, pool_fallbacks)                                                \
   X(uint64_t, retrains)                                                      \
-  /* Background retrains that ended in an error (the stale model stays). */ \
-  X(uint64_t, failed_retrains)                                               \
   X(uint64_t, extensions)                                                    \
   /* Endurance layer: hot buckets re-placed into colder addresses, and */   \
   /* the simulated device time of those copies. */                          \

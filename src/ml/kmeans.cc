@@ -108,9 +108,6 @@ Result<KMeansModel> KMeansTrainer::Fit(const Matrix& data) const {
   if (options_.k == 0) {
     return Status::InvalidArgument("k-means: k must be positive");
   }
-  if (options_.mini_batch_size > 0) {
-    return FitMiniBatch(data);
-  }
   const size_t n = data.rows();
   const size_t d = data.cols();
   const size_t k = std::min(options_.k, n);
@@ -203,58 +200,6 @@ Result<KMeansModel> KMeansTrainer::Fit(const Matrix& data) const {
     prev_sse = sse;
   }
 
-  return KMeansModel(std::move(centroids), sse);
-}
-
-Result<KMeansModel> KMeansTrainer::FitMiniBatch(const Matrix& data) const {
-  const size_t n = data.rows();
-  const size_t d = data.cols();
-  const size_t k = std::min(options_.k, n);
-  const size_t batch = std::min(options_.mini_batch_size, n);
-
-  Rng rng(options_.seed);
-  // Seed on a subsample to keep seeding cost proportional to the batch.
-  const size_t seed_n = std::min(n, std::max<size_t>(batch, k * 4));
-  Matrix seed_sample(seed_n, d);
-  for (size_t i = 0; i < seed_n; ++i) {
-    const size_t pick = rng.NextBelow(n);
-    std::copy_n(data.Row(pick).data(), d, seed_sample.Row(i).data());
-  }
-  Matrix centroids = SeedCentroids(seed_sample, k, rng);
-
-  // Sculley's update: per-centroid counts give a decaying learning rate.
-  std::vector<uint64_t> counts(k, 1);
-  for (size_t iter = 0; iter < options_.mini_batch_iterations; ++iter) {
-    for (size_t b = 0; b < batch; ++b) {
-      const auto sample = data.Row(rng.NextBelow(n));
-      size_t best = 0;
-      float best_dist = std::numeric_limits<float>::max();
-      for (size_t c = 0; c < k; ++c) {
-        const float dist = SquaredDistance(sample, centroids.Row(c));
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = c;
-        }
-      }
-      ++counts[best];
-      const float eta = 1.0f / static_cast<float>(counts[best]);
-      auto center = centroids.Row(best);
-      for (size_t j = 0; j < d; ++j) {
-        center[j] += eta * (sample[j] - center[j]);
-      }
-    }
-  }
-
-  // Final SSE over the full data (one pass; comparable to Lloyd's output).
-  double sse = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    float best_dist = std::numeric_limits<float>::max();
-    const auto row = data.Row(i);
-    for (size_t c = 0; c < k; ++c) {
-      best_dist = std::min(best_dist, SquaredDistance(row, centroids.Row(c)));
-    }
-    sse += best_dist;
-  }
   return KMeansModel(std::move(centroids), sse);
 }
 

@@ -24,18 +24,10 @@ struct KMeansOptions {
   uint64_t seed = 42;
   /// Worker threads for the assignment step (Fig. 11 compares 1 vs 4).
   size_t num_threads = 1;
-  /// If nonzero, train with mini-batch K-means (Sculley, WWW'10) using
-  /// batches of this size instead of full-batch Lloyd. Trades a little
-  /// clustering quality for much cheaper (re)training -- attractive for
-  /// PNW's background retraining, whose cost the paper budgets via the
-  /// load factor (Section VI-F / Fig. 11).
-  size_t mini_batch_size = 0;
-  /// Mini-batch iteration count (only used when mini_batch_size > 0).
-  size_t mini_batch_iterations = 60;
 };
 
-/// A trained model: centroids plus prediction. Cheap to copy (the PNW model
-/// manager swaps models atomically by replacing a shared_ptr to one).
+/// A trained model: centroids plus prediction. Immutable once built; the
+/// PNW store serves one inside a core::ValueModel.
 class KMeansModel {
  public:
   KMeansModel() = default;
@@ -103,8 +95,6 @@ class KMeansTrainer {
                                    const Matrix& data);
 
  private:
-  Result<KMeansModel> FitMiniBatch(const Matrix& data) const;
-
   KMeansOptions options_;
 };
 

@@ -44,8 +44,6 @@ void EncodePnwOptions(const core::PnwOptions& options, BufferWriter& w) {
   w.PutU64(options.max_training_iterations);
   w.PutDouble(options.load_factor);
   w.PutBool(options.auto_retrain);
-  w.PutU64(options.retrain_min_interval);
-  w.PutBool(options.background_retrain);
   w.PutBool(options.train_on_bootstrap);
   w.PutU8(static_cast<uint8_t>(options.index_placement));
   w.PutU8(static_cast<uint8_t>(options.update_mode));
@@ -86,9 +84,6 @@ Status DecodePnwOptions(BufferReader& r, core::PnwOptions* options) {
   o.max_training_iterations = u;
   PNW_RETURN_IF_ERROR(r.GetDouble(&o.load_factor));
   PNW_RETURN_IF_ERROR(r.GetBool(&o.auto_retrain));
-  PNW_RETURN_IF_ERROR(r.GetU64(&u));
-  o.retrain_min_interval = u;
-  PNW_RETURN_IF_ERROR(r.GetBool(&o.background_retrain));
   PNW_RETURN_IF_ERROR(r.GetBool(&o.train_on_bootstrap));
   uint8_t e = 0;
   PNW_RETURN_IF_ERROR(r.GetU8(&e));

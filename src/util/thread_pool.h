@@ -14,8 +14,8 @@ namespace pnw {
 
 /// A small fixed-size worker pool. K-means training parallelizes its
 /// assignment step across this pool (the paper's Fig. 11 compares 1-core vs
-/// 4-core training time), and the PNW model manager runs background
-/// retraining on it.
+/// 4-core training time), and ShardedPnwStore checkpoints and recovers its
+/// shards in parallel on one.
 ///
 /// Capability: `mu_` guards the task queue and the idle/shutdown state.
 /// Workers and callers only ever hold it for queue manipulation, never

@@ -55,19 +55,18 @@ uint64_t Allocations() {
 /// Train a small ValueModel (optionally with PCA) on structured samples.
 std::shared_ptr<const ValueModel> TrainModel(size_t value_bytes,
                                              size_t pca_components) {
-  ModelTrainingConfig config;
-  config.value_bytes = value_bytes;
-  config.num_clusters = 4;
-  config.max_features = 64;
-  config.pca_components = pca_components;
-  ModelManager manager(config);
+  PnwOptions options;
+  options.value_bytes = value_bytes;
+  options.num_clusters = 4;
+  options.max_features = 64;
+  options.pca_components = pca_components;
   Rng rng(17);
   std::vector<std::vector<uint8_t>> samples(64);
   for (size_t i = 0; i < samples.size(); ++i) {
     samples[i].assign(value_bytes, i % 2 == 0 ? 0x0f : 0xf0);
     samples[i][rng.NextBelow(value_bytes)] = static_cast<uint8_t>(rng.Next());
   }
-  auto model = manager.Train(std::move(samples));
+  auto model = TrainValueModel(options, samples);
   EXPECT_TRUE(model.ok());
   return model.value();
 }

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -9,7 +8,6 @@
 #include <numeric>
 #include <span>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "src/core/pnw_store.h"
@@ -471,33 +469,6 @@ TEST(PnwStoreTest, NvmIndexPlacementChargesIndexWrites) {
             store_dram->metrics().put_bits_written);
 }
 
-TEST(PnwStoreTest, BackgroundRetrainSwapsModelEventually) {
-  PnwOptions options = SmallOptions();
-  options.background_retrain = true;
-  options.initial_buckets = 32;
-  options.capacity_buckets = 64;
-  options.load_factor = 0.5;
-  options.retrain_min_interval = 4;
-  auto store = MakeBootstrappedStore(options, 24);
-  const uint64_t retrains_before = store->metrics().retrains;
-  for (uint64_t k = 0; k < 64; ++k) {
-    // FIFO: delete the oldest still-live key.
-    const uint64_t victim = k < 24 ? k : 2000 + (k - 24);
-    ASSERT_TRUE(store->Delete(victim).ok()) << k;
-    ASSERT_TRUE(store->Put(2000 + k, GroupValue(k % 2, 6)).ok());
-  }
-  // Let any in-flight training finish and be collected by the next op.
-  for (int spin = 0; spin < 200; ++spin) {
-    if (!store->model_manager().background_training_in_progress()) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_TRUE(store->Delete(2063).ok());  // newest key is definitely live
-  EXPECT_GE(store->metrics().retrains + store->metrics().extensions,
-            retrains_before);
-}
-
 TEST(PnwStoreTest, PlacementsAttributedToModelWhenTrained) {
   auto store = MakeBootstrappedStore(SmallOptions());
   ASSERT_NE(store->model(), nullptr);
@@ -534,30 +505,6 @@ TEST(PnwStoreTest, ModelLessStoreCountsFallbackPlacements) {
   ASSERT_TRUE(store->Put(2000, GroupValue(0, 4)).ok());
   EXPECT_EQ(store->metrics().predicted_placements, 1u);
   EXPECT_EQ(store->metrics().fallback_placements, 8u);
-}
-
-TEST(PnwStoreTest, FailedBackgroundRetrainSurfacesInMetrics) {
-  auto store = MakeBootstrappedStore(SmallOptions());
-  EXPECT_EQ(store->metrics().failed_retrains, 0u);
-  // Force a failing background run through the manager (mismatched sample
-  // size), as a training failure inside the store would.
-  std::vector<std::vector<uint8_t>> bad(4, std::vector<uint8_t>(4, 0x55));
-  ASSERT_TRUE(store->model_manager().StartBackgroundTrain(bad));
-  for (int spin = 0; spin < 500; ++spin) {
-    if (!store->model_manager().background_training_in_progress()) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_FALSE(store->model_manager().background_training_in_progress());
-  EXPECT_TRUE(
-      store->model_manager().last_background_status().IsInvalidArgument());
-  // The next operation polls the background trainer and folds the failure
-  // into the store's metrics; the stale model stays in service.
-  auto model_before = store->model();
-  ASSERT_TRUE(store->Delete(0).ok());
-  EXPECT_EQ(store->metrics().failed_retrains, 1u);
-  EXPECT_EQ(store->model(), model_before);
 }
 
 // -------------------------------------------- failure-path accounting
@@ -682,36 +629,13 @@ TEST(PnwStoreTest, AttributionInvariantHoldsAcrossMixedTraffic) {
 TEST(PnwStoreTest, ResetWearAndMetricsClearsRetrainPacing) {
   // Regression: puts_since_retrain_ survived the reset, so a post-warm-up
   // bench inherited the warm-up's retrain pacing.
-  PnwOptions options = SmallOptions();
-  options.retrain_min_interval = 1000;  // pacing never fires in this test
-  auto store = MakeBootstrappedStore(options);
+  auto store = MakeBootstrappedStore(SmallOptions());
   for (uint64_t k = 0; k < 6; ++k) {
     ASSERT_TRUE(store->Put(1000 + k, GroupValue(k % 2, 1)).ok());
   }
   EXPECT_EQ(store->puts_since_retrain(), 6u);
   store->ResetWearAndMetrics();
   EXPECT_EQ(store->puts_since_retrain(), 0u);
-}
-
-TEST(PnwStoreTest, ResetWearAndMetricsSettlesBackgroundFailures) {
-  // A background-training failure pending at reset time belongs to the
-  // warm-up epoch: it must not be re-folded into the fresh metrics after
-  // the reset zeroes failed_retrains.
-  auto store = MakeBootstrappedStore(SmallOptions());
-  std::vector<std::vector<uint8_t>> bad(4, std::vector<uint8_t>(4, 0x55));
-  ASSERT_TRUE(store->model_manager().StartBackgroundTrain(bad));
-  for (int spin = 0; spin < 500; ++spin) {
-    if (!store->model_manager().background_training_in_progress()) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_FALSE(store->model_manager().background_training_in_progress());
-  store->ResetWearAndMetrics();
-  EXPECT_EQ(store->metrics().failed_retrains, 0u);
-  // Post-reset operations must not rediscover the pre-reset failure.
-  ASSERT_TRUE(store->Delete(0).ok());
-  EXPECT_EQ(store->metrics().failed_retrains, 0u);
 }
 
 // ------------------------------------------------------- Table II example
@@ -1020,31 +944,6 @@ TEST(PnwStoreTest, DeleteFilesUnderTheLabelTheModelPredicts) {
   }
   for (size_t i = 0; i < 8; ++i) {
     put(i % 4);
-  }
-
-  // A background model, trained on a reordered sample, adopted by the next
-  // operation; then DELETEs of keys stamped before it.
-  {
-    const auto before = store->model();
-    std::vector<std::vector<uint8_t>> sample;
-    for (size_t i = 0; i < 64; ++i) {
-      sample.push_back(QuadValue(3 - i % 4, 5 * i));
-    }
-    ASSERT_TRUE(store->model_manager().StartBackgroundTrain(sample));
-    for (int spin = 0; spin < 500; ++spin) {
-      if (!store->model_manager().background_training_in_progress()) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    ASSERT_FALSE(store->model_manager().background_training_in_progress());
-    put(0);  // polls the manager and adopts the model
-    ASSERT_NE(store->model(), before);
-    EXPECT_TRUE(Relabels(*before, *store->model(), live_values()));
-    for (size_t i = 0; i < 4; ++i) {
-      del(std::prev(live.end())->first);
-    }
-    ExpectPoolLabelsMatchModel(*store, "background model adopted");
   }
 
   // A latency-first UPDATE rewrites the bytes the PUT's label came from.

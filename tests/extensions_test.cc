@@ -1,6 +1,6 @@
 // Tests for the extension substrates beyond the paper's core design:
-// mini-batch K-means, parameterized FNW chunk sizes / Captopril segments,
-// encode-stride sampling, and the YCSB operation-mix generator.
+// parameterized FNW chunk sizes / Captopril segments, encode-stride
+// sampling, and the YCSB operation-mix generator.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/ml/feature_encoder.h"
-#include "src/ml/kmeans.h"
 #include "src/schemes/captopril.h"
 #include "src/schemes/fnw.h"
 #include "src/util/random.h"
@@ -17,51 +16,6 @@
 
 namespace pnw {
 namespace {
-
-// ----------------------------------------------------- mini-batch k-means
-
-ml::Matrix Blobs3(size_t per_blob, size_t dims, uint64_t seed) {
-  Rng rng(seed);
-  ml::Matrix data(per_blob * 3, dims);
-  const float centers[3] = {0.0f, 10.0f, 20.0f};
-  for (size_t b = 0; b < 3; ++b) {
-    for (size_t i = 0; i < per_blob; ++i) {
-      auto row = data.Row(b * per_blob + i);
-      for (size_t d = 0; d < dims; ++d) {
-        row[d] = centers[b] + static_cast<float>(rng.NextGaussian()) * 0.3f;
-      }
-    }
-  }
-  return data;
-}
-
-TEST(MiniBatchKMeansTest, SeparatesBlobs) {
-  ml::Matrix data = Blobs3(100, 4, 7);
-  ml::KMeansOptions options;
-  options.k = 3;
-  options.mini_batch_size = 32;
-  options.seed = 5;
-  auto model = ml::KMeansTrainer(options).Fit(data).value();
-  auto labels = ml::KMeansTrainer::Label(model, data);
-  for (size_t b = 0; b < 3; ++b) {
-    for (size_t i = 1; i < 100; ++i) {
-      EXPECT_EQ(labels[b * 100 + i], labels[b * 100]) << "blob " << b;
-    }
-  }
-}
-
-TEST(MiniBatchKMeansTest, SseCloseToFullBatch) {
-  ml::Matrix data = Blobs3(100, 8, 9);
-  ml::KMeansOptions full;
-  full.k = 3;
-  full.seed = 3;
-  ml::KMeansOptions mini = full;
-  mini.mini_batch_size = 64;
-  const double full_sse = ml::KMeansTrainer(full).Fit(data).value().sse();
-  const double mini_sse = ml::KMeansTrainer(mini).Fit(data).value().sse();
-  // Mini-batch trades a bounded amount of quality for speed.
-  EXPECT_LT(mini_sse, full_sse * 1.5);
-}
 
 // ------------------------------------------------ parameterized schemes
 
