@@ -23,8 +23,6 @@ int main() {
   pnw::nvm::LatencyParams params;
   std::printf("\nSimulator defaults (per the paper's methodology: DRAM "
               "emulation, 3D-XPoint access latency per [41], [42]):\n");
-  std::printf("  dram_read_ns  = %.0f\n", params.dram_read_ns);
-  std::printf("  dram_write_ns = %.0f\n", params.dram_write_ns);
   std::printf("  nvm_read_ns   = %.0f\n", params.nvm_read_ns);
   std::printf("  nvm_write_ns  = %.0f  (per dirtied cache line)\n",
               params.nvm_write_ns);

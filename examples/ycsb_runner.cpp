@@ -38,12 +38,13 @@
 //
 // --remote=HOST:PORT runs the same mixes against a pnw_server over the
 // binary wire protocol instead of an in-process store: every thread opens
-// its own connection (src/server/client.h) and --batch=N rides the
-// MULTI_GET / MULTI_PUT frames. Each mix's StoreMetrics is rebuilt from
-// the STATS frames before and after it and checked by the same reconcile
-// lines as the local mode, plus one three-way line: client tallies == the
-// server's ServerMetrics key counts == the store's StoreMetrics. Exits
-// nonzero on any mismatch, exactly like the local mode.
+// its own connection (src/server/client.h) and --batch=N keeps N
+// single-key frames in flight, which the server groups into one store
+// batch as it does for any pipelining client. Each mix's StoreMetrics is
+// rebuilt from the STATS frames before and after it and checked by the
+// same reconcile lines as the local mode, plus one three-way line: client
+// tallies == the server's ServerMetrics key counts == the store's
+// StoreMetrics. Exits nonzero on any mismatch, exactly like the local mode.
 // Local-only machinery (--checkpoint-every, --migrate-every, --wear-report)
 // is rejected with --remote (exit 2).
 //
@@ -126,11 +127,11 @@ void PrintUsage(const char* argv0) {
       "  --remote=HOST:PORT     run against a pnw_server over the binary\n"
       "                         wire protocol instead of an in-process\n"
       "                         store (one connection per thread; --batch\n"
-      "                         rides MULTI_GET/MULTI_PUT frames; the\n"
-      "                         reconcile lines become client == server\n"
-      "                         == store, via STATS deltas). Incompatible\n"
-      "                         with --checkpoint-every, --migrate-every,\n"
-      "                         --wear-report\n"
+      "                         keeps N frames in flight per connection;\n"
+      "                         the reconcile lines become client ==\n"
+      "                         server == store, via STATS deltas).\n"
+      "                         Incompatible with --checkpoint-every,\n"
+      "                         --migrate-every, --wear-report\n"
       "  --help                 this text\n"
       "\n"
       "--flag N is accepted as well as --flag=N. Each mix row prints\n"
@@ -283,7 +284,9 @@ pnw::Status StatusFromCode(pnw::Status::Code code) {
 
 /// The store-shaped facade over one Client connection: exactly the member
 /// surface RunOpStream touches, so the same op-stream code drives an
-/// in-process ShardedPnwStore or a pnw_server across the wire.
+/// in-process ShardedPnwStore or a pnw_server across the wire. A batch is N
+/// single-key frames in flight: queued, flushed in one burst, and answered
+/// in send order; the server groups the run into one store batch.
 class RemoteStore {
  public:
   explicit RemoteStore(pnw::server::Client* client) : client_(client) {}
@@ -297,20 +300,20 @@ class RemoteStore {
 
   std::vector<pnw::Result<std::vector<uint8_t>>> MultiGet(
       std::span<const uint64_t> keys) {
+    std::vector<uint64_t> ids;
+    ids.reserve(keys.size());
+    for (const uint64_t key : keys) {
+      ids.push_back(client_->SendGet(key));
+    }
     std::vector<pnw::Result<std::vector<uint8_t>>> out;
     out.reserve(keys.size());
-    auto slots = client_->MultiGet(keys);
-    if (!slots.ok()) {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        out.emplace_back(slots.status());
-      }
-      return out;
-    }
-    for (auto& [code, value] : slots.value()) {
-      if (code == pnw::Status::Code::kOk) {
-        out.emplace_back(std::move(value));
+    for (auto& r : FlushAndReceive(ids)) {
+      if (!r.ok()) {
+        out.emplace_back(r.status());
+      } else if (r.value().status != pnw::Status::Code::kOk) {
+        out.emplace_back(StatusFromCode(r.value().status));
       } else {
-        out.emplace_back(StatusFromCode(code));
+        out.emplace_back(std::move(r.value().value));
       }
     }
     return out;
@@ -319,22 +322,44 @@ class RemoteStore {
   std::vector<pnw::Status> MultiPut(
       std::span<const uint64_t> keys,
       std::span<const std::span<const uint8_t>> values) {
+    std::vector<uint64_t> ids;
+    ids.reserve(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ids.push_back(client_->SendPut(keys[i], values[i]));
+    }
     std::vector<pnw::Status> out;
     out.reserve(keys.size());
-    auto codes = client_->MultiPut(keys, values);
-    if (!codes.ok()) {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        out.push_back(codes.status());
-      }
-      return out;
-    }
-    for (const pnw::Status::Code code : codes.value()) {
-      out.push_back(StatusFromCode(code));
+    for (const auto& r : FlushAndReceive(ids)) {
+      out.push_back(r.ok() ? StatusFromCode(r.value().status) : r.status());
     }
     return out;
   }
 
  private:
+  /// Flush the queued frames and read one response per id, in order. Once
+  /// the connection fails, every remaining slot carries that failure.
+  std::vector<pnw::Result<pnw::server::Response>> FlushAndReceive(
+      std::span<const uint64_t> ids) {
+    std::vector<pnw::Result<pnw::server::Response>> out;
+    out.reserve(ids.size());
+    pnw::Status broken = client_->Flush();
+    for (const uint64_t id : ids) {
+      if (!broken.ok()) {
+        out.emplace_back(broken);
+        continue;
+      }
+      auto r = client_->Receive();
+      if (r.ok() && r.value().request_id != id) {
+        r = pnw::Status::Internal("remote: response out of order");
+      }
+      if (!r.ok()) {
+        broken = r.status();
+      }
+      out.push_back(std::move(r));
+    }
+    return out;
+  }
+
   pnw::server::Client* client_;
 };
 
@@ -777,31 +802,28 @@ int RunRemoteMixes(const std::string& host, uint16_t port) {
   for (YcsbWorkload workload :
        {YcsbWorkload::kA, YcsbWorkload::kB, YcsbWorkload::kC,
         YcsbWorkload::kD, YcsbWorkload::kF}) {
-    // Preload the mix's base key range in MULTI_PUT chunks. These writes
+    // Preload the mix's base key range in pipelined chunks. These writes
     // land *before* the first STATS snapshot, so the per-mix deltas below
     // cover exactly the measured op streams.
     pnw::Rng rng(1234);
+    RemoteStore preload(control.get());
     constexpr size_t kPreloadChunk = 128;
     for (size_t base = 0; base < kRecords; base += kPreloadChunk) {
       const size_t n = std::min(kPreloadChunk, kRecords - base);
       std::vector<uint64_t> keys(n);
       std::vector<std::vector<uint8_t>> values(n);
+      std::vector<std::span<const uint8_t>> views(n);
       for (size_t i = 0; i < n; ++i) {
         keys[i] = base + i;
         values[i] = MakeValue(base + i, 0, rng);
+        views[i] = values[i];
       }
-      const auto codes = control->MultiPut(keys, values);
-      if (!codes.ok()) {
-        std::fprintf(stderr, "remote preload failed: %s\n",
-                     codes.status().ToString().c_str());
-        return 1;
-      }
-      for (const pnw::Status::Code code : codes.value()) {
-        if (code != pnw::Status::Code::kOk) {
+      for (const pnw::Status& status : preload.MultiPut(keys, views)) {
+        if (!status.ok()) {
           std::fprintf(stderr,
-                       "remote preload: slot status code %d (server out of "
-                       "space or overloaded? size it with headroom)\n",
-                       static_cast<int>(code));
+                       "remote preload failed: %s (server out of space or "
+                       "overloaded? size it with headroom)\n",
+                       status.ToString().c_str());
           return 1;
         }
       }
@@ -866,10 +888,10 @@ int RunRemoteMixes(const std::string& host, uint16_t port) {
                    !server_reconciles;
   }
   std::printf("\n(remote mode: every row rode the wire protocol; --batch "
-              "rides MULTI_GET/MULTI_PUT frames and\n pipelining across "
-              "connections is what lets the server group frames into one "
-              "store batch --\n see server.store_batches vs "
-              "server.batched_keys in STATS)\n");
+              "keeps that many frames in flight\n per connection, which is "
+              "what lets the server group frames into one store batch --\n"
+              " see server.store_batches vs server.batched_keys in "
+              "STATS)\n");
   return any_failures ? 1 : 0;
 }
 

@@ -335,7 +335,7 @@ Status PnwStore::Bootstrap(std::span<const uint64_t> keys,
     return Status::OK();
   }
   // Algorithm 1: train on the data zone and build the dynamic address pool.
-  return TrainModel();
+  return Retrain();
 }
 
 std::vector<std::vector<uint8_t>> PnwStore::CollectTrainingSamples() const {
@@ -377,6 +377,11 @@ void PnwStore::AdoptModel(std::shared_ptr<const ValueModel> model) {
 }
 
 Status PnwStore::TrainModel() {
+  PNW_RETURN_IF_ERROR(Retrain());
+  return LogOp(persist::OpType::kTrain, 0, {});
+}
+
+Status PnwStore::Retrain() {
   auto model = TrainValueModel(options_, CollectTrainingSamples());
   if (!model.ok()) {
     return model.status();
@@ -409,7 +414,7 @@ Status PnwStore::MaybeExtendAndRetrain() {
   if (grow == 0 && puts_since_retrain_ < min_interval) {
     return Status::OK();
   }
-  return TrainModel();
+  return Retrain();
 }
 
 Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value) {
@@ -1083,6 +1088,9 @@ Result<std::unique_ptr<PnwStore>> PnwStore::Open(
                                            "logged migration did not replay"));
             break;
           }
+          case persist::OpType::kTrain:
+            status = s.TrainModel();
+            break;
         }
         if (!status.ok()) {
           s.replaying_ = false;

@@ -82,7 +82,10 @@ class PnwStore {
   ///     and the remap section is gone.
   /// v9: background retraining is gone: PnwOptions lost its flag and the
   ///     retrain-pacing knob, StoreMetrics lost the failed-retrain counter.
-  static constexpr uint32_t kSnapshotVersion = 9;
+  /// v10: the encoded PnwOptions lost LatencyParams' two DRAM latencies
+  ///     (never read), and the op-log gained the TRAIN record, which a v9
+  ///     binary would take for a torn tail.
+  static constexpr uint32_t kSnapshotVersion = 10;
   /// The op-log of a checkpoint at `path` lives at `path + kOpLogSuffix`.
   static constexpr const char* kOpLogSuffix = ".oplog";
 
@@ -120,8 +123,8 @@ class PnwStore {
   /// The snapshot holds the served model and the retrain pacing state, and
   /// a load-factor retrain runs synchronously inside the PUT that triggers
   /// it, so replay retrains at exactly the points the live store did. An
-  /// explicit TrainModel() is, like a reset, not an op-log record: it is
-  /// durable once a checkpoint follows it.
+  /// explicit TrainModel() is an op-log record of its own, replayed in
+  /// order with the operations around it.
   ///
   /// Runs CaptureCheckpoint, the commit and FinishCheckpoint all under the
   /// caller's lock.
@@ -237,7 +240,8 @@ class PnwStore {
       PNW_REQUIRES(mu_);
 
   /// Algorithm 1: sample the data zone, train a fresh model synchronously,
-  /// swap it in, and re-label the pool's free addresses.
+  /// swap it in, and re-label the pool's free addresses. Op-logged
+  /// (OpType::kTrain), so recovery retrains at the same point.
   Status TrainModel() PNW_REQUIRES(mu_);
 
   /// Endurance maintenance: re-place up to `max_buckets` of the
@@ -412,6 +416,12 @@ class PnwStore {
   /// Grow the active data zone (new free addresses labeled under the
   /// current model) and trigger retraining per options.
   Status MaybeExtendAndRetrain() PNW_REQUIRES(mu_);
+
+  /// TrainModel without its op-log record, for the trainings replay must
+  /// not repeat: a load-factor retrain reruns inside the replayed PUT that
+  /// triggered it, and Bootstrap is no op-log record, so its training
+  /// would replay onto a snapshot without the bootstrapped data.
+  Status Retrain() PNW_REQUIRES(mu_);
 
   /// Relocate one resident bucket to a colder free address (the shared
   /// body of MigrateHotBuckets and kMigrate replay). Decision phase is

@@ -112,7 +112,9 @@ class ShardedPnwStore {
   ///   v6: the encoded store options lost the two Start-Gap knobs.
   ///   v7: the encoded store options lost the background-retrain flag and
   ///       the retrain-pacing knob.
-  static constexpr uint32_t kManifestVersion = 7;
+  ///   v8: the encoded store options lost LatencyParams' two DRAM
+  ///       latencies.
+  static constexpr uint32_t kManifestVersion = 8;
   /// Checkpoint-directory file names: the manifest, and one snapshot (plus
   /// its `.oplog`) per shard, named by ShardSnapshotName().
   static constexpr const char* kManifestName = "MANIFEST";
@@ -212,7 +214,9 @@ class ShardedPnwStore {
   /// the data zone; otherwise FailedPrecondition.
   Result<size_t> MigrateOnce(size_t max_buckets_per_shard);
 
-  /// Retrains every shard's model synchronously.
+  /// Retrains every shard's model synchronously. Each shard op-logs its
+  /// retrain, so recovery replays it in order with the shard's other
+  /// operations.
   Status TrainModel();
 
   /// Zeroes every shard's wear counters and operation metrics.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "src/util/random.h"
 #include "src/util/simd.h"
@@ -117,10 +118,10 @@ Result<KMeansModel> KMeansTrainer::Fit(const Matrix& data) const {
 
   std::vector<size_t> assignment(n, 0);
   const size_t threads = std::max<size_t>(1, options_.num_threads);
-  ThreadPool* pool = nullptr;
-  ThreadPool owned_pool(threads > 1 ? threads : 1);
+  // One thread assigns inline, so it starts no pool.
+  std::optional<ThreadPool> pool;
   if (threads > 1) {
-    pool = &owned_pool;
+    pool.emplace(threads);
   }
 
   double prev_sse = std::numeric_limits<double>::max();
@@ -146,7 +147,7 @@ Result<KMeansModel> KMeansTrainer::Fit(const Matrix& data) const {
       }
       partial_sse[slot] += local;
     };
-    if (pool != nullptr) {
+    if (pool.has_value()) {
       const size_t chunk = (n + threads - 1) / threads;
       std::atomic<size_t> slot{0};
       pool->ParallelFor(threads, [&](size_t begin, size_t end) {

@@ -5,13 +5,11 @@
 
 namespace pnw::nvm {
 
-/// Latency parameters of the simulated memory devices. Defaults follow the
-/// paper's assumptions: DRAM at ~60 ns and 3D-XPoint-class NVM writes at
-/// ~600 ns per cache line (Izraelevitz et al., cited as [41] in the paper),
-/// with NVM reads at DRAM-like speed (Table I: PCM read 50-70 ns).
+/// Latency parameters of the simulated NVM device. Defaults follow the
+/// paper's assumptions: 3D-XPoint-class NVM writes at ~600 ns per cache
+/// line (Izraelevitz et al., cited as [41] in the paper), with NVM reads at
+/// DRAM-like speed (Table I: PCM read 50-70 ns).
 struct LatencyParams {
-  double dram_read_ns = 60.0;
-  double dram_write_ns = 60.0;
   double nvm_read_ns = 70.0;
   double nvm_write_ns = 600.0;
 };

@@ -122,14 +122,6 @@ class NvmDevice {
   Result<WriteResult> WriteDifferential(uint64_t addr,
                                         std::span<const uint8_t> data);
 
-  /// Differential write of metadata bits (scheme flag bits, shift fields).
-  /// Identical accounting to WriteDifferential; separated so callers can
-  /// keep payload and metadata statistics apart if they wish.
-  Result<WriteResult> WriteMetadataBits(uint64_t addr,
-                                        std::span<const uint8_t> data) {
-    return WriteDifferential(addr, data);
-  }
-
   const NvmCounters& counters() const { return counters_; }
   void ResetCounters();
 

@@ -198,7 +198,7 @@ Result<OpLogContents> ReadOpLog(const std::string& path,
     BufferReader br(body);
     OpRecord rec;
     uint8_t op = 0;
-    if (!br.GetU8(&op).ok() || op > static_cast<uint8_t>(OpType::kMigrate) ||
+    if (!br.GetU8(&op).ok() || op > static_cast<uint8_t>(OpType::kTrain) ||
         !br.GetU64(&rec.key).ok()) {
       contents.tail_truncated = true;
       break;

@@ -20,12 +20,16 @@ namespace pnw::persist {
 /// the key field holds the bucket index that was re-placed, and replay
 /// re-runs the relocation deterministically (same victim content, same
 /// pool state, hence the same destination) so the wear histograms come
-/// back bit-for-bit.
+/// back bit-for-bit. TRAIN records an explicit PnwStore::TrainModel (key
+/// 0, no value); replay retrains on the same data zone, hence the same
+/// model. The load-factor retrains inside a PUT are not recorded: replaying
+/// that PUT retrains again.
 enum class OpType : uint8_t {
   kPut = 0,
   kUpdate = 1,
   kDelete = 2,
   kMigrate = 3,
+  kTrain = 4,
 };
 
 /// One replayable record: the operation, the key, and (for PUT/UPDATE) the

@@ -53,8 +53,6 @@ void EncodePnwOptions(const core::PnwOptions& options, BufferWriter& w) {
   w.PutDouble(options.migration_hot_multiplier);
   w.PutU64(options.migration_min_writes);
   w.PutU64(options.seed);
-  w.PutDouble(options.latency.dram_read_ns);
-  w.PutDouble(options.latency.dram_write_ns);
   w.PutDouble(options.latency.nvm_read_ns);
   w.PutDouble(options.latency.nvm_write_ns);
 }
@@ -103,8 +101,6 @@ Status DecodePnwOptions(BufferReader& r, core::PnwOptions* options) {
   PNW_RETURN_IF_ERROR(r.GetU64(&u));
   o.migration_min_writes = u;
   PNW_RETURN_IF_ERROR(r.GetU64(&o.seed));
-  PNW_RETURN_IF_ERROR(r.GetDouble(&o.latency.dram_read_ns));
-  PNW_RETURN_IF_ERROR(r.GetDouble(&o.latency.dram_write_ns));
   PNW_RETURN_IF_ERROR(r.GetDouble(&o.latency.nvm_read_ns));
   PNW_RETURN_IF_ERROR(r.GetDouble(&o.latency.nvm_write_ns));
   *options = o;

@@ -127,7 +127,7 @@ Result<nvm::WriteResult> CaptoprilScheme::Write(
   for (size_t i = 0; i < flag_bytes_per_block_; ++i) {
     flag_bytes[i] = static_cast<uint8_t>(new_flags >> (8 * i));
   }
-  auto meta = device_->WriteMetadataBits(
+  auto meta = device_->WriteDifferential(
       flag_addr,
       std::span<const uint8_t>(flag_bytes, flag_bytes_per_block_));
   if (!meta.ok()) {

@@ -96,7 +96,7 @@ Result<nvm::WriteResult> FnwScheme::Write(uint64_t addr,
   if (!payload.ok()) {
     return payload.status();
   }
-  auto flags = device_->WriteMetadataBits(data_region_bytes_ + flag_first_byte,
+  auto flags = device_->WriteDifferential(data_region_bytes_ + flag_first_byte,
                                           new_flags);
   if (!flags.ok()) {
     return flags.status();

@@ -93,7 +93,7 @@ Result<nvm::WriteResult> MinShiftScheme::Write(uint64_t addr,
   uint8_t shift_bytes[kShiftFieldBytes] = {
       static_cast<uint8_t>(best_shift & 0xff),
       static_cast<uint8_t>((best_shift >> 8) & 0xff)};
-  auto meta = device_->WriteMetadataBits(
+  auto meta = device_->WriteDifferential(
       data_region_bytes_ + block_index * kShiftFieldBytes,
       std::span<const uint8_t>(shift_bytes, kShiftFieldBytes));
   if (!meta.ok()) {

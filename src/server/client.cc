@@ -249,66 +249,6 @@ Status Client::Delete(uint64_t key) {
   }
 }
 
-Result<std::vector<std::pair<Status::Code, std::vector<uint8_t>>>>
-Client::MultiGet(std::span<const uint64_t> keys) {
-  const uint64_t id = NextId();
-  EncodeMultiGet(id, keys, &sendbuf_);
-  ++frames_sent_;
-  Result<Response> r = RoundTrip(id, Opcode::kMultiGet);
-  if (!r.ok()) {
-    return r.status();
-  }
-  Response& response = r.value();
-  if (response.status == Status::Code::kOverloaded) {
-    return Status::Overloaded("remote multi-get: server shed the request");
-  }
-  if (response.status != Status::Code::kOk) {
-    return Status::Internal(
-        "remote multi-get failed: status code " +
-        std::to_string(static_cast<int>(response.status)));
-  }
-  if (response.slots.size() != keys.size()) {
-    return Status::Internal("remote multi-get: slot count mismatch");
-  }
-  return std::move(response.slots);
-}
-
-Result<std::vector<Status::Code>> Client::MultiPut(
-    std::span<const uint64_t> keys,
-    std::span<const std::span<const uint8_t>> values) {
-  const uint64_t id = NextId();
-  EncodeMultiPut(id, keys, values, &sendbuf_);
-  ++frames_sent_;
-  Result<Response> r = RoundTrip(id, Opcode::kMultiPut);
-  if (!r.ok()) {
-    return r.status();
-  }
-  Response& response = r.value();
-  if (response.status == Status::Code::kOverloaded) {
-    return Status::Overloaded("remote multi-put: server shed the request");
-  }
-  if (response.status != Status::Code::kOk) {
-    return Status::Internal(
-        "remote multi-put failed: status code " +
-        std::to_string(static_cast<int>(response.status)));
-  }
-  if (response.statuses.size() != keys.size()) {
-    return Status::Internal("remote multi-put: slot count mismatch");
-  }
-  return std::move(response.statuses);
-}
-
-Result<std::vector<Status::Code>> Client::MultiPut(
-    std::span<const uint64_t> keys,
-    std::span<const std::vector<uint8_t>> values) {
-  std::vector<std::span<const uint8_t>> views;
-  views.reserve(values.size());
-  for (const std::vector<uint8_t>& v : values) {
-    views.emplace_back(v.data(), v.size());
-  }
-  return MultiPut(keys, std::span<const std::span<const uint8_t>>(views));
-}
-
 Result<std::vector<std::pair<std::string, uint64_t>>> Client::Stats() {
   const uint64_t id = NextId();
   EncodeStats(id, &sendbuf_);

@@ -2,13 +2,14 @@
 // of src/server/server.h and the reference decoder consumer. Two usage
 // modes share one connection:
 //
-//   Sync:      Put/Get/Delete/MultiGet/MultiPut/Stats -- encode one frame,
-//              flush, block for its response. Simple, one round trip each.
+//   Sync:      Put/Get/Delete/Stats -- encode one frame, flush, block
+//              for its response. Simple, one round trip each.
 //   Pipelined: SendGet/SendPut/SendDelete queue frames locally; Flush()
 //              writes them in one syscall burst; Receive() blocks for the
-//              next response. Keeping N frames in flight is what lets the
-//              server group them into one MultiGet/MultiPut and amortize
-//              the op-log group fsync (bench_fig19_server measures this).
+//              next response. This is the protocol's only way to batch:
+//              keeping N frames in flight lets the server group them into
+//              one store MultiGet/MultiPut and amortize the op-log group
+//              fsync (bench_fig19_server measures this).
 //
 // Not thread-safe: one Client per thread (the e2e tests and ycsb_runner
 // --remote open one connection per worker thread).
@@ -48,16 +49,6 @@ class Client {
   /// kNotFound when the key is absent; other codes pass through.
   Result<std::vector<uint8_t>> Get(uint64_t key);
   Status Delete(uint64_t key);
-  /// One (status, value) per key, in key order.
-  Result<std::vector<std::pair<Status::Code, std::vector<uint8_t>>>> MultiGet(
-      std::span<const uint64_t> keys);
-  /// One status per slot, in slot order.
-  Result<std::vector<Status::Code>> MultiPut(
-      std::span<const uint64_t> keys,
-      std::span<const std::span<const uint8_t>> values);
-  Result<std::vector<Status::Code>> MultiPut(
-      std::span<const uint64_t> keys,
-      std::span<const std::vector<uint8_t>> values);
   /// Flat name -> counter snapshot: "store.*" (StoreMetrics) and
   /// "server.*" (ServerMetrics), the remote reconcile surface.
   Result<std::vector<std::pair<std::string, uint64_t>>> Stats();

@@ -15,14 +15,6 @@ class PayloadReader {
 
   size_t remaining() const { return data_.size() - pos_; }
 
-  bool ReadU8(uint8_t* out) {
-    if (remaining() < 1) {
-      return false;
-    }
-    *out = data_[pos_++];
-    return true;
-  }
-
   bool ReadU16(uint16_t* out) {
     uint16_t v = 0;
     if (!ReadRaw(&v, sizeof(v))) {
@@ -187,8 +179,6 @@ Status DecodeRequest(const FrameView& frame, const ProtocolLimits& limits,
   out->opcode = static_cast<Opcode>(frame.opcode);
   out->request_id = frame.request_id;
   out->value.clear();
-  out->keys.clear();
-  out->values.clear();
   PayloadReader reader(frame.payload);
   switch (out->opcode) {
     case Opcode::kGet:
@@ -212,57 +202,6 @@ Status DecodeRequest(const FrameView& frame, const ProtocolLimits& limits,
       out->value.assign(bytes.begin(), bytes.end());
       break;
     }
-    case Opcode::kMultiGet: {
-      uint32_t count = 0;
-      if (!reader.ReadU32(&count)) {
-        return TruncatedPayload("key count");
-      }
-      if (count > limits.max_batch_keys) {
-        return Status::Corruption("batch key count beyond limit");
-      }
-      // The count is only believed as far as the bytes back it: 8 bytes
-      // per key must already be present, so a huge count in a tiny frame
-      // fails here instead of sizing a reservation.
-      if (reader.remaining() < size_t{count} * 8) {
-        return TruncatedPayload("batch keys");
-      }
-      out->keys.resize(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        reader.ReadU64(&out->keys[i]);
-      }
-      break;
-    }
-    case Opcode::kMultiPut: {
-      uint32_t count = 0;
-      if (!reader.ReadU32(&count)) {
-        return TruncatedPayload("slot count");
-      }
-      if (count > limits.max_batch_keys) {
-        return Status::Corruption("batch slot count beyond limit");
-      }
-      // Each slot needs at least key + value_len; cheap structural floor
-      // before any per-slot allocation.
-      if (reader.remaining() < size_t{count} * 12) {
-        return TruncatedPayload("batch slots");
-      }
-      out->keys.resize(count);
-      out->values.resize(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        uint32_t len = 0;
-        if (!reader.ReadU64(&out->keys[i]) || !reader.ReadU32(&len)) {
-          return TruncatedPayload("slot key/value_len");
-        }
-        if (len > limits.max_value_bytes) {
-          return Status::Corruption("slot value length beyond limit");
-        }
-        std::span<const uint8_t> bytes;
-        if (!reader.ReadBytes(len, &bytes)) {
-          return TruncatedPayload("slot value bytes");
-        }
-        out->values[i].assign(bytes.begin(), bytes.end());
-      }
-      break;
-    }
     case Opcode::kStats:
       break;
   }
@@ -284,8 +223,6 @@ Status DecodeResponse(const FrameView& frame, const ProtocolLimits& limits,
   out->request_id = frame.request_id;
   out->status = static_cast<Status::Code>(frame.status);
   out->value.clear();
-  out->slots.clear();
-  out->statuses.clear();
   out->stats.clear();
   PayloadReader reader(frame.payload);
   switch (out->opcode) {
@@ -311,69 +248,14 @@ Status DecodeResponse(const FrameView& frame, const ProtocolLimits& limits,
     case Opcode::kPut:
     case Opcode::kDelete:
       break;
-    case Opcode::kMultiGet: {
-      uint32_t count = 0;
-      if (!reader.ReadU32(&count)) {
-        return TruncatedPayload("slot count");
-      }
-      if (count > limits.max_batch_keys) {
-        return Status::Corruption("slot count beyond limit");
-      }
-      if (reader.remaining() < size_t{count} * 5) {
-        return TruncatedPayload("slots");
-      }
-      out->slots.resize(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        uint8_t slot_status = 0;
-        uint32_t len = 0;
-        if (!reader.ReadU8(&slot_status) || !reader.ReadU32(&len)) {
-          return TruncatedPayload("slot status/len");
-        }
-        if (!WireStatusKnown(slot_status)) {
-          return Status::Corruption("unknown slot status code");
-        }
-        if (len > limits.max_value_bytes) {
-          return Status::Corruption("slot value length beyond limit");
-        }
-        std::span<const uint8_t> bytes;
-        if (!reader.ReadBytes(len, &bytes)) {
-          return TruncatedPayload("slot value bytes");
-        }
-        out->slots[i].first = static_cast<Status::Code>(slot_status);
-        out->slots[i].second.assign(bytes.begin(), bytes.end());
-      }
-      break;
-    }
-    case Opcode::kMultiPut: {
-      uint32_t count = 0;
-      if (!reader.ReadU32(&count)) {
-        return TruncatedPayload("status count");
-      }
-      if (count > limits.max_batch_keys) {
-        return Status::Corruption("status count beyond limit");
-      }
-      if (reader.remaining() < count) {
-        return TruncatedPayload("statuses");
-      }
-      out->statuses.resize(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        uint8_t code = 0;
-        reader.ReadU8(&code);
-        if (!WireStatusKnown(code)) {
-          return Status::Corruption("unknown slot status code");
-        }
-        out->statuses[i] = static_cast<Status::Code>(code);
-      }
-      break;
-    }
     case Opcode::kStats: {
       uint32_t count = 0;
       if (!reader.ReadU32(&count)) {
         return TruncatedPayload("stat count");
       }
-      if (count > limits.max_batch_keys) {
-        return Status::Corruption("stat count beyond limit");
-      }
+      // The count is only believed as far as the bytes back it: an entry
+      // takes at least 10 bytes (u16 name_len, u64 value), so a huge count
+      // in a small frame fails here instead of sizing the resize below.
       if (reader.remaining() < size_t{count} * 10) {
         return TruncatedPayload("stats");
       }
@@ -425,31 +307,6 @@ void EncodeDelete(uint64_t request_id, uint64_t key,
   FinishFrame(at, out);
 }
 
-void EncodeMultiGet(uint64_t request_id, std::span<const uint64_t> keys,
-                    std::vector<uint8_t>* out) {
-  const size_t at =
-      BeginFrame(static_cast<uint8_t>(Opcode::kMultiGet), 0, request_id, out);
-  AppendU32(static_cast<uint32_t>(keys.size()), out);
-  for (const uint64_t key : keys) {
-    AppendU64(key, out);
-  }
-  FinishFrame(at, out);
-}
-
-void EncodeMultiPut(uint64_t request_id, std::span<const uint64_t> keys,
-                    std::span<const std::span<const uint8_t>> values,
-                    std::vector<uint8_t>* out) {
-  const size_t at =
-      BeginFrame(static_cast<uint8_t>(Opcode::kMultiPut), 0, request_id, out);
-  AppendU32(static_cast<uint32_t>(keys.size()), out);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    AppendU64(keys[i], out);
-    AppendU32(static_cast<uint32_t>(values[i].size()), out);
-    AppendBytes(values[i], out);
-  }
-  FinishFrame(at, out);
-}
-
 void EncodeStats(uint64_t request_id, std::vector<uint8_t>* out) {
   const size_t at =
       BeginFrame(static_cast<uint8_t>(Opcode::kStats), 0, request_id, out);
@@ -469,20 +326,6 @@ void EncodeResponse(const Response& response, std::vector<uint8_t>* out) {
       break;
     case Opcode::kPut:
     case Opcode::kDelete:
-      break;
-    case Opcode::kMultiGet:
-      AppendU32(static_cast<uint32_t>(response.slots.size()), out);
-      for (const auto& [code, value] : response.slots) {
-        AppendU8(static_cast<uint8_t>(code), out);
-        AppendU32(static_cast<uint32_t>(value.size()), out);
-        AppendBytes(value, out);
-      }
-      break;
-    case Opcode::kMultiPut:
-      AppendU32(static_cast<uint32_t>(response.statuses.size()), out);
-      for (const Status::Code code : response.statuses) {
-        AppendU8(static_cast<uint8_t>(code), out);
-      }
       break;
     case Opcode::kStats:
       AppendU32(static_cast<uint32_t>(response.stats.size()), out);

@@ -19,16 +19,16 @@
 // Request payloads:
 //   GET / DELETE   uint64 key
 //   PUT            uint64 key, uint32 value_len, value bytes
-//   MULTI_GET      uint32 count, count x uint64 key
-//   MULTI_PUT      uint32 count, count x (uint64 key, uint32 len, bytes)
 //   STATS          empty
 //
 // Response payloads:
 //   GET            uint32 value_len, value bytes (empty on error status)
 //   PUT / DELETE   empty
-//   MULTI_GET      uint32 count, count x (uint8 status, uint32 len, bytes)
-//   MULTI_PUT      uint32 count, count x uint8 status
 //   STATS          uint32 count, count x (uint16 name_len, name, uint64 val)
+//
+// Every key travels in its own frame. A client batches by pipelining:
+// it keeps many frames in flight on one connection, and the server hands
+// each run of adjacent GETs (PUTs) to the store as one batch.
 #ifndef PNW_SERVER_PROTOCOL_H_
 #define PNW_SERVER_PROTOCOL_H_
 
@@ -42,7 +42,9 @@
 
 namespace pnw::server {
 
-inline constexpr uint8_t kProtocolVersion = 1;
+/// v2: one key per frame, and STATS moved to opcode 4, so a v1 peer fails
+/// at framing instead of having its opcodes misread.
+inline constexpr uint8_t kProtocolVersion = 2;
 
 /// Bytes of header following the body_len field (version, opcode, status,
 /// flags, request_id). The minimum legal body_len.
@@ -54,9 +56,7 @@ enum class Opcode : uint8_t {
   kGet = 1,
   kPut = 2,
   kDelete = 3,
-  kMultiGet = 4,
-  kMultiPut = 5,
-  kStats = 6,
+  kStats = 4,
 };
 
 /// True for the opcodes this protocol version defines (the decoder rejects
@@ -80,8 +80,6 @@ struct ProtocolLimits {
   /// abuse; the connection is not recoverable past one (the stream offset
   /// is lost).
   size_t max_frame_bytes = 4u << 20;
-  /// Max keys in one MULTI_GET / MULTI_PUT frame.
-  size_t max_batch_keys = 1u << 16;
   /// Max bytes of one value.
   size_t max_value_bytes = 1u << 20;
 };
@@ -122,10 +120,8 @@ FrameResult ExtractFrame(std::span<const uint8_t> buffer,
 struct Request {
   Opcode opcode = Opcode::kGet;
   uint64_t request_id = 0;
-  uint64_t key = 0;                          // GET / PUT / DELETE
-  std::vector<uint8_t> value;                // PUT
-  std::vector<uint64_t> keys;                // MULTI_GET / MULTI_PUT
-  std::vector<std::vector<uint8_t>> values;  // MULTI_PUT
+  uint64_t key = 0;            // GET / PUT / DELETE
+  std::vector<uint8_t> value;  // PUT
 };
 
 /// A decoded response, one frame's worth.
@@ -134,22 +130,20 @@ struct Response {
   uint64_t request_id = 0;
   Status::Code status = Status::Code::kOk;
   std::vector<uint8_t> value;  // GET
-  /// MULTI_GET: one (status, value) per requested key, in key order.
-  std::vector<std::pair<Status::Code, std::vector<uint8_t>>> slots;
-  /// MULTI_PUT: one status per slot, in slot order.
-  std::vector<Status::Code> statuses;
   /// STATS: flat name -> counter map (store + server counters).
   std::vector<std::pair<std::string, uint64_t>> stats;
 };
 
 /// Decode the payload of an already-extracted request frame. Returns
 /// kInvalidArgument for an unknown opcode, kCorruption for any structural
-/// mismatch (truncated payload, count or length past limits, trailing
-/// bytes). On error `out` is unspecified.
+/// mismatch (truncated payload, length past limits, trailing bytes). On
+/// error `out` is unspecified.
 Status DecodeRequest(const FrameView& frame, const ProtocolLimits& limits,
                      Request* out);
 
 /// Decode the payload of an already-extracted response frame (client side).
+/// A STATS count is believed only as far as the payload bytes back it, so
+/// max_frame_bytes bounds what it can allocate.
 Status DecodeResponse(const FrameView& frame, const ProtocolLimits& limits,
                       Response* out);
 
@@ -160,11 +154,6 @@ void EncodePut(uint64_t request_id, uint64_t key,
                std::span<const uint8_t> value, std::vector<uint8_t>* out);
 void EncodeDelete(uint64_t request_id, uint64_t key,
                   std::vector<uint8_t>* out);
-void EncodeMultiGet(uint64_t request_id, std::span<const uint64_t> keys,
-                    std::vector<uint8_t>* out);
-void EncodeMultiPut(uint64_t request_id, std::span<const uint64_t> keys,
-                    std::span<const std::span<const uint8_t>> values,
-                    std::vector<uint8_t>* out);
 void EncodeStats(uint64_t request_id, std::vector<uint8_t>* out);
 
 /// Append one encoded response frame to `out`.

@@ -352,9 +352,9 @@ void PnwServer::ProcessFrames(Connection& conn) {
                      conn.inbuf.begin() + static_cast<long>(conn.consumed));
     conn.consumed = 0;
   }
-  // Execute the burst: adjacent single-key GETs (and PUTs) group into one
-  // store MultiGet (MultiPut) -- the pipelining amortization -- while
-  // MULTI_*, DELETE, and STATS frames execute as their own store call.
+  // Execute the burst: adjacent GETs (and PUTs) group into one store
+  // MultiGet (MultiPut) -- the pipelining amortization -- while DELETE and
+  // STATS frames execute one at a time.
   size_t i = 0;
   while (i < requests.size()) {
     const Opcode op = requests[i].opcode;
@@ -451,37 +451,6 @@ void PnwServer::ExecuteOne(Connection& conn, const Request& request) {
       ++metrics_.batched_keys;
       BumpMax(metrics_.max_batch_keys, 1);
       response.status = store_->Delete(request.key).code();
-      break;
-    }
-    case Opcode::kMultiGet: {
-      metrics_.get_keys += request.keys.size();
-      ++metrics_.store_batches;
-      metrics_.batched_keys += request.keys.size();
-      BumpMax(metrics_.max_batch_keys, request.keys.size());
-      auto results = store_->MultiGet(request.keys);
-      response.slots.reserve(results.size());
-      for (auto& result : results) {
-        response.slots.emplace_back(
-            result.status().code(),
-            result.ok() ? std::move(result.value())
-                        : std::vector<uint8_t>{});
-      }
-      break;
-    }
-    case Opcode::kMultiPut: {
-      metrics_.put_keys += request.keys.size();
-      ++metrics_.store_batches;
-      metrics_.batched_keys += request.keys.size();
-      BumpMax(metrics_.max_batch_keys, request.keys.size());
-      batch_values_.clear();
-      for (const auto& value : request.values) {
-        batch_values_.emplace_back(value);
-      }
-      const auto statuses = store_->MultiPut(request.keys, batch_values_);
-      response.statuses.reserve(statuses.size());
-      for (const Status& status : statuses) {
-        response.statuses.push_back(status.code());
-      }
       break;
     }
     case Opcode::kStats:

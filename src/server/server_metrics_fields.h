@@ -30,15 +30,15 @@
   X(Counter, bytes_out)                                                     \
   /* Responses enqueued whose connection died before the bytes left. */    \
   X(Counter, dropped_responses)                                             \
-  /* Keys forwarded to the store, by operation (MULTI_* frames count */    \
-  /* each of their keys; a rejected frame counts none). */                  \
+  /* Keys forwarded to the store, by operation (one per frame; a */         \
+  /* rejected frame counts none). */                                        \
   X(Counter, get_keys)                                                      \
   X(Counter, put_keys)                                                      \
   X(Counter, delete_keys)                                                   \
   X(Counter, stats_frames)                                                  \
   /* Pipelining: store calls issued, the keys they carried, and the */     \
-  /* largest one (pipelined single-key frames group into one call; a */    \
-  /* MULTI_* frame is one call carrying its whole batch). */                \
+  /* largest one (a run of adjacent pipelined GETs or PUTs is one call; */ \
+  /* a DELETE is a call of one key). */                                     \
   X(Counter, store_batches)                                                 \
   X(Counter, batched_keys)                                                  \
   X(Counter, max_batch_keys)                                                \

@@ -480,6 +480,54 @@ TEST_F(PersistTest, ReplayAcrossPacedRetrainsReproducesTheStore) {
   ExpectReplayedStoreIdentical(*reopened.value(), *store);
 }
 
+// Replay across an explicit retrain: TrainModel between two checkpoints is
+// an op-log record of its own, so recovery adopts the retrained model at
+// the same point in the op sequence and places the PUTs after it as the
+// live store did.
+TEST_F(PersistTest, ReplayAcrossExplicitTrainModelReproducesTheStore) {
+  PnwOptions options;
+  options.value_bytes = 64;
+  options.initial_buckets = 512;
+  options.capacity_buckets = 512;
+  options.num_clusters = 4;
+  // Eight value groups: the bootstrap fills half the zone from the first
+  // four, the churn below moves it to the other four.
+  constexpr uint8_t kGroupFill[] = {0x00, 0xff, 0x0f, 0xf0,
+                                    0x33, 0xcc, 0x55, 0xaa};
+  const auto value = [&](uint64_t key, size_t group) {
+    std::vector<uint8_t> v(options.value_bytes, kGroupFill[group]);
+    v[0] ^= static_cast<uint8_t>(key);
+    return v;
+  };
+  auto store = PnwStore::Open(options).value();
+  std::vector<uint64_t> keys(256);
+  std::vector<std::vector<uint8_t>> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = i;
+    values[i] = value(i, i % 4);
+  }
+  ASSERT_TRUE(store->Bootstrap(keys, values).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+
+  // DELETE/PUT pairs that replace bootstrapped keys with new-group values.
+  const auto churn = [&](uint64_t first_old, uint64_t first_new, size_t n) {
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(store->Delete(first_old + i).ok()) << first_old + i;
+      ASSERT_TRUE(store->Put(first_new + i, value(first_new + i, 4 + i % 4))
+                      .ok())
+          << first_new + i;
+    }
+  };
+  churn(0, 1000, 128);
+  ASSERT_TRUE(store->TrainModel().ok());
+  churn(128, 2000, 64);
+  ASSERT_EQ(store->metrics().retrains, 2u);  // Bootstrap's and the explicit
+
+  auto reopened = PnwStore::Open(Path("store.snap"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ExpectReplayedStoreIdentical(*reopened.value(), *store);
+}
+
 // kMigrate re-points the index by the key stored in the bucket, which a
 // keyless store does not have: replaying one must fail, not serve the
 // bucket's value under key 0.
@@ -601,9 +649,10 @@ TEST_F(PersistTest, SnapshotVersionMismatchIsCleanError) {
   ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
   const auto written = persist::ReadFileBytes(Path("store.snap")).value();
 
-  // A version from the future, and v7: the last layout with the Start-Gap
-  // fields.
-  for (const uint32_t version : {PnwStore::kSnapshotVersion + 1, 7u}) {
+  // A version from the future; v9, the last layout with the DRAM
+  // latencies and without the TRAIN op-log record; and v7, the last with
+  // the Start-Gap fields.
+  for (const uint32_t version : {PnwStore::kSnapshotVersion + 1, 9u, 7u}) {
     // Byte 8 is the low byte of the little-endian payload version.
     auto bytes = written;
     bytes[8] = static_cast<uint8_t>(version);

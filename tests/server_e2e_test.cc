@@ -110,8 +110,8 @@ TEST(ServerE2eTest, MixedPipelinedWorkloadReconcilesThreeWays) {
 
   Rng rng(42);
   // Mixed pipelined bursts: depth-8 windows of single-key GET/PUT frames
-  // (these group server-side into MultiGet/MultiPut runs), with DELETEs,
-  // MULTI_GETs and MULTI_PUTs interleaved between windows.
+  // (these group server-side into MultiGet/MultiPut runs), with a DELETE
+  // between windows.
   for (int round = 0; round < 30; ++round) {
     std::vector<uint64_t> ids;
     std::vector<bool> is_put;
@@ -161,36 +161,6 @@ TEST(ServerE2eTest, MixedPipelinedWorkloadReconcilesThreeWays) {
     } else {
       ASSERT_TRUE(del.IsNotFound()) << del.ToString();
       ++delete_misses;
-    }
-
-    // One MULTI_GET and one MULTI_PUT per round.
-    std::vector<uint64_t> mkeys = {rng.NextBelow(192), rng.NextBelow(192),
-                                   rng.NextBelow(192)};
-    auto mg = client->MultiGet(mkeys);
-    ASSERT_TRUE(mg.ok()) << mg.status().ToString();
-    gets_sent += mkeys.size();
-    for (const auto& [code, value] : mg.value()) {
-      if (code == Status::Code::kOk) {
-        EXPECT_EQ(value.size(), kValueBytes);
-        ++get_hits;
-      } else {
-        EXPECT_EQ(code, Status::Code::kNotFound);
-        ++get_misses;
-      }
-    }
-    std::vector<std::vector<uint8_t>> mvalues;
-    for (const uint64_t k : mkeys) {
-      mvalues.push_back(MakeValue(k, round + 100));
-    }
-    auto mp = client->MultiPut(mkeys, mvalues);
-    ASSERT_TRUE(mp.ok()) << mp.status().ToString();
-    puts_sent += mkeys.size();
-    for (const Status::Code code : mp.value()) {
-      if (code == Status::Code::kOk) {
-        ++put_oks;
-      } else {
-        ++put_fails;
-      }
     }
   }
 

@@ -745,12 +745,13 @@ TEST(ShardedPnwStoreTest, ManifestFromVersion4IsRejected) {
     EXPECT_NE(reopened.status().message().find("version mismatch"),
               std::string::npos);
   };
-  // The manifest stamped v6, whose encoded store options still carried
-  // the background-retrain flag and the retrain-pacing knob, then v5,
-  // whose options also carried the two Start-Gap knobs. Byte 8 is the low
-  // byte of the little-endian payload version.
+  // The manifest stamped v7, whose encoded store options still carried
+  // the two DRAM latencies; v6, whose options also carried the
+  // background-retrain flag and the retrain-pacing knob; then v5, whose
+  // options also carried the two Start-Gap knobs. Byte 8 is the low byte
+  // of the little-endian payload version.
   auto bytes = persist::ReadFileBytes(manifest).value();
-  for (const uint8_t version : {6, 5}) {
+  for (const uint8_t version : {7, 6, 5}) {
     bytes[8] = version;
     ASSERT_TRUE(persist::AtomicWriteFile(manifest, bytes).ok());
     expect_rejected();
