@@ -1,8 +1,11 @@
 // Beyond the paper ("Fig. 15"): durability cost of the persistence
-// subsystem. Sweeps the record count and measures, per store size:
+// subsystem. Sweeps the record count and measures, per store size, on a
+// one-shard ShardedPnwStore checkpointed into its own directory (the
+// store's one durable layout: MANIFEST + one epoch-NNNNNN/ generation):
 //   - checkpoint wall time and snapshot size on disk,
-//   - recovery wall time from the snapshot alone (PnwStore::Open with
-//     replay disabled) and with an op-log of records/8 updates replayed.
+//   - recovery wall time from the snapshot alone (ShardedPnwStore::Open
+//     with replay disabled) and with an op-log of records/8 updates
+//     replayed.
 // Expected trend: checkpoint size and snapshot-open time scale roughly
 // linearly with the record count; replay adds time proportional to the
 // log length (so checkpoint cadence bounds it). Recovery brings back the
@@ -17,7 +20,8 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/core/pnw_store.h"
+#include "src/core/sharded_store.h"
+#include "src/util/mutex.h"
 #include "src/util/random.h"
 #include "src/util/stats.h"
 
@@ -48,14 +52,15 @@ struct CellResult {
   bool verified = false;
 };
 
-CellResult RunCell(size_t records, const std::string& snap_path) {
-  pnw::core::PnwOptions options;
-  options.value_bytes = kValueBytes;
-  options.initial_buckets = records;
-  options.capacity_buckets = records * 2;
-  options.num_clusters = 8;
-  options.max_features = 256;
-  auto store = pnw::core::PnwStore::Open(options).value();
+CellResult RunCell(size_t records, const std::string& dir) {
+  pnw::core::ShardedOptions options;
+  options.num_shards = 1;
+  options.store.value_bytes = kValueBytes;
+  options.store.initial_buckets = records;
+  options.store.capacity_buckets = records * 2;
+  options.store.num_clusters = 8;
+  options.store.max_features = 256;
+  auto store = pnw::core::ShardedPnwStore::Open(options).value();
 
   pnw::Rng rng(7);
   std::vector<uint64_t> keys(records);
@@ -71,11 +76,13 @@ CellResult RunCell(size_t records, const std::string& snap_path) {
 
   CellResult result;
   auto t0 = std::chrono::steady_clock::now();
-  if (!store->Checkpoint(snap_path).ok()) {
+  if (!store->Checkpoint(dir).ok()) {
     std::fprintf(stderr, "checkpoint failed (n=%zu)\n", records);
     std::exit(1);
   }
   result.checkpoint_ms = MsSince(t0);
+  const std::string snap_path =
+      dir + "/epoch-000001/" + pnw::core::ShardedPnwStore::ShardSnapshotName(0);
   result.snapshot_mib =
       static_cast<double>(fs::file_size(snap_path)) / (1024.0 * 1024.0);
 
@@ -85,7 +92,7 @@ CellResult RunCell(size_t records, const std::string& snap_path) {
     pnw::persist::RecoveryOptions no_replay;
     no_replay.replay_op_log = false;
     no_replay.attach_op_log = false;
-    auto snap_only = pnw::core::PnwStore::Open(snap_path, no_replay);
+    auto snap_only = pnw::core::ShardedPnwStore::Open(dir, no_replay);
     result.open_ms = MsSince(t0);
     if (!snap_only.ok()) {
       std::fprintf(stderr, "snapshot open failed (n=%zu): %s\n", records,
@@ -101,7 +108,7 @@ CellResult RunCell(size_t records, const std::string& snap_path) {
   }
 
   t0 = std::chrono::steady_clock::now();
-  auto reopened = pnw::core::PnwStore::Open(snap_path);
+  auto reopened = pnw::core::ShardedPnwStore::Open(dir);
   result.replay_ms = MsSince(t0);
   if (!reopened.ok()) {
     std::fprintf(stderr, "recovery failed (n=%zu): %s\n", records,
@@ -111,10 +118,15 @@ CellResult RunCell(size_t records, const std::string& snap_path) {
 
   // Verify the acceptance property: every key is served after recovery
   // and the wear counters came back identical.
-  result.verified =
-      reopened.value()->size() == store->size() &&
-      reopened.value()->wear_tracker().bucket_write_counts() ==
-          store->wear_tracker().bucket_write_counts();
+  {
+    pnw::core::PnwStore& live = store->shard(0);
+    pnw::core::PnwStore& recovered = reopened.value()->shard(0);
+    pnw::util::ReaderLock live_lock(live.mu());
+    pnw::util::ReaderLock recovered_lock(recovered.mu());
+    result.verified = recovered.size() == live.size() &&
+                      recovered.wear_tracker().bucket_write_counts() ==
+                          live.wear_tracker().bucket_write_counts();
+  }
   for (size_t i = 0; result.verified && i < records; i += 7) {
     result.verified = reopened.value()->Get(i).ok();
   }
@@ -137,9 +149,8 @@ int main() {
   for (size_t records :
        {pnw::bench::SmokeScaled(2048, 256), pnw::bench::SmokeScaled(8192, 512),
         pnw::bench::SmokeScaled(32768, 1024)}) {
-    const std::string snap_path =
-        (dir / ("store-" + std::to_string(records) + ".snap")).string();
-    const CellResult cell = RunCell(records, snap_path);
+    const CellResult cell =
+        RunCell(records, (dir / ("store-" + std::to_string(records))).string());
     all_verified = all_verified && cell.verified;
     table.AddRow({pnw::TablePrinter::Fmt(static_cast<double>(records), 0),
                   pnw::TablePrinter::Fmt(cell.checkpoint_ms, 2),

@@ -842,25 +842,8 @@ Result<size_t> PnwStore::MigrateHotBuckets(size_t max_buckets) {
   return migrated;
 }
 
-Status PnwStore::Checkpoint(const std::string& path) {
-  auto pending = CaptureCheckpoint(path);
-  if (!pending.ok()) {
-    return pending.status();
-  }
-  const Status committed = pending.value().Commit();
-  if (!committed.ok()) {
-    AbortCheckpoint();
-    return committed;
-  }
-  return FinishCheckpoint(path);
-}
-
 Result<persist::PendingFile> PnwStore::CaptureCheckpoint(
-    const std::string& path) {
-  // The new epoch ties this snapshot to the op-log FinishCheckpoint will
-  // attach; it is rolled back if the snapshot never lands (here, or in
-  // AbortCheckpoint after a failed commit).
-  ++checkpoint_epoch_;
+    const std::string& path, uint64_t epoch) {
   persist::SnapshotWriter snap(kSnapshotVersion);
   {
     auto& w = snap.AddSection(kSectionOptions);
@@ -872,7 +855,7 @@ Result<persist::PendingFile> PnwStore::CaptureCheckpoint(
     w.PutU64(active_buckets_);
     w.PutU64(used_buckets_);
     w.PutU64(puts_since_retrain_);
-    w.PutU64(checkpoint_epoch_);
+    w.PutU64(epoch);
     persist::EncodeStoreMetrics(metrics_, w);
   }
   {
@@ -923,7 +906,6 @@ Result<persist::PendingFile> PnwStore::CaptureCheckpoint(
   // are the caller's Commit().
   auto pending = snap.WriteTemp(path);
   if (!pending.ok()) {
-    --checkpoint_epoch_;
     return pending.status();
   }
   carry_log_path_.clear();
@@ -937,12 +919,7 @@ Result<persist::PendingFile> PnwStore::CaptureCheckpoint(
     // while the caller still holds the operation lock, so operations
     // between capture and finish are captured instead of falling into a
     // gap.
-    const Status s = AttachOpLog(path + kOpLogSuffix, /*truncate=*/true);
-    if (!s.ok()) {
-      op_log_.reset();
-      --checkpoint_epoch_;
-      return s;
-    }
+    PNW_RETURN_IF_ERROR(AttachOpLog(path + kOpLogSuffix, epoch));
     log_switched_in_capture_ = true;
     return pending;
   }
@@ -952,7 +929,6 @@ Result<persist::PendingFile> PnwStore::CaptureCheckpoint(
   std::error_code ec;
   const auto size = std::filesystem::file_size(op_log_->path(), ec);
   if (ec) {
-    --checkpoint_epoch_;
     return Status::Internal("cannot stat op-log " + op_log_->path() + ": " +
                             ec.message());
   }
@@ -962,7 +938,6 @@ Result<persist::PendingFile> PnwStore::CaptureCheckpoint(
 }
 
 void PnwStore::AbortCheckpoint() {
-  --checkpoint_epoch_;
   carry_log_path_.clear();
   carry_log_mark_ = 0;
   if (log_switched_in_capture_) {
@@ -974,7 +949,7 @@ void PnwStore::AbortCheckpoint() {
   }
 }
 
-Status PnwStore::FinishCheckpoint(const std::string& path) {
+Status PnwStore::FinishCheckpoint(const std::string& path, uint64_t epoch) {
   if (log_switched_in_capture_) {
     // CaptureCheckpoint already put the new generation's log in place.
     log_switched_in_capture_ = false;
@@ -985,9 +960,8 @@ Status PnwStore::FinishCheckpoint(const std::string& path) {
   // was handed to the OS on append, so the tail read below sees them all.
   persist::OpLogWriter::CloseSuperseded(std::exchange(op_log_, nullptr));
   // Collect the records that raced the snapshot (appended to the old log
-  // after the capture's mark) BEFORE the switch -- with an unchanged log
-  // path the new log's reset would destroy them. Only the old log's
-  // header and the bytes past the mark are read.
+  // after the capture's mark). Only the old log's header and the bytes
+  // past the mark are read.
   std::vector<persist::OpRecord> carried;
   if (!carry_log_path_.empty()) {
     auto tail = persist::ReadOpLog(carry_log_path_, carry_log_mark_);
@@ -998,13 +972,12 @@ Status PnwStore::FinishCheckpoint(const std::string& path) {
     }
     carried = std::move(tail.value().records);
   }
-  // Attach the new generation's log and carry the tail in one group
+  // Create the new generation's log and carry the tail in one group
   // append (one flush, at most one group fsync). On failure the log stays
-  // detached rather than the epoch rolled back -- the new snapshot is
-  // already durable, and appending to a stale-epoch log would only grow a
-  // file recovery must discard. The caller sees the error and knows
-  // durability is degraded until the next successful Checkpoint.
-  Status s = AttachOpLog(path + kOpLogSuffix, /*truncate=*/true);
+  // detached: the new snapshot is already committed, so the superseded
+  // log no longer extends it. The caller sees the error and knows
+  // durability is degraded until the next successful checkpoint.
+  Status s = AttachOpLog(path + kOpLogSuffix, epoch);
   if (s.ok()) {
     std::vector<persist::OpLogEntry> entries;
     entries.reserve(carried.size());
@@ -1021,6 +994,11 @@ Status PnwStore::FinishCheckpoint(const std::string& path) {
 
 Result<std::unique_ptr<PnwStore>> PnwStore::Open(
     const std::string& path, const persist::RecoveryOptions& recovery) {
+  if (recovery.attach_op_log && !recovery.replay_op_log) {
+    // Records appended behind ones the served state never saw could not
+    // replay onto it later.
+    return Status::InvalidArgument("attach_op_log requires replay_op_log");
+  }
   auto parsed = persist::SnapshotReader::FromFile(path, kSnapshotVersion);
   if (!parsed.ok()) {
     return parsed.status();
@@ -1043,76 +1021,72 @@ Result<std::unique_ptr<PnwStore>> PnwStore::Open(
   // dischargeable, exactly as a live mutator would hold them.
   PnwStore& s = *store;
   util::WriterLock lock(s.mu());
-  PNW_RETURN_IF_ERROR(s.RestoreFrom(snap));
+  uint64_t epoch = 0;
+  PNW_RETURN_IF_ERROR(s.RestoreFrom(snap, &epoch));
 
   const std::string log_path = path + kOpLogSuffix;
   s.op_log_sync_every_ = recovery.op_log_sync_every;
-  bool log_matches_snapshot = false;
-  if (recovery.replay_op_log || recovery.attach_op_log) {
+  if (recovery.replay_op_log) {
     auto log = persist::ReadOpLog(log_path);
     if (!log.ok()) {
       return log.status();
     }
-    // A log from another epoch is one a crash orphaned between a snapshot
-    // rename and the log reset: every record it holds is already folded
-    // into this (newer) snapshot, so it must be discarded, not replayed.
-    log_matches_snapshot = log.value().has_header &&
-                           log.value().epoch == s.checkpoint_epoch_;
-    if (recovery.replay_op_log && log_matches_snapshot) {
-      if (log.value().tail_truncated) {
-        PNW_RETURN_IF_ERROR(
-            persist::TruncateOpLog(log_path, log.value().valid_bytes));
-      }
-      s.replaying_ = true;
-      for (const auto& rec : log.value().records) {
-        Status status;
-        switch (rec.op) {
-          case persist::OpType::kPut:
-          case persist::OpType::kUpdate:
-            status = s.Put(rec.key, rec.value);
-            break;
-          case persist::OpType::kDelete:
-            status = s.Delete(rec.key);
-            break;
-          case persist::OpType::kMigrate: {
-            // Re-run the relocation the live store performed. The restored
-            // pool, model, and wear histogram are bit-identical, so the
-            // decision resolves to the same destination; a skip here means
-            // the log and snapshot disagree.
-            auto moved = s.MigrateBucket(static_cast<size_t>(rec.key));
-            status =
-                !moved.ok()
-                    ? moved.status()
-                    : (moved.value() ? Status::OK()
-                                     : Status::Corruption(
-                                           "logged migration did not replay"));
-            break;
-          }
-          case persist::OpType::kTrain:
-            status = s.TrainModel();
-            break;
-        }
-        if (!status.ok()) {
-          s.replaying_ = false;
-          return Status::Corruption("op-log replay failed: " +
-                                    status.ToString());
-        }
-      }
-      s.replaying_ = false;
+    // A generation's log is created with its snapshot's epoch and no path
+    // is ever reused, so a log carrying another epoch was never written
+    // behind this snapshot.
+    if (log.value().has_header && log.value().epoch != epoch) {
+      return Status::Corruption("op-log epoch differs from its snapshot's: " +
+                                log_path);
     }
+    if (log.value().tail_truncated) {
+      PNW_RETURN_IF_ERROR(
+          persist::TruncateOpLog(log_path, log.value().valid_bytes));
+    }
+    s.replaying_ = true;
+    for (const auto& rec : log.value().records) {
+      Status status;
+      switch (rec.op) {
+        case persist::OpType::kPut:
+        case persist::OpType::kUpdate:
+          status = s.Put(rec.key, rec.value);
+          break;
+        case persist::OpType::kDelete:
+          status = s.Delete(rec.key);
+          break;
+        case persist::OpType::kMigrate: {
+          // Re-run the relocation the live store performed. The restored
+          // pool, model, and wear histogram are bit-identical, so the
+          // decision resolves to the same destination; a skip here means
+          // the log and snapshot disagree.
+          auto moved = s.MigrateBucket(static_cast<size_t>(rec.key));
+          status = !moved.ok()      ? moved.status()
+                   : moved.value() ? Status::OK()
+                                   : Status::Corruption(
+                                         "logged migration did not replay");
+          break;
+        }
+        case persist::OpType::kTrain:
+          status = s.TrainModel();
+          break;
+      }
+      if (!status.ok()) {
+        s.replaying_ = false;
+        return Status::Corruption("op-log replay failed: " +
+                                  status.ToString());
+      }
+    }
+    s.replaying_ = false;
   }
   if (recovery.attach_op_log) {
-    // Keep appending behind the replayed records only when the log both
-    // matches this snapshot's epoch and was actually replayed; otherwise
-    // its content can never legally replay onto the state being served,
-    // so the attach re-stamps it empty under the snapshot's epoch.
-    const bool keep = log_matches_snapshot && recovery.replay_op_log;
-    PNW_RETURN_IF_ERROR(s.AttachOpLog(log_path, /*truncate=*/!keep));
+    // Append behind the replayed records, or stamp a new log if a crash
+    // before the log switch left the generation without one.
+    PNW_RETURN_IF_ERROR(s.AttachOpLog(log_path, epoch));
   }
   return store;
 }
 
-Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
+Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap,
+                             uint64_t* epoch) {
   {
     auto section = snap.Section(kSectionState);
     if (!section.ok()) {
@@ -1126,7 +1100,7 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
     PNW_RETURN_IF_ERROR(r.GetU64(&active));
     PNW_RETURN_IF_ERROR(r.GetU64(&used));
     PNW_RETURN_IF_ERROR(r.GetU64(&since_retrain));
-    PNW_RETURN_IF_ERROR(r.GetU64(&checkpoint_epoch_));
+    PNW_RETURN_IF_ERROR(r.GetU64(epoch));
     PNW_RETURN_IF_ERROR(persist::DecodeStoreMetrics(r, &metrics_));
     if (active > options_.capacity_buckets || used > active) {
       return Status::Corruption("snapshot bucket accounting out of range");
@@ -1261,21 +1235,12 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
   return Status::OK();
 }
 
-Status PnwStore::AttachOpLog(const std::string& path, bool truncate) {
-  auto log = persist::OpLogWriter::Open(path, op_log_sync_every_,
-                                        checkpoint_epoch_);
+Status PnwStore::AttachOpLog(const std::string& path, uint64_t epoch) {
+  auto log = persist::OpLogWriter::Open(path, op_log_sync_every_, epoch);
   if (!log.ok()) {
     return log.status();
   }
   op_log_ = std::move(log.value());
-  if (truncate && !op_log_->created()) {
-    // Open stamped a new log already. One that held bytes belongs to
-    // another epoch -- a single store re-checkpointed to the same path, or
-    // recovery over a stale-epoch or unreplayed log -- and only a Reset
-    // empties it. Truncating a new log as well would cost every
-    // checkpoint a write back on ext4 (see OpLogWriter::Open).
-    return op_log_->Reset(checkpoint_epoch_);
-  }
   return Status::OK();
 }
 

@@ -45,7 +45,7 @@ namespace pnw::core {
 /// (see src/util/thread_annotations.h and ARCHITECTURE.md "Concurrency
 /// contracts"): every store owns a reader-writer capability `mu_`,
 /// reachable through mu(). Mutating operations (Put/Delete/Update/
-/// Bootstrap/TrainModel/Checkpoint/...) require it exclusively; Get and
+/// Bootstrap/TrainModel/CaptureCheckpoint/...) require it exclusively; Get and
 /// the metrics/geometry accessors require it at least shared -- the read
 /// path is index lookup (const) + device Peek + relaxed-atomic metrics,
 /// mutating nothing else, so any number of readers proceed in parallel
@@ -86,78 +86,67 @@ class PnwStore {
   ///     (never read), and the op-log gained the TRAIN record, which a v9
   ///     binary would take for a torn tail.
   static constexpr uint32_t kSnapshotVersion = 10;
-  /// The op-log of a checkpoint at `path` lives at `path + kOpLogSuffix`.
+  /// The op-log of a shard snapshot at `path` lives at
+  /// `path + kOpLogSuffix`, in the same generation directory.
   static constexpr const char* kOpLogSuffix = ".oplog";
 
   /// Validates options and sizes the simulated device.
   static Result<std::unique_ptr<PnwStore>> Open(const PnwOptions& options);
 
-  /// Reopen a checkpointed store: parse + checksum-verify the snapshot at
-  /// `path`, rebuild every DRAM and NVM structure exactly as checkpointed
-  /// (no retraining -- the K-means centroids, PCA basis, pool labels, and
-  /// wear counters come back verbatim), then replay the op-log at
+  /// Reopen one shard of a checkpoint generation (ShardedPnwStore::Open
+  /// calls it per shard): parse + checksum-verify the snapshot at `path`,
+  /// rebuild every DRAM and NVM structure exactly as checkpointed (no
+  /// retraining -- the K-means centroids, PCA basis, pool labels, and wear
+  /// counters come back verbatim), then replay the op-log at
   /// `path + kOpLogSuffix` (truncating a torn tail first) and re-attach it
-  /// for subsequent writes, per `recovery`. Errors are clean Statuses:
-  /// NotFound (no such snapshot), Corruption (checksum/structural damage),
-  /// InvalidArgument (snapshot version mismatch).
+  /// for subsequent writes, per `recovery`. Replay reproduces every
+  /// write-side counter of the operations it replays; see RecoveryOptions
+  /// for the counters it cannot reproduce. Errors are clean Statuses:
+  /// NotFound (no such snapshot), Corruption (checksum/structural damage,
+  /// or a log stamped with another epoch than the snapshot's),
+  /// InvalidArgument (snapshot version mismatch, or attach_op_log without
+  /// replay_op_log).
   static Result<std::unique_ptr<PnwStore>> Open(
       const std::string& path,
       const persist::RecoveryOptions& recovery = persist::RecoveryOptions{});
 
-  /// Write a crash-consistent snapshot of the entire store to `path`
-  /// (atomically: temp file + fsync + rename, so a crash mid-checkpoint
-  /// preserves the previous one), then reset + (re)attach the op-log at
-  /// `path + kOpLogSuffix` so every later PUT/UPDATE/DELETE is captured
-  /// for replay. Serialized state: options, data zone + occupancy flags,
-  /// device wear histograms and counters, per-bucket wear, the key index,
-  /// the trained model (encoder + PCA + centroids), the dynamic address
-  /// pool (labels and pop order), and all operation metrics.
-  ///
-  /// Interplay with ResetWearAndMetrics(): a checkpoint is a pure read of
-  /// the current epoch, so checkpointing right after a reset persists the
-  /// zeroed counters (and an open of that snapshot starts the fresh
-  /// epoch). The reset itself is NOT an op-log record: recovering a
-  /// checkpoint taken *before* the reset replays the logged ops on the
-  /// old epoch, i.e. a reset is durable only once a checkpoint follows it.
-  ///
-  /// The snapshot holds the served model and the retrain pacing state, and
-  /// a load-factor retrain runs synchronously inside the PUT that triggers
-  /// it, so replay retrains at exactly the points the live store did. An
-  /// explicit TrainModel() is an op-log record of its own, replayed in
-  /// order with the operations around it.
-  ///
-  /// Runs CaptureCheckpoint, the commit and FinishCheckpoint all under the
-  /// caller's lock.
-  Status Checkpoint(const std::string& path) PNW_REQUIRES(mu_);
-
-  /// Checkpoint() in three steps, for a coordinator that commits several
-  /// stores at once and must not hold a store's lock across an fsync
-  /// (ShardedPnwStore):
-  ///   1. CaptureCheckpoint, under the exclusive lock: bump the checkpoint
-  ///      epoch, encode the small sections, write the snapshot into
-  ///      `path`'s temp file straight from live memory (the device
-  ///      contents and wear arrays are borrowed, not copied), and record
-  ///      where the live op-log stands (the mark).
+  /// One shard's part of ShardedPnwStore::Checkpoint, in three steps, so
+  /// the coordinator commits every shard before any switches its log and
+  /// never holds a shard's lock across an fsync. `path` names the shard's
+  /// snapshot inside a generation directory that did not exist before the
+  /// checkpoint, and `epoch` is that generation's number: it is stamped
+  /// into the snapshot and into the new op-log's header, tying the two.
+  ///   1. CaptureCheckpoint, under the exclusive lock: encode the small
+  ///      sections, write the snapshot into `path`'s temp file straight
+  ///      from live memory (the device contents and wear arrays are
+  ///      borrowed, not copied), and record where the live op-log stands
+  ///      (the mark).
   ///   2. The returned PendingFile's Commit(), with no lock held: fsync,
   ///      rename over `path`, fsync the directory. Operations keep being
-  ///      captured by the *previous* checkpoint's log meanwhile. If the
-  ///      commit fails, the caller retakes the lock and calls
-  ///      AbortCheckpoint, which rolls back the epoch and the mark.
+  ///      captured by the *previous* generation's log meanwhile. If this
+  ///      or any other shard's step fails, or the manifest write does, the
+  ///      coordinator retakes the lock and calls AbortCheckpoint, which
+  ///      drops the mark (and is a no-op after a failed capture).
   ///   3. FinishCheckpoint, under the lock again, once the coordinator has
-  ///      reached its commit point: switch the op-log to `path +
-  ///      kOpLogSuffix` under the new epoch, carrying the records appended
-  ///      past the mark, and close the superseded log.
+  ///      reached its commit point: create the op-log at `path +
+  ///      kOpLogSuffix` stamped with `epoch`, carry into it the records
+  ///      appended past the mark, and close the superseded log.
   /// With no log attached yet (first checkpoint, or a log detached after
   /// an append failure) the capture attaches the new generation's log at
-  /// once, so nothing falls into a gap, and AbortCheckpoint detaches it.
-  Result<persist::PendingFile> CaptureCheckpoint(const std::string& path)
+  /// once, so nothing falls into a gap, and AbortCheckpoint detaches it:
+  /// an aborted checkpoint leaves the log attachment as it found it. The
+  /// snapshot holds everything the store serves and counts: options, data
+  /// zone and flags, wear, index, model, pool, retrain pacing, metrics.
+  Result<persist::PendingFile> CaptureCheckpoint(const std::string& path,
+                                                 uint64_t epoch)
       PNW_REQUIRES(mu_);
   void AbortCheckpoint() PNW_REQUIRES(mu_);
-  Status FinishCheckpoint(const std::string& path) PNW_REQUIRES(mu_);
+  Status FinishCheckpoint(const std::string& path, uint64_t epoch)
+      PNW_REQUIRES(mu_);
 
-  /// True while an op-log is attached and healthy (Checkpoint/Open attach
-  /// one; an append failure detaches it and surfaces Internal on the op
-  /// that could not be captured).
+  /// True while an op-log is attached and healthy (a checkpoint or Open
+  /// attaches one; an append failure detaches it and surfaces Internal on
+  /// the op that could not be captured).
   bool op_log_attached() const PNW_REQUIRES_SHARED(mu_) {
     return op_log_ != nullptr;
   }
@@ -310,7 +299,9 @@ class PnwStore {
   }
 
   /// Zero all wear counters and operation metrics (benches call this after
-  /// warm-up so only measured traffic is scored).
+  /// warm-up so only measured traffic is scored). Not an op-log record: a
+  /// checkpoint after the reset persists the zeroed counters, but recovery
+  /// from one taken before it replays later ops onto the old counters.
   void ResetWearAndMetrics() PNW_REQUIRES(mu_);
 
   /// Re-snapshot the arena gauges (metrics().arena_*) from the store's
@@ -431,14 +422,15 @@ class PnwStore {
   Result<bool> MigrateBucket(size_t bucket) PNW_REQUIRES(mu_);
 
   /// Restore every serialized section of `snap` into this freshly-Init'd
-  /// store (geometry mismatches fail with Corruption).
-  Status RestoreFrom(const persist::SnapshotReader& snap) PNW_REQUIRES(mu_);
+  /// store (geometry mismatches fail with Corruption), and return the
+  /// epoch the snapshot was stamped with in `*epoch`.
+  Status RestoreFrom(const persist::SnapshotReader& snap, uint64_t* epoch)
+      PNW_REQUIRES(mu_);
 
   /// Open the op-log at `path` and attach it so LogOp captures subsequent
-  /// operations. With `truncate`, the attached log is empty and stamped
-  /// with the current checkpoint epoch: a new file is created that way,
-  /// and one that already holds bytes is Reset.
-  Status AttachOpLog(const std::string& path, bool truncate)
+  /// operations: a new or empty file is stamped with `epoch`, and an
+  /// existing log (one Open just replayed) is appended to.
+  Status AttachOpLog(const std::string& path, uint64_t epoch)
       PNW_REQUIRES(mu_);
 
   /// Append one record to the attached op-log (no-op when none is
@@ -505,19 +497,14 @@ class PnwStore {
   /// lock it exists to avoid; the per-field discipline is enforced by the
   /// TSan CI job and the metrics-reconcile lint instead.
   StoreMetrics metrics_;
-  /// Attached write-ahead log (null until Checkpoint/Open attaches one).
+  /// Attached write-ahead log (null until a checkpoint or Open attaches
+  /// one).
   std::unique_ptr<persist::OpLogWriter> op_log_ PNW_GUARDED_BY(mu_);
   /// Group-fsync interval for (re)attached logs; set by Open's
   /// RecoveryOptions and reused by later Checkpoints so an operator's
   /// durability setting survives re-checkpointing.
   size_t op_log_sync_every_ PNW_GUARDED_BY(mu_) =
       persist::RecoveryOptions{}.op_log_sync_every;
-  /// Monotonic checkpoint generation. Stamped into every snapshot and
-  /// into the op-log header, tying each log to exactly one snapshot: a
-  /// log left behind by a crash between snapshot rename and log reset
-  /// carries the previous epoch and is discarded on recovery instead of
-  /// replaying records the snapshot already contains.
-  uint64_t checkpoint_epoch_ PNW_GUARDED_BY(mu_) = 0;
   /// Between CaptureCheckpoint and FinishCheckpoint: the previous log and
   /// its size at capture time. Operations logged past that mark raced
   /// the snapshot (its commit runs unlocked, and a sharded checkpoint

@@ -1,12 +1,14 @@
 #include "src/core/sharded_store.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -138,6 +140,7 @@ Status ForEachShard(size_t num_shards,
 }
 
 /// Directory of one checkpoint generation inside the checkpoint dir.
+constexpr std::string_view kGenerationPrefix = "epoch-";
 std::string EpochDirName(uint64_t epoch) {
   char name[32];
   std::snprintf(name, sizeof(name), "epoch-%06llu",
@@ -145,27 +148,48 @@ std::string EpochDirName(uint64_t epoch) {
   return name;
 }
 
+/// One past the highest number among `dir`'s `epoch-<digits>` entries, or
+/// 1 when it has none (or cannot be listed).
+uint64_t NextEpoch(const std::string& dir) {
+  uint64_t highest = 0;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(kGenerationPrefix, 0) == 0) {
+      const char* last = name.data() + name.size();
+      uint64_t epoch = 0;
+      const auto [end, err] = std::from_chars(
+          name.data() + kGenerationPrefix.size(), last, epoch);
+      if (err == std::errc() && end == last) {
+        highest = std::max(highest, epoch);
+      }
+    }
+  }
+  return highest + 1;
+}
+
 }  // namespace
 
 Status ShardedPnwStore::Checkpoint(const std::string& dir) {
-  // Each checkpoint writes a fresh generation directory; the manifest
-  // rename below is the commit point, so a crash anywhere before it
-  // leaves the previous generation (and the manifest pointing at it)
-  // untouched.
-  const uint64_t epoch = checkpoint_epoch_ + 1;
+  // Each checkpoint writes a generation directory that did not exist
+  // before (create_directories reports one that did as not created). The
+  // manifest rename below is the commit point, so a failure or crash
+  // anywhere before it leaves the committed generation (and the manifest
+  // pointing at it) untouched.
+  const uint64_t epoch = NextEpoch(dir);
   const std::string epoch_dir = dir + "/" + EpochDirName(epoch);
   std::error_code ec;
-  std::filesystem::create_directories(epoch_dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create checkpoint directory " +
-                            epoch_dir + ": " + ec.message());
+  if (!std::filesystem::create_directories(epoch_dir, ec)) {
+    return Status::Internal("cannot create checkpoint generation " +
+                            epoch_dir + ": " +
+                            (ec ? ec.message() : "it already exists"));
   }
   // Phase 1: snapshots only. Every shard keeps logging into its
-  // *committed* generation's op-log, so a failure anywhere up to the
-  // manifest commit leaves the durable state exactly as before this call
-  // -- no write is ever captured only by an uncommitted generation.
-  PNW_RETURN_IF_ERROR(ForEachShard(
-      shards_.size(), [this, &epoch_dir](size_t i) -> Status {
+  // *committed* generation's op-log (a first checkpoint's shards log into
+  // the new generation at once), so no write is ever captured only by an
+  // uncommitted generation once the failure path below has run.
+  Status s = ForEachShard(
+      shards_.size(), [this, &epoch_dir, epoch](size_t i) -> Status {
         PnwStore& shard = *shards_[i];
         const std::string path = epoch_dir + "/" + ShardSnapshotName(i);
         // Exclusive only while the snapshot is captured into its temp
@@ -173,9 +197,9 @@ Status ShardedPnwStore::Checkpoint(const std::string& dir) {
         // shared-lock readers drain first and new ones wait; readers of
         // *other* shards are unaffected (this is the checkpoint-vs-reader
         // interlock).
-        auto pending = [&shard, &path] {
+        auto pending = [&shard, &path, epoch] {
           util::WriterLock lock(shard.mu());
-          return shard.CaptureCheckpoint(path);
+          return shard.CaptureCheckpoint(path, epoch);
         }();
         if (!pending.ok()) {
           return pending.status();
@@ -183,37 +207,49 @@ Status ShardedPnwStore::Checkpoint(const std::string& dir) {
         // The fsync, rename and directory fsync run unlocked: the shard
         // keeps serving, and its operations keep landing in the committed
         // generation's log, past the capture's mark.
-        const Status committed = pending.value().Commit();
-        if (!committed.ok()) {
-          util::WriterLock lock(shard.mu());
-          shard.AbortCheckpoint();
-        }
-        return committed;
-      }));
-  persist::SnapshotWriter manifest(kManifestVersion);
-  auto& w = manifest.AddSection(kManifestSection);
-  w.PutU64(shards_.size());
-  w.PutU64(epoch);
-  persist::EncodePnwOptions(options_.store, w);
-  PNW_RETURN_IF_ERROR(manifest.WriteToFile(dir + "/" + kManifestName));
-  checkpoint_epoch_ = epoch;
+        return pending.value().Commit();
+      });
+  if (s.ok()) {
+    persist::SnapshotWriter manifest(kManifestVersion);
+    auto& w = manifest.AddSection(kManifestSection);
+    w.PutU64(shards_.size());
+    w.PutU64(epoch);
+    persist::EncodePnwOptions(options_.store, w);
+    s = manifest.WriteToFile(dir + "/" + kManifestName);
+  }
+  if (!s.ok()) {
+    // Nothing committed: every shard aborts its capture (a no-op where the
+    // capture itself failed), which detaches a log attached to the
+    // uncommitted generation, so each shard's log attachment is as it was
+    // before the call.
+    for (const auto& shard_ptr : shards_) {
+      PnwStore& shard = *shard_ptr;
+      util::WriterLock lock(shard.mu());
+      shard.AbortCheckpoint();
+    }
+    // No manifest names the generation and no shard logs into it now, so
+    // repeated failures (a full disk, say) do not pile up its files.
+    std::filesystem::remove_all(epoch_dir, ec);
+    return s;
+  }
   // Phase 2, after the commit point: switch every shard's op-log to the
   // new generation. Ops a shard acknowledged after its capture sit in the
   // old generation's log only until its switch carries them -- the one
   // bounded loss window a crash in this phase can cause.
   PNW_RETURN_IF_ERROR(ForEachShard(
-      shards_.size(), [this, &epoch_dir](size_t i) -> Status {
+      shards_.size(), [this, &epoch_dir, epoch](size_t i) -> Status {
         PnwStore& shard = *shards_[i];
         util::WriterLock lock(shard.mu());
-        return shard.FinishCheckpoint(epoch_dir + "/" + ShardSnapshotName(i));
+        return shard.FinishCheckpoint(epoch_dir + "/" + ShardSnapshotName(i),
+                                      epoch);
       }));
   // Only after the new manifest is durable: drop superseded generations
   // (and any partial ones a crashed checkpoint left). Failures here are
   // ignored -- leftovers waste disk but are never opened.
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.is_directory() &&
-        entry.path().filename().string().rfind("epoch-", 0) == 0 &&
-        entry.path().filename().string() != EpochDirName(epoch)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_directory() && name.rfind(kGenerationPrefix, 0) == 0 &&
+        name != EpochDirName(epoch)) {
       std::filesystem::remove_all(entry.path(), ec);
     }
   }
@@ -250,7 +286,6 @@ Result<std::unique_ptr<ShardedPnwStore>> ShardedPnwStore::Open(
   options.num_shards = num_shards;
 
   std::unique_ptr<ShardedPnwStore> store(new ShardedPnwStore(options));
-  store->checkpoint_epoch_ = epoch;
   store->shards_.resize(num_shards);
   const std::string epoch_dir = dir + "/" + EpochDirName(epoch);
   PNW_RETURN_IF_ERROR(ForEachShard(

@@ -134,7 +134,11 @@ class ShardedPnwStore {
       const std::string& dir,
       const persist::RecoveryOptions& recovery = persist::RecoveryOptions{});
 
-  /// Two-phase checkpoint into a fresh `dir/epoch-NNNNNN/` generation.
+  /// Two-phase checkpoint into a new `dir/epoch-NNNNNN/` generation, the
+  /// store's one durable layout. N is one past the highest `epoch-*` entry
+  /// already in `dir`, so no checkpoint writes into a generation that
+  /// existed before the call, and N is the epoch stamped into every shard
+  /// snapshot and op-log header of the generation.
   /// Phase 1 snapshots every shard in parallel (one thread-pool task per
   /// shard) while the shards keep logging into the *committed*
   /// generation -- so an error or crash anywhere up to the commit leaves
@@ -142,15 +146,17 @@ class ShardedPnwStore {
   /// covers only its capture: the small sections encoded and the snapshot
   /// written into its temp file straight from live memory, plus the
   /// op-log mark. The fsync, rename and directory fsync follow unlocked
-  /// (PnwStore::CaptureCheckpoint); a failed one retakes the lock to roll
-  /// the capture back. The commit point is the atomic write of
-  /// `dir/MANIFEST`; phase 2 then switches every shard's op-log
-  /// (`shard-NNNN.snap.oplog` inside the generation) to the new
+  /// (PnwStore::CaptureCheckpoint). If any shard's capture or commit
+  /// fails, or the manifest write does, every shard aborts under its lock,
+  /// leaving each shard's log attachment as it was before the call, and
+  /// the uncommitted generation is removed. The commit point is the
+  /// atomic write of `dir/MANIFEST`; phase 2 then switches every shard's
+  /// op-log (`shard-NNNN.snap.oplog` inside the generation) to the new
   /// generation under its lock -- carrying over the records of operations
   /// that raced the shard's snapshot, so in the absence of a crash no
   /// acknowledged write is ever dropped, and closing the superseded log
-  /// without an fsync -- and superseded or partial generations are
-  /// garbage-collected. A crash mid-checkpoint therefore recovers the
+  /// without an fsync -- and superseded generations, with any partial one
+  /// a crash left, are garbage-collected. A crash mid-checkpoint therefore recovers the
   /// previous complete generation; a crash between the manifest commit
   /// and a shard's log switch can lose only the operations that shard
   /// acknowledged after its capture, which until the switch sit in the
@@ -263,10 +269,6 @@ class ShardedPnwStore {
   /// guard, which is how the analysis ties each acquisition to the
   /// contracts it discharges. The vector itself is immutable after Open.
   std::vector<std::unique_ptr<PnwStore>> shards_;
-  /// Monotonic checkpoint generation; each Checkpoint() writes into
-  /// dir/epoch-<n>/ and commits it via the manifest (restored on Open).
-  /// Guarded by Checkpoint's "call from one thread at a time" contract.
-  uint64_t checkpoint_epoch_ = 0;
 };
 
 }  // namespace pnw::core

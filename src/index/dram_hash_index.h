@@ -12,9 +12,10 @@
 namespace pnw::index {
 
 /// The Fig. 2a design: the index lives in DRAM, so it adds no NVM bit flips
-/// (at the cost of a rebuild on recovery: `PnwStore::Open(path)` reloads it
-/// from the snapshot's live entries). Deletions keep a tombstone to mirror
-/// the paper's flag-bit semantics.
+/// (at the cost of a rebuild on recovery: `ShardedPnwStore::Open(dir)`
+/// reloads each shard's index from its snapshot's live entries, through
+/// `PnwStore::Open(path)`). Deletions keep a tombstone to mirror the
+/// paper's flag-bit semantics.
 ///
 /// Layout: an open-chaining hash whose nodes and bucket arrays live in an
 /// owned arena. This buys two things over the previous unordered_map:

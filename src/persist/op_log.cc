@@ -16,7 +16,7 @@ namespace pnw::persist {
 namespace {
 
 constexpr char kLogMagic[8] = {'P', 'N', 'W', 'L', 'O', 'G', '1', '\n'};
-/// Header = magic + u64 checkpoint epoch.
+/// Header = magic + u64 epoch.
 constexpr size_t kHeaderBytes = sizeof(kLogMagic) + 8;
 /// Record body = op (1) + key (8); value bytes follow.
 constexpr size_t kBodyFixedBytes = 9;
@@ -44,7 +44,6 @@ Result<std::unique_ptr<OpLogWriter>> OpLogWriter::Open(
   const auto size = std::filesystem::file_size(path, ec);
   if (!ec && size == 0) {
     PNW_RETURN_IF_ERROR(writer->WriteHeader(epoch));
-    writer->created_ = true;
     // A brand-new log file is a new directory entry: persist it, or a
     // power failure could drop the whole (otherwise fsync'd) log.
     SyncParentDir(path);
@@ -132,16 +131,6 @@ void OpLogWriter::CloseSuperseded(std::unique_ptr<OpLogWriter> log) {
     (void)std::fclose(log->file_);
     log->file_ = nullptr;  // the destructor has nothing left to sync
   }
-}
-
-Status OpLogWriter::Reset(uint64_t epoch) {
-  if (std::fflush(file_) != 0 || ::ftruncate(fileno(file_), 0) != 0) {
-    return Status::Internal("op-log truncate failed for " + path_);
-  }
-  // "ab" keeps appending at the (new) end; re-seek for portability.
-  std::fseek(file_, 0, SEEK_END);
-  PNW_RETURN_IF_ERROR(WriteHeader(epoch));
-  return Sync();
 }
 
 Result<OpLogContents> ReadOpLog(const std::string& path,

@@ -52,11 +52,10 @@ struct OpLogEntry {
 /// Result of scanning an op-log file (see ReadOpLog).
 struct OpLogContents {
   std::vector<OpRecord> records;
-  /// Checkpoint epoch stamped in the header: the log is only valid on top
-  /// of the snapshot carrying the same epoch. A log left over from a
-  /// crash *between* a snapshot rename and the log reset carries the
-  /// previous epoch, and recovery discards it instead of replaying
-  /// records the snapshot already folded in.
+  /// Epoch stamped in the header: the number of the checkpoint generation
+  /// whose snapshot the log extends. Recovery replays a log only onto the
+  /// snapshot carrying the same epoch and reports any other as
+  /// Corruption.
   uint64_t epoch = 0;
   /// True when the file exists and starts with a valid header (a missing
   /// or zero-length log parses as `!has_header` with no records).
@@ -74,8 +73,12 @@ struct OpLogContents {
 /// (the cheap half of the durability recipe; the snapshot in snapshot.h is
 /// the expensive half).
 ///
+/// One log per shard per checkpoint generation, created next to the
+/// shard's snapshot and never reused by a later generation.
+///
 /// File layout: a 16-byte header -- 8-byte magic ("PNWLOG1\n") plus the
-/// u64 checkpoint epoch this log extends -- followed by records:
+/// u64 epoch (generation number) of the snapshot this log extends --
+/// followed by records:
 ///
 ///     u32 crc32(body) | u32 body_length | body
 ///     body = u8 op | u64 key | value bytes (body_length - 9 of them)
@@ -89,12 +92,10 @@ class OpLogWriter {
  public:
   /// Open `path` for appending, creating it (with a header stamping
   /// `epoch`) if absent or empty; an existing non-empty log keeps its
-  /// header (callers verify its epoch via ReadOpLog before appending, or
-  /// Reset it). A log is stamped on creation, never created and then
-  /// truncated: on ext4 a file truncated to zero has its dirty pages
-  /// flushed when it is closed, so a truncate costs a checkpoint a write
-  /// back. `sync_every` = N means one fdatasync per N appended records
-  /// (1 = sync every record; the durable-but-slow setting).
+  /// header (recovery verifies its epoch via ReadOpLog and replays it
+  /// before appending behind it). `sync_every` = N means one fdatasync per
+  /// N appended records (1 = sync every record; the durable-but-slow
+  /// setting).
   static Result<std::unique_ptr<OpLogWriter>> Open(const std::string& path,
                                                    size_t sync_every,
                                                    uint64_t epoch);
@@ -121,21 +122,11 @@ class OpLogWriter {
   /// Force everything appended so far to stable storage.
   Status Sync();
 
-  /// Truncate the log to empty and stamp a fresh header carrying `epoch`
-  /// (called after a successful checkpoint captured everything the log
-  /// held; the new epoch ties the emptied log to that snapshot). Only for
-  /// a log that already holds bytes; Open stamps a new one.
-  Status Reset(uint64_t epoch);
-
   /// Close `log` (if any) without an fsync: for a log that a durable,
   /// newer checkpoint has superseded, which recovery never reads again.
   /// Its records were handed to the OS on append; forcing them to the
   /// disk would only stall the checkpoint.
   static void CloseSuperseded(std::unique_ptr<OpLogWriter> log);
-
-  /// True when Open created the file or found it empty and stamped its
-  /// header; false when it attached to a log that already held bytes.
-  bool created() const { return created_; }
 
   /// Records appended through this writer (not counting pre-existing ones).
   uint64_t appended() const { return appended_; }
@@ -153,7 +144,6 @@ class OpLogWriter {
   size_t sync_every_;
   size_t since_sync_ = 0;
   uint64_t appended_ = 0;
-  bool created_ = false;
   /// Reusable framing scratch (capacity persists across appends, so the
   /// steady-state append path performs no heap allocation).
   BufferWriter body_scratch_;

@@ -5,9 +5,22 @@
 
 namespace pnw::persist {
 
-/// Knobs for PnwStore::Open(path, ...) / ShardedPnwStore::Open(dir, ...).
+/// Knobs for ShardedPnwStore::Open(dir, ...), which hands them to
+/// PnwStore::Open(path, ...) for every shard of the committed generation.
 /// The defaults give the full durability contract: replay everything the
 /// op-log captured since the snapshot, then keep logging.
+///
+/// What replay reproduces: every write-side counter of the operations it
+/// replays (puts, updates, deletes, the bits, words, lines and simulated
+/// device time they wrote, placements, pool fallbacks, retrains,
+/// extensions, migrations), together with the device bytes, the wear
+/// histograms and the pool. What it does not: `failed_ops` of a write that
+/// failed after the snapshot (it leaves no record), and the read counters
+/// (`gets`, `get_misses`, `optimistic_gets`, `locked_gets`,
+/// `optimistic_retries`, `get_device_ns`), since reads are not logged; all
+/// of these keep their snapshot values. Of the two measured wall-clock
+/// fields, `predict_wall_ns` adds replay's own predicts and `log_wall_ns`
+/// keeps its snapshot value, since replay appends nothing.
 struct RecoveryOptions {
   /// Replay `<snapshot path> + ".oplog"` (if present) on top of the
   /// snapshot, truncating a torn tail first. Disable to recover exactly
@@ -16,9 +29,9 @@ struct RecoveryOptions {
 
   /// Re-attach the op-log after recovery so subsequent PUT/UPDATE/DELETE
   /// keep being captured (appending after the replayed records). Disable
-  /// for read-only forensics on a checkpoint. Attaching without replay
-  /// (or over a log from another checkpoint epoch) resets the log: a
-  /// record that was not replayed onto the served state can never legally
+  /// for read-only forensics on a checkpoint. Requires replay_op_log:
+  /// Open rejects attaching without replay as InvalidArgument, because a
+  /// record appended behind ones the served state never saw could not
   /// replay later.
   bool attach_op_log = true;
 

@@ -11,10 +11,11 @@
 // on stdout as "pnw_server listening on 127.0.0.1:PORT" (machine-parseable:
 // scripts/remote_smoke.py and the e2e fixtures scrape it).
 //
-// With --data-dir the store checkpoints into the directory and reopens
-// with op_log_sync_every=1, so every acked write is fsync-durable -- the
-// group commit the pipelined server amortizes is then a real fsync per
-// store batch, not a no-op.
+// With --data-dir the store checkpoints into the directory (a new
+// generation, so a previous run's committed one stays intact until the new
+// manifest commits) and reopens with op_log_sync_every=1, so every acked
+// write is fsync-durable -- the group commit the pipelined server
+// amortizes is then a real fsync per store batch, not a no-op.
 #include <unistd.h>
 
 #include <cctype>

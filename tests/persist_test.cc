@@ -1,8 +1,11 @@
 // Recovery edge cases for the durability subsystem (src/persist/ +
-// PnwStore::Checkpoint/Open + ShardedPnwStore::Checkpoint/Open): empty
-// store, kill-point round trips with metrics/wear/model equality, op-log
-// replay, torn log tails, corrupted checksums, snapshot version mismatch,
-// and the ResetWearAndMetrics <-> Checkpoint interplay.
+// ShardedPnwStore::Checkpoint/Open, the one durable layout, and the
+// per-shard pieces it drives: PnwStore::CaptureCheckpoint/AbortCheckpoint/
+// FinishCheckpoint/Open): empty store, kill-point round trips with
+// metrics/wear/model equality, op-log replay, torn log tails, corrupted
+// checksums, snapshot version mismatch, failed checkpoints, and the
+// ResetWearAndMetrics <-> Checkpoint interplay. Most cases run a one-shard
+// store and inspect it through shard(0).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <numeric>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -51,9 +55,19 @@ std::vector<uint8_t> GroupValue(int group, uint8_t tweak) {
   return v;
 }
 
-std::unique_ptr<PnwStore> MakeBootstrappedStore(PnwOptions options,
-                                                size_t n = 32) {
-  auto store = PnwStore::Open(options).value();
+/// The durable layout's smallest case: a one-shard ShardedPnwStore. At one
+/// shard the bucket counts and the seed are `options`' own, so shard(0) is
+/// exactly PnwStore::Open(options).
+std::unique_ptr<ShardedPnwStore> OneShardStore(const PnwOptions& options) {
+  ShardedOptions sharded;
+  sharded.num_shards = 1;
+  sharded.store = options;
+  return ShardedPnwStore::Open(sharded).value();
+}
+
+std::unique_ptr<ShardedPnwStore> MakeBootstrappedStore(PnwOptions options,
+                                                       size_t n = 32) {
+  auto store = OneShardStore(options);
   std::vector<uint64_t> keys(n);
   std::vector<std::vector<uint8_t>> values(n);
   for (size_t i = 0; i < n; ++i) {
@@ -83,6 +97,27 @@ class PersistTest : public ::testing::Test {
   fs::path dir_;
 };
 
+/// Shard `shard`'s snapshot in generation `epoch` of checkpoint
+/// directory `dir`; its op-log is this plus PnwStore::kOpLogSuffix.
+std::string ShardSnap(const std::string& dir, uint64_t epoch = 1,
+                      size_t shard = 0) {
+  char generation[32];
+  std::snprintf(generation, sizeof(generation), "/epoch-%06llu/",
+                static_cast<unsigned long long>(epoch));
+  return dir + generation + ShardedPnwStore::ShardSnapshotName(shard);
+}
+
+std::string ShardLog(const std::string& dir, uint64_t epoch = 1,
+                     size_t shard = 0) {
+  return ShardSnap(dir, epoch, shard) + PnwStore::kOpLogSuffix;
+}
+
+void WriteBytes(const std::string& path, std::span<const uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 void ExpectMetricsEqual(const StoreMetrics& a, const StoreMetrics& b) {
   EXPECT_EQ(a.puts, b.puts);
   EXPECT_EQ(a.gets, b.gets);
@@ -109,12 +144,12 @@ void ExpectMetricsEqual(const StoreMetrics& a, const StoreMetrics& b) {
 }
 
 TEST_F(PersistTest, EmptyStoreRoundTrips) {
-  auto store = PnwStore::Open(SmallOptions()).value();
+  auto store = OneShardStore(SmallOptions());
   // Bootstrapping with zero items is legal (the data zone is all zeros);
   // checkpoint both the never-bootstrapped and the empty-bootstrapped
   // state.
-  ASSERT_TRUE(store->Checkpoint(Path("fresh.snap")).ok());
-  auto fresh = PnwStore::Open(Path("fresh.snap"));
+  ASSERT_TRUE(store->Checkpoint(Path("fresh")).ok());
+  auto fresh = ShardedPnwStore::Open(Path("fresh"));
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   EXPECT_EQ(fresh.value()->size(), 0u);
   // Ops on the recovered-but-never-bootstrapped store still demand
@@ -125,8 +160,8 @@ TEST_F(PersistTest, EmptyStoreRoundTrips) {
   ASSERT_TRUE(
       store->Bootstrap(std::span<const uint64_t>(),
                        std::span<const std::vector<uint8_t>>()).ok());
-  ASSERT_TRUE(store->Checkpoint(Path("empty.snap")).ok());
-  auto empty = PnwStore::Open(Path("empty.snap"));
+  ASSERT_TRUE(store->Checkpoint(Path("empty")).ok());
+  auto empty = ShardedPnwStore::Open(Path("empty"));
   ASSERT_TRUE(empty.ok()) << empty.status();
   EXPECT_EQ(empty.value()->size(), 0u);
   // And the recovered empty store serves writes.
@@ -138,7 +173,8 @@ TEST_F(PersistTest, EmptyStoreRoundTrips) {
 // served, wear counters identical, placement predictions identical (no
 // retrain).
 TEST_F(PersistTest, KillPointRoundTripPreservesEverything) {
-  auto store = MakeBootstrappedStore(SmallOptions());
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
   for (size_t i = 0; i < 24; ++i) {
     ASSERT_TRUE(
         store->Put(100 + i, GroupValue(i % 2, static_cast<uint8_t>(i))).ok());
@@ -147,10 +183,10 @@ TEST_F(PersistTest, KillPointRoundTripPreservesEverything) {
   ASSERT_TRUE(store->Delete(101).ok());
   ASSERT_TRUE(store->Get(5).ok());
 
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
-  auto reopened_result = PnwStore::Open(Path("store.snap"));
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
+  auto reopened_result = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened_result.ok()) << reopened_result.status();
-  auto& reopened = *reopened_result.value();
+  PnwStore& reopened = reopened_result.value()->shard(0);
 
   EXPECT_EQ(reopened.size(), store->size());
   EXPECT_EQ(reopened.active_buckets(), store->active_buckets());
@@ -204,8 +240,9 @@ TEST_F(PersistTest, KillPointRoundTripPreservesEverything) {
 }
 
 TEST_F(PersistTest, OpLogReplayRecoversPostCheckpointWrites) {
-  auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
   EXPECT_TRUE(store->op_log_attached());
 
   // Post-checkpoint traffic: inserts, an update, a delete.
@@ -217,9 +254,9 @@ TEST_F(PersistTest, OpLogReplayRecoversPostCheckpointWrites) {
   ASSERT_TRUE(store->Delete(201).ok());
 
   // "Kill" the process: reopen from disk only.
-  auto reopened_result = PnwStore::Open(Path("store.snap"));
+  auto reopened_result = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened_result.ok()) << reopened_result.status();
-  auto& reopened = *reopened_result.value();
+  PnwStore& reopened = reopened_result.value()->shard(0);
 
   // Replay re-applies the ops through the same deterministic placement
   // path, so even the wear counters and metrics match the pre-crash store.
@@ -284,7 +321,8 @@ void ExpectEnduranceStateEqual(PnwStore& a, PnwStore& b) {
 // Checkpoint, crash, Open -- the migration counters and the wear histogram
 // come back bit-for-bit from the snapshot alone.
 TEST_F(PersistTest, EnduranceSnapshotRoundTripsBitForBit) {
-  auto store = MakeBootstrappedStore(EnduranceOptions());
+  auto sharded = MakeBootstrappedStore(EnduranceOptions());
+  PnwStore* store = &sharded->shard(0);
   for (int round = 0; round < 16; ++round) {
     for (uint64_t key = 0; key < 4; ++key) {
       ASSERT_TRUE(
@@ -296,10 +334,10 @@ TEST_F(PersistTest, EnduranceSnapshotRoundTripsBitForBit) {
   ASSERT_TRUE(migrated.ok()) << migrated.status();
   ASSERT_GT(migrated.value(), 0u);
 
-  ASSERT_TRUE(store->Checkpoint(Path("endurance.snap")).ok());
-  auto reopened = PnwStore::Open(Path("endurance.snap"));
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ExpectEnduranceStateEqual(*reopened.value(), *store);
+  ExpectEnduranceStateEqual(reopened.value()->shard(0), *store);
   for (uint64_t key = 0; key < 32; ++key) {
     EXPECT_EQ(reopened.value()->Get(key).value(), store->Get(key).value());
   }
@@ -309,8 +347,9 @@ TEST_F(PersistTest, EnduranceSnapshotRoundTripsBitForBit) {
 // must re-run the kMigrate op-log records through the deterministic
 // relocation path and land on the identical endurance state.
 TEST_F(PersistTest, MigrationReplayReproducesEnduranceStateBitForBit) {
-  auto store = MakeBootstrappedStore(EnduranceOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("endurance.snap")).ok());
+  auto sharded = MakeBootstrappedStore(EnduranceOptions());
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
   ASSERT_TRUE(store->op_log_attached());
 
   // Post-checkpoint: hot traffic, a migration pass (logged as kMigrate
@@ -331,9 +370,9 @@ TEST_F(PersistTest, MigrationReplayReproducesEnduranceStateBitForBit) {
   ASSERT_TRUE(store->Put(500, GroupValue(0, 0x11)).ok());
 
   // Crash: reopen from the pre-migration snapshot plus the op-log.
-  auto reopened_result = PnwStore::Open(Path("endurance.snap"));
+  auto reopened_result = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened_result.ok()) << reopened_result.status();
-  auto& reopened = *reopened_result.value();
+  PnwStore& reopened = reopened_result.value()->shard(0);
   ExpectEnduranceStateEqual(reopened, *store);
   ExpectMetricsEqual(reopened.metrics(), store->metrics());
   EXPECT_EQ(reopened.pool().FreeCount(), store->pool().FreeCount());
@@ -377,8 +416,9 @@ TEST_F(PersistTest, ReplayAcrossAutomaticRetrainReproducesTheStore) {
   PnwOptions options = SmallOptions();
   options.migration_min_writes = 4;
   options.migration_hot_multiplier = 2.0;
-  auto store = MakeBootstrappedStore(options);  // 32 of 64 buckets used
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  auto sharded = MakeBootstrappedStore(options);  // 32 of 64 buckets used
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
 
   for (size_t i = 0; i < 16; ++i) {
     ASSERT_TRUE(
@@ -413,9 +453,9 @@ TEST_F(PersistTest, ReplayAcrossAutomaticRetrainReproducesTheStore) {
   ASSERT_TRUE(store->Delete(7).ok());
   ASSERT_TRUE(store->Put(300, GroupValue(0, 0x33)).ok());
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ExpectReplayedStoreIdentical(*reopened.value(), *store);
+  ExpectReplayedStoreIdentical(reopened.value()->shard(0), *store);
 }
 
 // Replay across paced retrains: once the zone is at capacity, the load
@@ -426,7 +466,8 @@ TEST_F(PersistTest, ReplayAcrossPacedRetrainsReproducesTheStore) {
   PnwOptions options = SmallOptions();
   options.migration_min_writes = 4;
   options.migration_hot_multiplier = 2.0;
-  auto store = MakeBootstrappedStore(options);  // keys 0..31
+  auto sharded = MakeBootstrappedStore(options);  // keys 0..31
+  PnwStore* store = &sharded->shard(0);
   std::deque<uint64_t> live(32);
   std::iota(live.begin(), live.end(), 0);
   uint64_t next_key = 100;
@@ -442,7 +483,7 @@ TEST_F(PersistTest, ReplayAcrossPacedRetrainsReproducesTheStore) {
   }
   ASSERT_EQ(store->active_buckets(), options.capacity_buckets);
   ASSERT_GE(store->UsedFraction(), options.load_factor);
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
   const uint64_t retrains = store->metrics().retrains;
   const uint64_t extensions = store->metrics().extensions;
 
@@ -475,9 +516,9 @@ TEST_F(PersistTest, ReplayAcrossPacedRetrainsReproducesTheStore) {
   EXPECT_EQ(store->metrics().extensions, extensions);
   EXPECT_GT(migrated, 0u);
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ExpectReplayedStoreIdentical(*reopened.value(), *store);
+  ExpectReplayedStoreIdentical(reopened.value()->shard(0), *store);
 }
 
 // Replay across an explicit retrain: TrainModel between two checkpoints is
@@ -499,15 +540,16 @@ TEST_F(PersistTest, ReplayAcrossExplicitTrainModelReproducesTheStore) {
     v[0] ^= static_cast<uint8_t>(key);
     return v;
   };
-  auto store = PnwStore::Open(options).value();
+  auto sharded = OneShardStore(options);
+  PnwStore* store = &sharded->shard(0);
   std::vector<uint64_t> keys(256);
   std::vector<std::vector<uint8_t>> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     keys[i] = i;
     values[i] = value(i, i % 4);
   }
-  ASSERT_TRUE(store->Bootstrap(keys, values).ok());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(sharded->Bootstrap(keys, values).ok());
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
 
   // DELETE/PUT pairs that replace bootstrapped keys with new-group values.
   const auto churn = [&](uint64_t first_old, uint64_t first_new, size_t n) {
@@ -523,9 +565,9 @@ TEST_F(PersistTest, ReplayAcrossExplicitTrainModelReproducesTheStore) {
   churn(128, 2000, 64);
   ASSERT_EQ(store->metrics().retrains, 2u);  // Bootstrap's and the explicit
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ExpectReplayedStoreIdentical(*reopened.value(), *store);
+  ExpectReplayedStoreIdentical(reopened.value()->shard(0), *store);
 }
 
 // kMigrate re-points the index by the key stored in the bucket, which a
@@ -535,14 +577,14 @@ TEST_F(PersistTest, KeylessStoreRejectsReplayedMigration) {
   PnwOptions options = SmallOptions();
   options.store_keys_in_data_zone = false;
   options.update_mode = UpdateMode::kLatencyFirst;
-  auto store = PnwStore::Open(options).value();
+  auto store = OneShardStore(options);
   const std::vector<uint64_t> keys = {5, 6, 7, 8};
   std::vector<std::vector<uint8_t>> values;
   for (const uint64_t key : keys) {
     values.push_back(GroupValue(key % 2, static_cast<uint8_t>(key)));
   }
   ASSERT_TRUE(store->Bootstrap(keys, values).ok());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
   // Three in-place writes make key 5's bucket (bucket 0) warmer than every
   // free one, so a migration of it has a destination.
   for (uint8_t round = 0; round < 3; ++round) {
@@ -550,13 +592,13 @@ TEST_F(PersistTest, KeylessStoreRejectsReplayedMigration) {
   }
   store.reset();
   {
-    auto log = persist::OpLogWriter::Open(
-                   Path("store.snap") + PnwStore::kOpLogSuffix,
-                   /*sync_every=*/1, /*epoch=*/0)
+    // The log holds bytes already, so it keeps its header and epoch.
+    auto log = persist::OpLogWriter::Open(ShardLog(Path("ckpt")),
+                                          /*sync_every=*/1, /*epoch=*/0)
                    .value();
     ASSERT_TRUE(log->Append(persist::OpType::kMigrate, 0, {}).ok());
   }
-  auto reopened = PnwStore::Open(Path("store.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
 }
@@ -566,12 +608,14 @@ TEST_F(PersistTest, KeylessStoreRejectsReplayedMigration) {
 // into the flag bitmap or past the device.
 TEST_F(PersistTest, IndexAddressOutsideTheZoneIsCorruption) {
   auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
+  const std::string snap_path = ShardSnap(Path("ckpt"));
   const auto snap = persist::SnapshotReader::FromFile(
-                        Path("store.snap"), PnwStore::kSnapshotVersion)
+                        snap_path, PnwStore::kSnapshotVersion)
                         .value();
   constexpr uint32_t kIndexSection = 6;
-  for (const uint64_t bad : {uint64_t{1} << 30, store->BucketAddr(3) + 1}) {
+  for (const uint64_t bad :
+       {uint64_t{1} << 30, store->shard(0).BucketAddr(3) + 1}) {
     persist::SnapshotWriter rewritten(PnwStore::kSnapshotVersion);
     for (uint32_t id = 1; id <= 9; ++id) {
       auto section = snap.Section(id);
@@ -587,8 +631,8 @@ TEST_F(PersistTest, IndexAddressOutsideTheZoneIsCorruption) {
       }
       rewritten.AddSection(id).PutBytes(bytes);
     }
-    ASSERT_TRUE(rewritten.WriteToFile(Path("bad.snap")).ok());
-    auto reopened = PnwStore::Open(Path("bad.snap"));
+    ASSERT_TRUE(rewritten.WriteToFile(snap_path).ok());
+    auto reopened = ShardedPnwStore::Open(Path("ckpt"));
     ASSERT_FALSE(reopened.ok()) << bad;
     EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
   }
@@ -596,20 +640,19 @@ TEST_F(PersistTest, IndexAddressOutsideTheZoneIsCorruption) {
 
 TEST_F(PersistTest, TornLogTailIsTruncatedNotFatal) {
   auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
   for (size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(
         store->Put(300 + i, GroupValue(0, static_cast<uint8_t>(i))).ok());
   }
-  const std::string log_path =
-      Path("store.snap") + PnwStore::kOpLogSuffix;
+  const std::string log_path = ShardLog(Path("ckpt"));
 
   // Tear the final record: chop 5 bytes off the log, as a crash mid-append
   // would.
   const auto full_size = fs::file_size(log_path);
   fs::resize_file(log_path, full_size - 5);
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   // First three records replay; the torn fourth is gone.
   EXPECT_TRUE(reopened.value()->Get(300).ok());
@@ -619,7 +662,7 @@ TEST_F(PersistTest, TornLogTailIsTruncatedNotFatal) {
   // The tail was physically truncated, and the re-attached log appends
   // cleanly after it: a new write then a second recovery must see it.
   ASSERT_TRUE(reopened.value()->Put(400, GroupValue(1, 1)).ok());
-  auto again = PnwStore::Open(Path("store.snap"));
+  auto again = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(again.value()->Get(400).value(), GroupValue(1, 1));
   EXPECT_TRUE(again.value()->Get(303).status().IsNotFound());
@@ -627,27 +670,25 @@ TEST_F(PersistTest, TornLogTailIsTruncatedNotFatal) {
 
 TEST_F(PersistTest, CorruptedSnapshotChecksumIsCleanError) {
   auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
 
   // Flip one byte deep in the payload (past the 16-byte header and the
   // first section frame) and expect Corruption, not a crash or a
   // half-restored store.
-  auto bytes = persist::ReadFileBytes(Path("store.snap")).value();
+  auto bytes = persist::ReadFileBytes(ShardSnap(Path("ckpt"))).value();
   bytes[bytes.size() / 2] ^= 0xff;
-  std::ofstream out(Path("store.snap"), std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.close();
+  WriteBytes(ShardSnap(Path("ckpt")), bytes);
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
 }
 
 TEST_F(PersistTest, SnapshotVersionMismatchIsCleanError) {
   auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
-  const auto written = persist::ReadFileBytes(Path("store.snap")).value();
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
+  const std::string snap_path = ShardSnap(Path("ckpt"));
+  const auto written = persist::ReadFileBytes(snap_path).value();
 
   // A version from the future; v9, the last layout with the DRAM
   // latencies and without the TRAIN op-log record; and v7, the last with
@@ -656,12 +697,9 @@ TEST_F(PersistTest, SnapshotVersionMismatchIsCleanError) {
     // Byte 8 is the low byte of the little-endian payload version.
     auto bytes = written;
     bytes[8] = static_cast<uint8_t>(version);
-    std::ofstream out(Path("store.snap"), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.close();
+    WriteBytes(snap_path, bytes);
 
-    auto reopened = PnwStore::Open(Path("store.snap"));
+    auto reopened = ShardedPnwStore::Open(Path("ckpt"));
     ASSERT_FALSE(reopened.ok()) << "v" << version;
     EXPECT_TRUE(reopened.status().IsInvalidArgument()) << reopened.status();
     EXPECT_NE(reopened.status().message().find("version mismatch"),
@@ -685,23 +723,25 @@ TEST_F(PersistTest, NotASnapshotIsCleanError) {
 // checkpointing right after a reset persists the zeroed counters, and the
 // recovered store starts the fresh epoch with its data intact.
 TEST_F(PersistTest, CheckpointAfterResetPersistsTheFreshEpoch) {
-  auto store = MakeBootstrappedStore(SmallOptions());
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
   for (size_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(
         store->Put(500 + i, GroupValue(i % 2, static_cast<uint8_t>(i))).ok());
   }
   store->ResetWearAndMetrics();
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ(reopened.value()->metrics().puts, 0u);
-  EXPECT_EQ(reopened.value()->wear_tracker().MaxBucketWrites(), 0u);
-  EXPECT_EQ(reopened.value()->device().counters().total_bits_written, 0u);
-  EXPECT_EQ(reopened.value()->puts_since_retrain(), 0u);
+  auto reopened_result = ShardedPnwStore::Open(Path("ckpt"));
+  ASSERT_TRUE(reopened_result.ok()) << reopened_result.status();
+  PnwStore& reopened = reopened_result.value()->shard(0);
+  EXPECT_EQ(reopened.metrics().puts, 0u);
+  EXPECT_EQ(reopened.wear_tracker().MaxBucketWrites(), 0u);
+  EXPECT_EQ(reopened.device().counters().total_bits_written, 0u);
+  EXPECT_EQ(reopened.puts_since_retrain(), 0u);
   // The data survived the reset: only the accounting epoch restarted.
-  EXPECT_EQ(reopened.value()->size(), store->size());
-  EXPECT_TRUE(reopened.value()->Get(500).ok());
+  EXPECT_EQ(reopened.size(), store->size());
+  EXPECT_TRUE(reopened.Get(500).ok());
 }
 
 // The other direction of the interplay: a reset is a DRAM-side epoch
@@ -709,8 +749,9 @@ TEST_F(PersistTest, CheckpointAfterResetPersistsTheFreshEpoch) {
 // checkpoint is forgotten by recovery -- the replayed ops land on the
 // *checkpointed* epoch. Durable epoch boundaries require a checkpoint.
 TEST_F(PersistTest, ResetWithoutCheckpointIsNotDurable) {
-  auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
   const uint64_t checkpoint_puts = store->metrics().puts;
 
   ASSERT_TRUE(store->Put(600, GroupValue(0, 1)).ok());
@@ -718,27 +759,127 @@ TEST_F(PersistTest, ResetWithoutCheckpointIsNotDurable) {
   ASSERT_TRUE(store->Put(601, GroupValue(1, 2)).ok());
   EXPECT_EQ(store->metrics().puts, 1u);
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   // Recovery = checkpoint epoch + both replayed puts; the mid-stream
   // reset never happened as far as durability is concerned.
-  EXPECT_EQ(reopened.value()->metrics().puts, checkpoint_puts + 2);
+  EXPECT_EQ(reopened.value()->shard(0).metrics().puts, checkpoint_puts + 2);
   EXPECT_TRUE(reopened.value()->Get(600).ok());
   EXPECT_TRUE(reopened.value()->Get(601).ok());
 }
 
 TEST_F(PersistTest, RecoveryWithoutReplayServesCheckpointOnly) {
   auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
   ASSERT_TRUE(store->Put(700, GroupValue(0, 3)).ok());
 
   persist::RecoveryOptions recovery;
   recovery.replay_op_log = false;
   recovery.attach_op_log = false;
-  auto reopened = PnwStore::Open(Path("store.snap"), recovery);
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"), recovery);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_TRUE(reopened.value()->Get(700).status().IsNotFound());
-  EXPECT_FALSE(reopened.value()->op_log_attached());
+  EXPECT_FALSE(reopened.value()->shard(0).op_log_attached());
+}
+
+// Attaching the log without replaying it would append behind records the
+// served state never saw, which no later recovery could replay: Open
+// refuses the combination and leaves the log as it was.
+TEST_F(PersistTest, AttachWithoutReplayIsInvalidArgument) {
+  auto store = MakeBootstrappedStore(SmallOptions());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
+  ASSERT_TRUE(store->Put(700, GroupValue(0, 3)).ok());
+
+  persist::RecoveryOptions recovery;
+  recovery.replay_op_log = false;
+  recovery.attach_op_log = true;
+  auto refused = ShardedPnwStore::Open(Path("ckpt"), recovery);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
+  EXPECT_TRUE(PnwStore::Open(ShardSnap(Path("ckpt")), recovery)
+                  .status()
+                  .IsInvalidArgument());
+
+  auto replayed = ShardedPnwStore::Open(Path("ckpt"));
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(replayed.value()->Get(700).value(), GroupValue(0, 3));
+}
+
+// The durability contract, field by field. Replay reproduces every
+// write-side counter of the operations it replays. These keep their
+// snapshot values instead: failed_ops (a write that failed after the
+// checkpoint leaves no record), the read counters (reads are not logged)
+// and log_wall_ns (replay appends nothing); predict_wall_ns adds the
+// replay's own predicts. A counter added to the ledger is held to the
+// first rule until it is named here.
+TEST_F(PersistTest, ReplayReproducesEveryWriteCounterButTheNamedOnes) {
+  const std::set<std::string_view> kKeptAtSnapshot = {
+      "failed_ops",         "gets",          "get_misses",
+      "optimistic_gets",    "locked_gets",   "optimistic_retries",
+      "get_device_ns",      "log_wall_ns"};
+  PnwOptions options = EnduranceOptions();
+  options.capacity_buckets = options.initial_buckets;  // 64, no extension
+  auto sharded = MakeBootstrappedStore(options);       // 32 keys
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
+  const StoreMetrics at_checkpoint = store->metrics();
+
+  // Fill the zone, fail one PUT for want of space, then free some
+  // buckets, heat four keys in place, migrate, retrain and place more.
+  for (uint64_t key = 100; key < 132; ++key) {
+    ASSERT_TRUE(store->Put(key, GroupValue(key % 2, 1)).ok()) << key;
+  }
+  EXPECT_TRUE(store->Put(999, GroupValue(0, 9)).IsOutOfSpace());
+  for (uint64_t key = 100; key < 108; ++key) {
+    ASSERT_TRUE(store->Delete(key).ok()) << key;
+  }
+  for (int round = 0; round < 16; ++round) {
+    for (uint64_t key = 0; key < 4; ++key) {
+      ASSERT_TRUE(
+          store->Update(key, GroupValue(key % 2, static_cast<uint8_t>(round)))
+              .ok());
+    }
+  }
+  auto migrated = store->MigrateHotBuckets(8);
+  ASSERT_TRUE(migrated.ok()) << migrated.status();
+  ASSERT_GT(migrated.value(), 0u);
+  ASSERT_TRUE(store->TrainModel().ok());
+  for (uint64_t key = 200; key < 204; ++key) {
+    ASSERT_TRUE(store->Put(key, GroupValue(key % 2, 2)).ok()) << key;
+  }
+  ASSERT_TRUE(store->Get(0).ok());
+  EXPECT_TRUE(store->Get(12345).status().IsNotFound());
+  auto fast = store->TryGetOptimistic(1);
+  ASSERT_TRUE(fast.has_value() && fast->ok());
+
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  const StoreMetrics& live = store->metrics();
+  const StoreMetrics& replayed = reopened.value()->shard(0).metrics();
+  const auto check = [&](std::string_view name, double checkpointed,
+                         double live_value, double replayed_value) {
+    if (name == "predict_wall_ns") {
+      EXPECT_GT(replayed_value, checkpointed) << name;
+    } else if (kKeptAtSnapshot.count(name) != 0) {
+      EXPECT_DOUBLE_EQ(replayed_value, checkpointed) << name;
+      if (name != "optimistic_retries") {  // needs a racing writer
+        EXPECT_NE(live_value, checkpointed) << name << " never moved";
+      }
+    } else {
+      EXPECT_DOUBLE_EQ(replayed_value, live_value) << name;
+    }
+  };
+#define PNW_CHECK_FIELD(type, name)                       \
+  check(#name, static_cast<double>(at_checkpoint.name), \
+        static_cast<double>(live.name), static_cast<double>(replayed.name));
+  PNW_STORE_COUNTERS(PNW_CHECK_FIELD)
+#undef PNW_CHECK_FIELD
+  EXPECT_EQ(live.failed_ops, at_checkpoint.failed_ops + 1);
+  EXPECT_EQ(reopened.value()->shard(0).wear_tracker().bucket_write_counts(),
+            store->wear_tracker().bucket_write_counts());
+  const auto got = reopened.value()->shard(0).device().Contents();
+  const auto want = store->device().Contents();
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
 }
 
 TEST_F(PersistTest, NvmIndexAndBitWearRoundTrip) {
@@ -750,9 +891,9 @@ TEST_F(PersistTest, NvmIndexAndBitWearRoundTrip) {
     ASSERT_TRUE(
         store->Put(800 + i, GroupValue(i % 2, static_cast<uint8_t>(i))).ok());
   }
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   // The NVM-resident index came back with the device contents, including
   // its DRAM-side size counter.
@@ -762,8 +903,8 @@ TEST_F(PersistTest, NvmIndexAndBitWearRoundTrip) {
               GroupValue(i % 2, static_cast<uint8_t>(i)));
   }
   // Per-bit wear histograms round-trip too (Fig. 13 survives restarts).
-  EXPECT_EQ(reopened.value()->device().bit_write_counts(),
-            store->device().bit_write_counts());
+  EXPECT_EQ(reopened.value()->shard(0).device().bit_write_counts(),
+            store->shard(0).device().bit_write_counts());
 }
 
 TEST_F(PersistTest, ShardedCheckpointRoundTripsInParallel) {
@@ -976,42 +1117,38 @@ TEST_F(PersistTest, OpLogReadBackAndTornTailDetection) {
   EXPECT_EQ(damaged_tail.valid_bytes, 36u);
 }
 
-// The crash window between a snapshot's rename and the op-log reset: the
-// durable state is then a NEW snapshot paired with the PREVIOUS epoch's
-// log. Those records are already folded into the snapshot, so recovery
-// must discard them -- replaying would double-apply puts (skewing wear
-// and metrics) and fail outright on deletes of already-deleted keys.
-TEST_F(PersistTest, StaleOpLogFromPreviousEpochIsIgnored) {
+// Every generation's log is created with its snapshot's epoch and no log
+// path is ever reused, so a generation whose log carries another epoch
+// holds a log that was never written behind its snapshot. Replaying it
+// could double-apply records the snapshot already holds (skewing wear and
+// metrics, and failing on deletes of deleted keys), so recovery refuses
+// it; only an open that does not read the log serves the snapshot.
+TEST_F(PersistTest, OpLogFromAnotherEpochIsCorruption) {
   auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
   ASSERT_TRUE(store->Put(900, GroupValue(0, 1)).ok());
   ASSERT_TRUE(store->Delete(900).ok());
-  const std::string log_path = Path("store.snap") + PnwStore::kOpLogSuffix;
-  const auto stale_log = persist::ReadFileBytes(log_path).value();
+  const auto first_log = persist::ReadFileBytes(ShardLog(Path("ckpt"))).value();
 
-  // Second checkpoint folds those ops into the snapshot and resets the
-  // log; simulate the crash-before-reset by putting the old log back.
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
-  std::ofstream out(log_path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(stale_log.data()),
-            static_cast<std::streamsize>(stale_log.size()));
-  out.close();
+  // The second checkpoint folds those ops into generation 2's snapshot;
+  // put generation 1's log in place of generation 2's.
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
+  EXPECT_EQ(persist::ReadOpLog(ShardLog(Path("ckpt"), 2)).value().epoch, 2u);
+  WriteBytes(ShardLog(Path("ckpt"), 2), first_log);
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  // The stale records were not replayed: state matches the second
-  // checkpoint exactly (900 stays deleted, wear/metrics as checkpointed).
-  // Metrics first -- the miss probe below would move get_misses.
-  ExpectMetricsEqual(reopened.value()->metrics(), store->metrics());
-  EXPECT_TRUE(reopened.value()->Get(900).status().IsNotFound());
-  EXPECT_EQ(reopened.value()->wear_tracker().bucket_write_counts(),
-            store->wear_tracker().bucket_write_counts());
-  // And the re-attached log was re-stamped: a write after recovery is
-  // replayable by the next open.
-  ASSERT_TRUE(reopened.value()->Put(901, GroupValue(1, 2)).ok());
-  auto again = PnwStore::Open(Path("store.snap"));
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_TRUE(again.value()->Get(901).ok());
+  persist::RecoveryOptions recovery;
+  for (const bool attach : {true, false}) {
+    recovery.attach_op_log = attach;
+    auto reopened = ShardedPnwStore::Open(Path("ckpt"), recovery);
+    ASSERT_FALSE(reopened.ok()) << "attach " << attach;
+    EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
+  }
+  recovery.replay_op_log = false;
+  auto snapshot_only = ShardedPnwStore::Open(Path("ckpt"), recovery);
+  ASSERT_TRUE(snapshot_only.ok()) << snapshot_only.status();
+  ExpectMetricsEqual(snapshot_only.value()->shard(0).metrics(),
+                     store->shard(0).metrics());
+  EXPECT_TRUE(snapshot_only.value()->Get(900).status().IsNotFound());
 }
 
 // Repeated checkpoints into the same directory write fresh epoch
@@ -1048,11 +1185,13 @@ TEST_F(PersistTest, ShardedRepeatedCheckpointsAndCrashFallback) {
   EXPECT_TRUE(reopened.value()->Get(1).ok());
   EXPECT_TRUE(reopened.value()->Get(2).ok());
 
-  // The recovered store checkpoints into the next generation and GCs the
-  // partial one.
+  // The recovered store checkpoints into a generation numbered past the
+  // partial one, never into it, and GCs both older directories.
   ASSERT_TRUE(reopened.value()->Put(3, GroupValue(0, 3)).ok());
   ASSERT_TRUE(reopened.value()->Checkpoint(Path("ckpt")).ok());
   EXPECT_FALSE(fs::exists(Path("ckpt") + "/epoch-000002"));
+  EXPECT_FALSE(fs::exists(Path("ckpt") + "/epoch-000003"));
+  EXPECT_TRUE(fs::exists(ShardSnap(Path("ckpt"), 4)));
   auto latest = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(latest.ok()) << latest.status();
   EXPECT_TRUE(latest.value()->Get(3).ok());
@@ -1083,13 +1222,16 @@ Status CommitRacingWrites(PnwStore& store, persist::PendingFile& pending,
 // past the capture's mark; FinishCheckpoint carries them into the new
 // generation's log, so a replaying open serves them.
 TEST_F(PersistConcurrencyTest, CheckpointCarriesWritesRacingItsCommit) {
-  auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("old.snap")).ok());
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());  // generation 1
   ASSERT_TRUE(store->Put(100, GroupValue(0, 1)).ok());
 
-  auto pending = store->CaptureCheckpoint(Path("new.snap"));
+  fs::create_directories(Path("gen2"));
+  const std::string path = Path("gen2") + "/shard.snap";
+  auto pending = store->CaptureCheckpoint(path, /*epoch=*/2);
   ASSERT_TRUE(pending.ok()) << pending.status();
-  EXPECT_FALSE(fs::exists(Path("new.snap")));
+  EXPECT_FALSE(fs::exists(path));
   // Every record kind races the commit.
   const Status committed =
       CommitRacingWrites(*store, pending.value(), [](PnwStore& s) {
@@ -1098,17 +1240,18 @@ TEST_F(PersistConcurrencyTest, CheckpointCarriesWritesRacingItsCommit) {
         ASSERT_TRUE(s.Delete(5).ok());
       });
   ASSERT_TRUE(committed.ok()) << committed;
-  ASSERT_TRUE(store->FinishCheckpoint(Path("new.snap")).ok());
+  ASSERT_TRUE(store->FinishCheckpoint(path, /*epoch=*/2).ok());
 
   const auto carried =
-      persist::ReadOpLog(Path("new.snap") + PnwStore::kOpLogSuffix).value();
+      persist::ReadOpLog(path + PnwStore::kOpLogSuffix).value();
+  EXPECT_EQ(carried.epoch, 2u);
   ASSERT_EQ(carried.records.size(), 3u);
   EXPECT_EQ(carried.records[0].op, persist::OpType::kPut);
   EXPECT_EQ(carried.records[2].op, persist::OpType::kDelete);
 
   persist::RecoveryOptions read_only;
   read_only.attach_op_log = false;
-  auto replayed = PnwStore::Open(Path("new.snap"), read_only);
+  auto replayed = PnwStore::Open(path, read_only);
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   ExpectMetricsEqual(replayed.value()->metrics(), store->metrics());
   EXPECT_EQ(replayed.value()->wear_tracker().bucket_write_counts(),
@@ -1118,7 +1261,7 @@ TEST_F(PersistConcurrencyTest, CheckpointCarriesWritesRacingItsCommit) {
   EXPECT_TRUE(replayed.value()->Get(5).status().IsNotFound());
 
   read_only.replay_op_log = false;
-  auto snapshot_only = PnwStore::Open(Path("new.snap"), read_only);
+  auto snapshot_only = PnwStore::Open(path, read_only);
   ASSERT_TRUE(snapshot_only.ok()) << snapshot_only.status();
   EXPECT_TRUE(snapshot_only.value()->Get(200).status().IsNotFound());
   EXPECT_EQ(snapshot_only.value()->Get(100).value(), GroupValue(0, 1));
@@ -1127,14 +1270,16 @@ TEST_F(PersistConcurrencyTest, CheckpointCarriesWritesRacingItsCommit) {
 
 // A commit that fails (here: the generation directory vanished, so the
 // rename has nowhere to land) leaves the previous checkpoint and its log
-// in charge, and AbortCheckpoint rolls the epoch back.
+// in charge once AbortCheckpoint drops the capture's mark.
 TEST_F(PersistConcurrencyTest, FailedCheckpointCommitKeepsTheOldGeneration) {
-  auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("old.snap")).ok());  // epoch 1
-  fs::create_directories(Path("gen"));
-  auto pending = store->CaptureCheckpoint(Path("gen") + "/new.snap");
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());  // generation 1
+  fs::create_directories(Path("gen2"));
+  auto pending =
+      store->CaptureCheckpoint(Path("gen2") + "/shard.snap", /*epoch=*/2);
   ASSERT_TRUE(pending.ok()) << pending.status();
-  fs::remove_all(Path("gen"));
+  fs::remove_all(Path("gen2"));
   EXPECT_FALSE(CommitRacingWrites(*store, pending.value(), [](PnwStore& s) {
                  ASSERT_TRUE(s.Put(300, GroupValue(1, 4)).ok());
                }).ok());
@@ -1146,19 +1291,14 @@ TEST_F(PersistConcurrencyTest, FailedCheckpointCommitKeepsTheOldGeneration) {
   ASSERT_TRUE(store->Put(301, GroupValue(0, 5)).ok());
   persist::RecoveryOptions read_only;
   read_only.attach_op_log = false;
-  auto old = PnwStore::Open(Path("old.snap"), read_only);
+  auto old = ShardedPnwStore::Open(Path("ckpt"), read_only);
   ASSERT_TRUE(old.ok()) << old.status();
   EXPECT_EQ(old.value()->Get(300).value(), GroupValue(1, 4));
   EXPECT_EQ(old.value()->Get(301).value(), GroupValue(0, 5));
 
-  // The next checkpoint succeeds under epoch 2, not 3.
-  ASSERT_TRUE(store->Checkpoint(Path("next.snap")).ok());
-  EXPECT_EQ(
-      persist::ReadOpLog(Path("next.snap") + PnwStore::kOpLogSuffix)
-          .value()
-          .epoch,
-      2u);
-  auto next = PnwStore::Open(Path("next.snap"), read_only);
+  // The next checkpoint succeeds.
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
+  auto next = ShardedPnwStore::Open(Path("ckpt"), read_only);
   ASSERT_TRUE(next.ok()) << next.status();
   EXPECT_EQ(next.value()->Get(301).value(), GroupValue(0, 5));
 }
@@ -1167,52 +1307,66 @@ TEST_F(PersistConcurrencyTest, FailedCheckpointCommitKeepsTheOldGeneration) {
 // attaches the new generation's log at once. If the commit fails, that
 // log extends a snapshot that never landed: it must be detached.
 TEST_F(PersistConcurrencyTest, FailedFirstCheckpointCommitDetachesItsLog) {
-  auto store = MakeBootstrappedStore(SmallOptions());
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
   ASSERT_FALSE(store->op_log_attached());
-  fs::create_directories(Path("gen"));
-  auto pending = store->CaptureCheckpoint(Path("gen") + "/first.snap");
+  fs::create_directories(Path("gen1"));
+  auto pending =
+      store->CaptureCheckpoint(Path("gen1") + "/shard.snap", /*epoch=*/1);
   ASSERT_TRUE(pending.ok()) << pending.status();
   EXPECT_TRUE(store->op_log_attached());
-  fs::remove_all(Path("gen"));
+  fs::remove_all(Path("gen1"));
   EXPECT_FALSE(CommitRacingWrites(*store, pending.value(), [](PnwStore& s) {
                  ASSERT_TRUE(s.Put(400, GroupValue(1, 6)).ok());
                }).ok());
   store->AbortCheckpoint();
   EXPECT_FALSE(store->op_log_attached());
 
-  ASSERT_TRUE(store->Checkpoint(Path("first.snap")).ok());
-  EXPECT_EQ(
-      persist::ReadOpLog(Path("first.snap") + PnwStore::kOpLogSuffix)
-          .value()
-          .epoch,
-      1u);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
+  EXPECT_EQ(persist::ReadOpLog(ShardLog(Path("ckpt"))).value().epoch, 1u);
   ASSERT_TRUE(store->Put(401, GroupValue(0, 7)).ok());
-  auto reopened = PnwStore::Open(Path("first.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened.value()->Get(400).value(), GroupValue(1, 6));
   EXPECT_EQ(reopened.value()->Get(401).value(), GroupValue(0, 7));
 }
 
-// The same through ShardedPnwStore::Checkpoint: one shard's commit fails
-// (a directory squats on its snapshot's name, so the rename fails), the
-// checkpoint reports it before the manifest moves, the committed
-// generation keeps replaying, and the next checkpoint succeeds.
-TEST_F(PersistTest, ShardedCheckpointCommitFailureKeepsTheOldGeneration) {
+/// A fresh 2-shard store over SmallOptions, bootstrapped with no items.
+std::unique_ptr<ShardedPnwStore> TwoShardStore() {
   ShardedOptions options;
   options.num_shards = 2;
   options.store = SmallOptions();
   auto store = ShardedPnwStore::Open(options).value();
-  ASSERT_TRUE(store
+  EXPECT_TRUE(store
                   ->Bootstrap(std::span<const uint64_t>(),
                               std::span<const std::vector<uint8_t>>())
                   .ok());
+  return store;
+}
+
+/// Make the next manifest write into `dir` fail: a directory squats on
+/// its temp file's name, so the commit point is never reached.
+void BlockManifest(const std::string& dir) {
+  fs::create_directories(dir + "/" + ShardedPnwStore::kManifestName +
+                         ".tmp/x");
+}
+
+void UnblockManifest(const std::string& dir) {
+  fs::remove_all(dir + "/" + ShardedPnwStore::kManifestName + ".tmp");
+}
+
+// The same through ShardedPnwStore::Checkpoint: the manifest write fails,
+// so nothing commits. Every shard aborts its capture and keeps logging
+// into the committed generation, which keeps replaying, and the retry
+// commits a later generation.
+TEST_F(PersistTest, ShardedCheckpointCommitFailureKeepsTheOldGeneration) {
+  auto store = TwoShardStore();
   ASSERT_TRUE(store->Put(1, GroupValue(0, 1)).ok());
   ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
 
-  const std::string blocker = Path("ckpt") + "/epoch-000002/" +
-                              ShardedPnwStore::ShardSnapshotName(0) + "/x";
-  fs::create_directories(blocker);
+  BlockManifest(Path("ckpt"));
   EXPECT_FALSE(store->Checkpoint(Path("ckpt")).ok());
+  EXPECT_FALSE(fs::exists(Path("ckpt") + "/epoch-000002"));
   ASSERT_TRUE(store->Put(2, GroupValue(1, 2)).ok());
   {
     persist::RecoveryOptions read_only;
@@ -1223,20 +1377,173 @@ TEST_F(PersistTest, ShardedCheckpointCommitFailureKeepsTheOldGeneration) {
     EXPECT_EQ(reopened.value()->Get(2).value(), GroupValue(1, 2));
   }
 
-  fs::remove_all(Path("ckpt") + "/epoch-000002");
+  UnblockManifest(Path("ckpt"));
   ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
-  // Shard 0's epoch was rolled back after its failed commit.
-  EXPECT_EQ(persist::ReadOpLog(Path("ckpt") + "/epoch-000002/" +
-                               ShardedPnwStore::ShardSnapshotName(0) +
-                               PnwStore::kOpLogSuffix)
-                .value()
-                .epoch,
-            2u);
   ASSERT_TRUE(store->Put(3, GroupValue(0, 3)).ok());
   auto latest = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(latest.ok()) << latest.status();
   for (uint64_t key = 1; key <= 3; ++key) {
     EXPECT_EQ(latest.value()->Get(key).value(), store->Get(key).value());
+  }
+}
+
+// A server restarted with --data-dir checkpoints a fresh store into the
+// directory that holds the previous run's committed generation. Until the
+// new manifest commits, that generation must stay intact: here the
+// manifest write fails, and the old store's 40 keys are all still served.
+TEST_F(PersistTest, ShardedFailedCheckpointLeavesAnOccupiedDirectoryIntact) {
+  {
+    auto old = TwoShardStore();
+    for (uint64_t key = 0; key < 40; ++key) {
+      ASSERT_TRUE(
+          old->Put(key, GroupValue(key % 2, static_cast<uint8_t>(key))).ok());
+    }
+    ASSERT_TRUE(old->Checkpoint(Path("ckpt")).ok());
+    // Half the keys reach only the committed generation's op-logs.
+    for (uint64_t key = 0; key < 40; key += 2) {
+      ASSERT_TRUE(old->Update(key, GroupValue(1, 0x40)).ok());
+    }
+  }
+  auto fresh = TwoShardStore();
+  for (uint64_t key = 1000; key < 1004; ++key) {
+    ASSERT_TRUE(fresh->Put(key, GroupValue(0, 1)).ok());
+  }
+  BlockManifest(Path("ckpt"));
+  EXPECT_FALSE(fresh->Checkpoint(Path("ckpt")).ok());
+  UnblockManifest(Path("ckpt"));
+
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened.value()->size(), 40u);
+  for (uint64_t key = 0; key < 40; ++key) {
+    EXPECT_EQ(reopened.value()->Get(key).value(),
+              key % 2 == 0 ? GroupValue(1, 0x40)
+                           : GroupValue(1, static_cast<uint8_t>(key)))
+        << key;
+  }
+  EXPECT_TRUE(reopened.value()->Get(1000).status().IsNotFound());
+}
+
+// A first checkpoint attaches every shard's log to the new generation at
+// capture. When it fails before the commit, each of those logs extends a
+// generation no recovery opens, so every shard must detach it, not only a
+// shard whose own step failed.
+TEST_F(PersistTest, ShardedFailedFirstCheckpointDetachesEveryShardLog) {
+  auto store = TwoShardStore();
+  BlockManifest(Path("ckpt"));
+  EXPECT_FALSE(store->Checkpoint(Path("ckpt")).ok());
+  for (size_t i = 0; i < store->num_shards(); ++i) {
+    EXPECT_FALSE(store->shard(i).op_log_attached()) << "shard " << i;
+  }
+}
+
+/// The generation the MANIFEST of checkpoint directory `dir` commits
+/// (its one section: u64 shard count, u64 epoch, store options).
+uint64_t ManifestEpoch(const std::string& dir) {
+  auto manifest = persist::SnapshotReader::FromFile(
+                      dir + "/" + ShardedPnwStore::kManifestName,
+                      ShardedPnwStore::kManifestVersion)
+                      .value();
+  auto r = manifest.Section(1).value();
+  uint64_t epoch = 0;
+  EXPECT_TRUE(r.Skip(8).ok());
+  EXPECT_TRUE(r.GetU64(&epoch).ok());
+  return epoch;
+}
+
+/// The epoch stamped into a shard snapshot (its state section: u8
+/// bootstrapped, u64 active buckets, u64 used buckets, u64 puts since the
+/// last retrain, u64 epoch, ...).
+uint64_t SnapshotEpoch(const std::string& path) {
+  auto snap =
+      persist::SnapshotReader::FromFile(path, PnwStore::kSnapshotVersion)
+          .value();
+  auto r = snap.Section(2).value();
+  uint64_t epoch = 0;
+  EXPECT_TRUE(r.Skip(1 + 3 * 8).ok());
+  EXPECT_TRUE(r.GetU64(&epoch).ok());
+  return epoch;
+}
+
+// A failed checkpoint and its retry, first for a store without logs and
+// then for one logging into a committed generation: each retry commits a
+// generation whose every shard snapshot and op-log carry the epoch its
+// manifest names, and which recovers every write.
+TEST_F(PersistTest, ShardedRetriedCheckpointStampsTheManifestEpoch) {
+  auto store = TwoShardStore();
+  for (uint64_t round = 0; round < 2; ++round) {
+    for (uint64_t key = 10 * round; key < 10 * round + 10; ++key) {
+      ASSERT_TRUE(store->Put(key, GroupValue(key % 2, 1)).ok());
+    }
+    BlockManifest(Path("ckpt"));
+    EXPECT_FALSE(store->Checkpoint(Path("ckpt")).ok()) << round;
+    UnblockManifest(Path("ckpt"));
+    ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok()) << round;
+    ASSERT_TRUE(store->Put(100 + round, GroupValue(1, 2)).ok());
+
+    const uint64_t epoch = ManifestEpoch(Path("ckpt"));
+    for (size_t i = 0; i < store->num_shards(); ++i) {
+      EXPECT_EQ(SnapshotEpoch(ShardSnap(Path("ckpt"), epoch, i)), epoch)
+          << "round " << round << " shard " << i;
+      EXPECT_EQ(persist::ReadOpLog(ShardLog(Path("ckpt"), epoch, i))
+                    .value()
+                    .epoch,
+                epoch)
+          << "round " << round << " shard " << i;
+    }
+    auto reopened = ShardedPnwStore::Open(Path("ckpt"));
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(reopened.value()->size(), store->size());
+    EXPECT_TRUE(reopened.value()->Get(100 + round).ok());
+  }
+}
+
+// ShardedPnwStore::TrainModel between two checkpoints: every shard logs its
+// retrain, so each one reopens with the live retrain count and device
+// bytes, including the PUTs the retrained model placed.
+TEST_F(PersistTest, ShardedTrainModelReplaysOnEveryShard) {
+  ShardedOptions options;
+  options.num_shards = 2;
+  options.store = SmallOptions();
+  options.store.initial_buckets = 128;
+  options.store.capacity_buckets = 128;
+  auto store = ShardedPnwStore::Open(options).value();
+  std::vector<uint64_t> keys(64);
+  std::vector<std::vector<uint8_t>> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = i;
+    values[i] = GroupValue(0, static_cast<uint8_t>(i));
+  }
+  ASSERT_TRUE(store->Bootstrap(keys, values).ok());
+  ASSERT_TRUE(store->Checkpoint(Path("ckpt")).ok());
+
+  // Replace half the zone with the other value group, retrain on it, and
+  // place more of both groups under the new models.
+  for (uint64_t key = 0; key < 32; ++key) {
+    ASSERT_TRUE(store->Delete(key).ok());
+    ASSERT_TRUE(store->Put(1000 + key, GroupValue(1, static_cast<uint8_t>(key)))
+                    .ok());
+  }
+  ASSERT_TRUE(store->TrainModel().ok());
+  for (uint64_t key = 32; key < 48; ++key) {
+    ASSERT_TRUE(store->Delete(key).ok());
+    ASSERT_TRUE(
+        store->Put(2000 + key, GroupValue(key % 2, static_cast<uint8_t>(key)))
+            .ok());
+  }
+
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  for (size_t i = 0; i < store->num_shards(); ++i) {
+    PnwStore& live = store->shard(i);
+    PnwStore& recovered = reopened.value()->shard(i);
+    EXPECT_EQ(live.metrics().retrains, 2u) << "shard " << i;
+    EXPECT_EQ(recovered.metrics().retrains, live.metrics().retrains)
+        << "shard " << i;
+    const auto got = recovered.device().Contents();
+    const auto want = live.device().Contents();
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "shard " << i;
   }
 }
 
@@ -1273,8 +1580,9 @@ TEST_F(PersistTest, AppendBatchIsByteIdenticalToSingleAppends) {
 }
 
 TEST_F(PersistTest, MultiPutBatchCaptureReplaysOnRecovery) {
-  auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("mp.snap")).ok());
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
 
   // One MultiPut batch mixing fresh keys, an overwrite of a bootstrapped
   // key (endurance-first UPDATE), and an in-batch duplicate. Everything it
@@ -1289,7 +1597,7 @@ TEST_F(PersistTest, MultiPutBatchCaptureReplaysOnRecovery) {
   }
   // The group append captured one record per applied operation, already
   // flushed to the OS.
-  auto log = persist::ReadOpLog(Path("mp.snap") + PnwStore::kOpLogSuffix);
+  auto log = persist::ReadOpLog(ShardLog(Path("ckpt")));
   ASSERT_TRUE(log.ok());
   EXPECT_EQ(log.value().records.size(), 4u);
   EXPECT_FALSE(log.value().tail_truncated);
@@ -1298,13 +1606,13 @@ TEST_F(PersistTest, MultiPutBatchCaptureReplaysOnRecovery) {
   EXPECT_EQ(log.value().records[3].op, persist::OpType::kUpdate);
   EXPECT_GT(store->metrics().log_wall_ns, 0.0);
 
-  auto reopened = PnwStore::Open(Path("mp.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened.value()->Get(100).value(), GroupValue(1, 0x44));
   EXPECT_EQ(reopened.value()->Get(3).value(), GroupValue(1, 0x22));
   EXPECT_EQ(reopened.value()->Get(101).value(), GroupValue(0, 0x33));
   EXPECT_EQ(reopened.value()->size(), store->size());
-  EXPECT_EQ(reopened.value()->device().counters().total_bits_written,
+  EXPECT_EQ(reopened.value()->shard(0).device().counters().total_bits_written,
             store->device().counters().total_bits_written);
 }
 
@@ -1313,8 +1621,9 @@ TEST_F(PersistTest, FailedEnduranceUpdateReplaysAsItsDelete) {
   // payload write (the second device write, after the DELETE's flag clear)
   // fails, the key is gone from the live store, and recovery must agree,
   // both for a single op and for a slot of a MultiPut batch.
-  auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("store.snap")).ok());
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
   store->device().InjectWriteFaults(/*skip=*/1, /*count=*/1);
   EXPECT_TRUE(store->Update(3, GroupValue(0, 0x5a)).IsInternal());
   const std::vector<uint64_t> keys = {100, 4};
@@ -1330,7 +1639,7 @@ TEST_F(PersistTest, FailedEnduranceUpdateReplaysAsItsDelete) {
   EXPECT_TRUE(store->Get(3).status().IsNotFound());
   EXPECT_TRUE(store->Get(4).status().IsNotFound());
 
-  auto reopened = PnwStore::Open(Path("store.snap"));
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened.value()->size(), store->size());
   for (const uint64_t key : {uint64_t{3}, uint64_t{4}, uint64_t{5},
@@ -1347,15 +1656,16 @@ TEST_F(PersistTest, FailedEnduranceUpdateReplaysAsItsDelete) {
 }
 
 TEST_F(PersistTest, LogWallTimeRoundTripsInSnapshot) {
-  auto store = MakeBootstrappedStore(SmallOptions());
-  ASSERT_TRUE(store->Checkpoint(Path("wall.snap")).ok());
+  auto sharded = MakeBootstrappedStore(SmallOptions());
+  PnwStore* store = &sharded->shard(0);
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
   ASSERT_TRUE(store->Put(70, GroupValue(0, 9)).ok());
   ASSERT_GT(store->metrics().log_wall_ns, 0.0);
   // Re-checkpoint so the accrued log wall time lands in the snapshot.
-  ASSERT_TRUE(store->Checkpoint(Path("wall.snap")).ok());
-  auto reopened = PnwStore::Open(Path("wall.snap"));
+  ASSERT_TRUE(sharded->Checkpoint(Path("ckpt")).ok());
+  auto reopened = ShardedPnwStore::Open(Path("ckpt"));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_DOUBLE_EQ(reopened.value()->metrics().log_wall_ns,
+  EXPECT_DOUBLE_EQ(reopened.value()->shard(0).metrics().log_wall_ns,
                    store->metrics().log_wall_ns);
 }
 
@@ -1483,14 +1793,13 @@ TEST_F(PersistTest, SnapshotWrittenUnderOneIsaOpensUnderEveryIsa) {
   const auto isas = simd::AvailableIsas();
   for (const simd::Isa writer_isa : isas) {
     ASSERT_TRUE(simd::PinIsa(writer_isa));
-    const std::string path =
-        Path(std::string(simd::IsaName(writer_isa)) + ".snap");
+    const std::string dir = Path(std::string(simd::IsaName(writer_isa)));
     auto store = MakeBootstrappedStore(SmallOptions());
-    ASSERT_TRUE(store->Checkpoint(path).ok());
+    ASSERT_TRUE(store->Checkpoint(dir).ok());
     ASSERT_TRUE(store->Put(500, GroupValue(1, 5)).ok());  // one log record
     for (const simd::Isa reader_isa : isas) {
       ASSERT_TRUE(simd::PinIsa(reader_isa));
-      auto reopened = PnwStore::Open(path);
+      auto reopened = ShardedPnwStore::Open(dir);
       ASSERT_TRUE(reopened.ok())
           << simd::IsaName(writer_isa) << " -> " << simd::IsaName(reader_isa)
           << ": " << reopened.status();

@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -198,25 +198,37 @@ TEST(OptimisticConcurrencyTest, TortureReadersVsWriter) {
   RunTorture(*store);
 }
 
-// Recovery's index under the readers: checkpoint, write through the
-// op-log, reopen with PnwStore::Open(path) -- which rebuilds the DRAM
-// index from the snapshot and replays the log into it -- and torture the
-// lock-free path on the rebuilt index.
+// Recovery's index under the readers: checkpoint a one-shard store, write
+// through the op-log, reopen the directory -- which rebuilds the shard's
+// DRAM index from its snapshot and replays the log into it -- and torture
+// the lock-free path on the rebuilt index.
 TEST(OptimisticConcurrencyTest, TortureOnRecoveredStore) {
-  const std::string path =
-      ::testing::TempDir() + "/seqlock_torture_recovered.snap";
+  const std::string dir =
+      ::testing::TempDir() + "/seqlock_torture_recovered";
+  std::filesystem::remove_all(dir);
   {
-    auto store = BootstrappedStore(SmallOptions(), kTortureKeys);
-    util::WriterLock lock(store->mu());
-    ASSERT_TRUE(store->Checkpoint(path).ok());
-    for (uint64_t key = 0; key < kTortureKeys; key += 3) {
-      ASSERT_TRUE(store->Put(key, SolidValue(key, 1)).ok());
+    ShardedOptions options;
+    options.num_shards = 1;
+    options.store = SmallOptions();
+    auto sharded = ShardedPnwStore::Open(options).value();
+    std::vector<uint64_t> keys(kTortureKeys);
+    std::vector<std::vector<uint8_t>> values(kTortureKeys);
+    for (uint64_t key = 0; key < kTortureKeys; ++key) {
+      keys[key] = key;
+      values[key] = SolidValue(key, 0);
     }
-    ASSERT_TRUE(store->Delete(1).ok());
+    ASSERT_TRUE(sharded->Bootstrap(keys, values).ok());
+    ASSERT_TRUE(sharded->Checkpoint(dir).ok());
+    PnwStore& store = sharded->shard(0);
+    util::WriterLock lock(store.mu());
+    for (uint64_t key = 0; key < kTortureKeys; key += 3) {
+      ASSERT_TRUE(store.Put(key, SolidValue(key, 1)).ok());
+    }
+    ASSERT_TRUE(store.Delete(1).ok());
   }
-  auto reopened = PnwStore::Open(path);
+  auto reopened = ShardedPnwStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  PnwStore& store = *reopened.value();
+  PnwStore& store = reopened.value()->shard(0);
   // The replayed writes are served by the lock-free path before any churn.
   for (uint64_t key = 0; key < kTortureKeys; key += 3) {
     auto fast = store.TryGetOptimistic(key);
@@ -229,8 +241,7 @@ TEST(OptimisticConcurrencyTest, TortureOnRecoveredStore) {
   EXPECT_TRUE(deleted->status().IsNotFound());
 
   RunTorture(store);
-  std::remove(path.c_str());
-  std::remove((path + PnwStore::kOpLogSuffix).c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // Lock-free readers vs the DRAM index's rehash. The tortures above churn a

@@ -791,7 +791,7 @@ std::thread StartMigrator(ShardedPnwStore& store, std::atomic<bool>& stop,
   });
 }
 
-TEST(ShardedBackgroundMigrationTest, ConcurrentWithReadersAndWriters) {
+TEST(ShardedMigrationTest, ConcurrentWithReadersAndWriters) {
   // The migrate-vs-traffic interlock, under ThreadSanitizer in CI: a
   // migrator thread takes each shard's exclusive lock for its passes while
   // reader and writer threads hammer the same shards. Values must stay
@@ -846,7 +846,7 @@ TEST(ShardedBackgroundMigrationTest, ConcurrentWithReadersAndWriters) {
   }
 }
 
-TEST(ShardedBackgroundMigrationTest, ConcurrentWithCheckpoints) {
+TEST(ShardedMigrationTest, ConcurrentWithCheckpoints) {
   // Migration passes and both checkpoint phases contend for the same
   // per-shard exclusive locks; the committed checkpoint must reopen
   // cleanly whatever interleaving they land on. TSan job covers the data
@@ -887,7 +887,7 @@ TEST(ShardedBackgroundMigrationTest, ConcurrentWithCheckpoints) {
   fs::remove_all(dir);
 }
 
-TEST(ShardedBackgroundMigrationTest, StartRequiresKeysInDataZone) {
+TEST(ShardedMigrationTest, PassRequiresKeysInDataZone) {
   // Relocation re-points the index by the key read from the bucket, so a
   // store without keys in the data zone refuses every pass.
   ShardedOptions options = EnduranceShardedOptions(2);
@@ -900,7 +900,7 @@ TEST(ShardedBackgroundMigrationTest, StartRequiresKeysInDataZone) {
             std::string::npos);
 }
 
-TEST(ShardedBackgroundMigrationTest, ConcurrentStartStopLifecycleChurn) {
+TEST(ShardedMigrationTest, ConcurrentPassesBesideAWriter) {
   // Several MigrateOnce callers at once beside a writer: each pass takes a
   // shard's exclusive lock per task, so concurrent passes serialize per
   // shard and every interleaving must leave the store coherent. The TSan
