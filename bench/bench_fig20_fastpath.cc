@@ -1,10 +1,11 @@
 // Beyond the paper ("Fig. 20"): the raw-speed ceiling of the read fast
-// path. PR 10 gave GETs a seqlock-validated optimistic path -- readers
-// copy the bucket without taking the shard lock and validate the per-shard
-// sequence word afterwards -- so a writer no longer stalls the read side.
-// This bench sweeps reader threads {1, 2, 4, 8} x read mode {locked,
-// seqlock} x kernel ISA {scalar, best SIMD} against a store under
-// continuous writer churn, one cell per combination.
+// path. GETs take a seqlock-validated optimistic path -- readers copy the
+// bucket without taking the shard lock and validate the per-shard
+// sequence word afterwards, falling back to the shared lock on a
+// conflict -- so a writer no longer stalls the read side. This bench
+// sweeps reader threads {1, 2, 4, 8} x kernel ISA {scalar, best SIMD}
+// against a store under continuous writer churn, one cell per
+// combination.
 //
 // Reported per cell, all measured:
 //   - wall read kops/s and wall ns per Get (lock wait included). On a
@@ -17,10 +18,10 @@
 //     pinned kernel ISA, so the ISA axis shows up on the writer column;
 //     the read path is memory-bound and deliberately ISA-independent).
 //
-// Smoke gate (exit nonzero): in seqlock mode at 8 threads the optimistic
-// path must carry more than half of the reads for every ISA; in every
-// cell gets == optimistic_gets + locked_gets and gets + get_misses ==
-// issued reads must hold; and no operation may fail.
+// Smoke gate (exit nonzero): at 8 threads the optimistic path must carry
+// more than half of the reads for every ISA; in every cell gets ==
+// optimistic_gets + locked_gets and gets + get_misses == issued reads
+// must hold; and no operation may fail.
 
 #include <atomic>
 #include <chrono>
@@ -60,8 +61,8 @@ struct CellResult {
   bool reconciled = true;
 };
 
-CellResult RunCell(size_t threads, bool seqlock, size_t records,
-                   size_t total_reads, size_t writer_ops) {
+CellResult RunCell(size_t threads, size_t records, size_t total_reads,
+                   size_t writer_ops) {
   pnw::core::ShardedOptions options;
   options.num_shards = kShards;
   options.store.value_bytes = kValueBytes;
@@ -70,7 +71,6 @@ CellResult RunCell(size_t threads, bool seqlock, size_t records,
   options.store.num_clusters = 8;
   options.store.max_features = 256;
   options.store.load_factor = 0.85;
-  options.store.optimistic_reads = seqlock;
   auto store = pnw::core::ShardedPnwStore::Open(options).value();
 
   pnw::Rng boot_rng(7);
@@ -113,8 +113,7 @@ CellResult RunCell(size_t threads, bool seqlock, size_t records,
   };
 
   // The writer performs a FIXED op stream (deterministic keys/payloads),
-  // so the locked and seqlock cells of one (threads, isa) pair race the
-  // same churn.
+  // so every cell races the same churn.
   double writer_wall_s = 0.0;
   std::thread writer([&store, &hard_failures, &writer_wall_s, records,
                       writer_ops] {
@@ -197,8 +196,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  pnw::TablePrinter table({"isa", "mode", "threads", "kops/s", "ns/get",
-                           "opt%", "retries", "writer kops/s"});
+  pnw::TablePrinter table({"isa", "threads", "kops/s", "ns/get", "opt%",
+                           "retries", "writer kops/s"});
   std::vector<pnw::bench::JsonMetric> metrics;
   uint64_t total_hard_failures = 0;
   bool all_reconciled = true;
@@ -208,43 +207,36 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot pin %s\n", pnw::simd::IsaName(isa));
       return 1;
     }
-    for (const bool seqlock : {false, true}) {
-      for (const size_t threads : {1, 2, 4, 8}) {
-        const CellResult cell =
-            RunCell(threads, seqlock, records, reads, writer_ops);
-        total_hard_failures += cell.hard_failures;
-        all_reconciled = all_reconciled && cell.reconciled;
-        if (seqlock && threads == 8) {
-          // The knob must matter: the optimistic path has to carry the
-          // bulk of an (almost) uncontended-validation read stream.
-          optimistic_carried =
-              optimistic_carried && cell.optimistic_share > 0.5;
-        }
-        const char* mode = seqlock ? "seqlock" : "locked";
-        table.AddRow({pnw::simd::IsaName(isa), mode,
-                      pnw::TablePrinter::Fmt(static_cast<double>(threads), 0),
-                      pnw::TablePrinter::Fmt(cell.wall_kops, 1),
-                      pnw::TablePrinter::Fmt(cell.wall_ns_per_get, 0),
-                      pnw::TablePrinter::Fmt(cell.optimistic_share * 100.0,
-                                             1),
-                      pnw::TablePrinter::Fmt(
-                          static_cast<double>(cell.retries), 0),
-                      pnw::TablePrinter::Fmt(cell.writer_wall_kops, 1)});
-        const std::string cell_name = std::string(mode) + "/" +
-                                      pnw::simd::IsaName(isa) + "/t" +
-                                      std::to_string(threads);
-        metrics.push_back({cell_name + "_wall_kops", cell.wall_kops});
-        metrics.push_back(
-            {cell_name + "_optimistic_share", cell.optimistic_share});
+    for (const size_t threads : {1, 2, 4, 8}) {
+      const CellResult cell = RunCell(threads, records, reads, writer_ops);
+      total_hard_failures += cell.hard_failures;
+      all_reconciled = all_reconciled && cell.reconciled;
+      if (threads == 8) {
+        // The optimistic path has to carry the bulk of an (almost)
+        // uncontended-validation read stream.
+        optimistic_carried = optimistic_carried && cell.optimistic_share > 0.5;
       }
+      table.AddRow({pnw::simd::IsaName(isa),
+                    pnw::TablePrinter::Fmt(static_cast<double>(threads), 0),
+                    pnw::TablePrinter::Fmt(cell.wall_kops, 1),
+                    pnw::TablePrinter::Fmt(cell.wall_ns_per_get, 0),
+                    pnw::TablePrinter::Fmt(cell.optimistic_share * 100.0, 1),
+                    pnw::TablePrinter::Fmt(static_cast<double>(cell.retries),
+                                           0),
+                    pnw::TablePrinter::Fmt(cell.writer_wall_kops, 1)});
+      const std::string cell_name = std::string(pnw::simd::IsaName(isa)) +
+                                    "/t" + std::to_string(threads);
+      metrics.push_back({cell_name + "_wall_kops", cell.wall_kops});
+      metrics.push_back(
+          {cell_name + "_optimistic_share", cell.optimistic_share});
     }
     pnw::simd::UnpinIsa();
   }
   table.Print();
   std::printf(
       "\n(all columns measured; opt%% = optimistic_gets / gets.\n gate: "
-      "optimistic path carried >50%% of seqlock-mode reads at 8 threads "
-      "[%s]; split reconciles: %s)\n",
+      "optimistic path carried >50%% of reads at 8 threads [%s]; split "
+      "reconciles: %s)\n",
       optimistic_carried ? "ok" : "FAILED",
       all_reconciled
           ? "gets == optimistic_gets + locked_gets in every cell"

@@ -94,15 +94,6 @@ struct PnwOptions {
   /// Keep per-bit wear counters on the device (Fig. 13; memory heavy).
   bool track_bit_wear = false;
 
-  /// Serve reads through the seqlock optimistic path when the index
-  /// supports it (DRAM hash index): PnwStore::TryGetOptimistic runs the
-  /// whole lookup without the shard lock and validates the shard's
-  /// sequence word afterwards, falling back to the locked Get on
-  /// conflict. Purely a concurrency fast path -- accounting and results
-  /// are identical either way (gets == optimistic_gets + locked_gets).
-  /// Runtime knob, deliberately not serialized in checkpoints.
-  bool optimistic_reads = true;
-
   /// Hot-bucket migration thresholds (used by MigrateHotBuckets, which
   /// ShardedPnwStore::MigrateOnce runs per shard): a resident bucket
   /// qualifies as a victim when its K/V write count is at least

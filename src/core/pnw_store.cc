@@ -308,17 +308,12 @@ Status PnwStore::Bootstrap(std::span<const uint64_t> keys,
   if (values.size() > active_buckets_) {
     return Status::InvalidArgument("more warm-up items than buckets");
   }
-  std::vector<uint8_t> bucket(bucket_bytes_);
   for (size_t i = 0; i < values.size(); ++i) {
     if (values[i].size() != options_.value_bytes) {
       return Status::InvalidArgument("warm-up value size mismatch");
     }
-    if (key_bytes_ > 0) {
-      std::memcpy(bucket.data(), &keys[i], key_bytes_);
-    }
-    std::memcpy(bucket.data() + key_bytes_, values[i].data(),
-                options_.value_bytes);
-    auto write = device_->WriteConventional(BucketAddr(i), bucket);
+    Stage(keys[i], values[i]);
+    auto write = device_->WriteConventional(BucketAddr(i), bucket_scratch_);
     if (!write.ok()) {
       return write.status();
     }
@@ -603,8 +598,7 @@ std::optional<Result<std::vector<uint8_t>>> PnwStore::TryGetOptimistic(
     uint64_t key) {
   // NVM path hashing reads its cells with plain loads, so only the DRAM
   // index is safe to search without the lock.
-  if (!options_.optimistic_reads ||
-      options_.index_placement != IndexPlacement::kDram) {
+  if (options_.index_placement != IndexPlacement::kDram) {
     return std::nullopt;
   }
   constexpr int kAttempts = 3;
@@ -862,8 +856,6 @@ Result<persist::PendingFile> PnwStore::CaptureCheckpoint(
     auto& w = snap.AddSection(kSectionDevice);
     w.PutSizedBytes(device_->Contents());
     persist::EncodeNvmCounters(device_->counters(), w);
-    w.PutU32Vec(device_->word_write_counts());
-    w.PutU32Vec(device_->line_write_counts());
     w.PutU16Vec(device_->bit_write_counts());
   }
   {
@@ -1123,17 +1115,12 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap,
     persist::BufferReader& r = section.value();
     std::vector<uint8_t> contents;
     nvm::NvmCounters counters;
-    std::vector<uint32_t> word_counts;
-    std::vector<uint32_t> line_counts;
     std::vector<uint16_t> bit_counts;
     PNW_RETURN_IF_ERROR(r.GetSizedBytes(&contents));
     PNW_RETURN_IF_ERROR(persist::DecodeNvmCounters(r, &counters));
-    PNW_RETURN_IF_ERROR(r.GetU32Vec(&word_counts));
-    PNW_RETURN_IF_ERROR(r.GetU32Vec(&line_counts));
     PNW_RETURN_IF_ERROR(r.GetU16Vec(&bit_counts));
-    PNW_RETURN_IF_ERROR(device_->RestoreState(contents, counters,
-                                              word_counts, line_counts,
-                                              bit_counts));
+    PNW_RETURN_IF_ERROR(
+        device_->RestoreState(contents, counters, bit_counts));
   }
   {
     auto section = snap.Section(kSectionWear);

@@ -85,7 +85,10 @@ class PnwStore {
   /// v10: the encoded PnwOptions lost LatencyParams' two DRAM latencies
   ///     (never read), and the op-log gained the TRAIN record, which a v9
   ///     binary would take for a torn tail.
-  static constexpr uint32_t kSnapshotVersion = 10;
+  /// v11: the device section lost its per-word and per-line write
+  ///     histograms (nothing read them): contents, NvmCounters and the
+  ///     per-bit wear, in that order.
+  static constexpr uint32_t kSnapshotVersion = 11;
   /// The op-log of a shard snapshot at `path` lives at
   /// `path + kOpLogSuffix`, in the same generation directory.
   static constexpr const char* kOpLogSuffix = ".oplog";
@@ -205,12 +208,11 @@ class PnwStore {
   /// snapshots the shard's sequence word (SharedMutex::OptimisticSeq),
   /// reads with relaxed-atomic byte loads, and only trusts the result if
   /// the sequence validates (no writer entered in between). Returns
-  /// std::nullopt when the caller must fall back to the locked path:
-  /// optimistic reads disabled, the index is NVM path hashing (not safe
-  /// without the lock), or the conflict-retry budget was exhausted. A
-  /// returned value carries Get()'s accounting, with `optimistic_gets` in
-  /// place of `locked_gets`; discarded conflicting attempts bump only
-  /// `optimistic_retries`.
+  /// std::nullopt when the caller must fall back to the locked path: the
+  /// index is NVM path hashing (not safe without the lock), or the
+  /// conflict-retry budget was exhausted. A returned value carries Get()'s
+  /// accounting, with `optimistic_gets` in place of `locked_gets`;
+  /// discarded conflicting attempts bump only `optimistic_retries`.
   ///
   /// Safe to call with NO lock held, concurrently with writers -- that is
   /// its whole point. ShardedPnwStore::Get/MultiGet try it first and fall

@@ -348,8 +348,8 @@ Status ShardedPnwStore::Put(uint64_t key, std::span<const uint8_t> value) {
 Result<std::vector<uint8_t>> ShardedPnwStore::Get(uint64_t key) {
   PnwStore& shard = *shards_[ShardOf(key)];
   // Fastest path: seqlock optimistic read, no lock acquired at all. Falls
-  // through on a seqlock conflict, when optimistic reads are disabled, or
-  // when the shard's index has no lock-free lookup (NVM path hashing).
+  // through on a seqlock conflict, or when the shard's index has no
+  // lock-free lookup (NVM path hashing).
   if (auto fast = shard.TryGetOptimistic(key)) {
     return std::move(*fast);
   }

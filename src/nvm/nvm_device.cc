@@ -10,26 +10,8 @@
 
 namespace pnw::nvm {
 
-namespace {
-
-util::Arena::Options DeviceArenaOptions(const NvmConfig& config) {
-  util::Arena::Options options;
-  options.huge_pages = config.huge_pages;
-  return options;
-}
-
-}  // namespace
-
 NvmDevice::NvmDevice(const NvmConfig& config)
-    : config_(config),
-      latency_model_(config.latency),
-      arena_(DeviceArenaOptions(config)),
-      word_write_counts_((config.size_bytes + kWordBytes - 1) / kWordBytes,
-                         0),
-      line_write_counts_(
-          (config.size_bytes + config.cache_line_bytes - 1) /
-              config.cache_line_bytes,
-          0) {
+    : config_(config), latency_model_(config.latency) {
   size_ = config_.size_bytes;
   data_ = static_cast<uint8_t*>(
       arena_.Allocate(size_ > 0 ? size_ : 1, /*align=*/4096));
@@ -112,23 +94,15 @@ Result<WriteResult> NvmDevice::WriteConventional(
   result.words_written = data.empty() ? 0 : last_word - first_word + 1;
   result.lines_written = data.empty() ? 0 : last_line - first_line + 1;
 
-  if (!data.empty()) {
-    for (uint64_t w = first_word; w <= last_word; ++w) {
-      ++word_write_counts_[w];
-    }
-    for (uint64_t l = first_line; l <= last_line; ++l) {
-      ++line_write_counts_[l];
-    }
-    if (config_.track_bit_wear) {
-      // Bulk increment of the contiguous bit range -- a conventional write
-      // wears every covered cell, so no per-bit predicate is needed and
-      // the loop reduces to += 1 over a dense slice (auto-vectorizable).
-      const auto first = bit_write_counts_.begin() +
-                         static_cast<ptrdiff_t>(addr * 8);
-      const auto last = first + static_cast<ptrdiff_t>(data.size() * 8);
-      for (auto it = first; it != last; ++it) {
-        ++*it;
-      }
+  if (config_.track_bit_wear) {
+    // Bulk increment of the contiguous bit range -- a conventional write
+    // wears every covered cell, so no per-bit predicate is needed and the
+    // loop reduces to += 1 over a dense slice (auto-vectorizable).
+    const auto first =
+        bit_write_counts_.begin() + static_cast<ptrdiff_t>(addr * 8);
+    const auto last = first + static_cast<ptrdiff_t>(data.size() * 8);
+    for (auto it = first; it != last; ++it) {
+      ++*it;
     }
   }
   util::AtomicStoreBytes(data_ + addr, data.data(), data.size());
@@ -150,7 +124,7 @@ void NvmDevice::DiffWords(uint64_t addr, std::span<const uint8_t> data,
   // per block (XOR + popcount + compare, 32 bytes a step on AVX2) yields
   // the block's flipped-bit total and a mask of its dirty words, and the
   // loop below walks the mask's set bits -- a fixed 8-byte store plus the
-  // word/line counters per dirty word, no call. The store's writes dirty
+  // word/line tallies per dirty word, no call. The store's writes dirty
   // most words (about 71% on paper_replace, 79% on ycsb_a_durable, 88% on
   // ycsb_b_wire), so one pass beats a skip-ahead scan that stops at every
   // dirty word. Only a partial head or tail word takes the zero-padded
@@ -164,23 +138,18 @@ void NvmDevice::DiffWords(uint64_t addr, std::span<const uint8_t> data,
   const bool track_bits = config_.track_bit_wear;
   const uint64_t last_word = (end - 1) / wb;
   const uint64_t line_words = config_.cache_line_bytes / wb;
-  // Tallies and counter bases live in locals: the byte stores below may
-  // alias any memory, so members would be reloaded after every store.
+  // Tallies live in locals: the byte stores below may alias any memory,
+  // so members would be reloaded after every store.
   uint64_t bits = 0;
   uint64_t words = 0;
   uint64_t lines = 0;
-  uint32_t* const word_counts = word_write_counts_.data();
-  uint32_t* const line_counts = line_write_counts_.data();
   uint64_t line_end = 0;  // first word past the last line dirtied so far
 
   auto account_word = [&](uint64_t w) {
     ++words;
-    ++word_counts[w];
     if (w >= line_end) {
-      const uint64_t line = w / line_words;
-      line_end = (line + 1) * line_words;
+      line_end = (w / line_words + 1) * line_words;
       ++lines;
-      ++line_counts[line];
     }
   };
   // Rare, memory-heavy mode: attribute changed bits bytewise (endian-
@@ -283,21 +252,13 @@ Result<WriteResult> NvmDevice::WriteDifferential(
 
 Status NvmDevice::RestoreState(std::span<const uint8_t> contents,
                                const NvmCounters& counters,
-                               std::span<const uint32_t> word_counts,
-                               std::span<const uint32_t> line_counts,
                                std::span<const uint16_t> bit_counts) {
   if (contents.size() != size_ ||
-      word_counts.size() != word_write_counts_.size() ||
-      line_counts.size() != line_write_counts_.size() ||
       bit_counts.size() != bit_write_counts_.size()) {
     return Status::Corruption(
         "checkpointed device state does not match this device's geometry");
   }
   util::AtomicStoreBytes(data_, contents.data(), contents.size());
-  std::copy(word_counts.begin(), word_counts.end(),
-            word_write_counts_.begin());
-  std::copy(line_counts.begin(), line_counts.end(),
-            line_write_counts_.begin());
   std::copy(bit_counts.begin(), bit_counts.end(), bit_write_counts_.begin());
   counters_ = counters;
   return Status::OK();
@@ -305,8 +266,6 @@ Status NvmDevice::RestoreState(std::span<const uint8_t> contents,
 
 void NvmDevice::ResetCounters() {
   counters_ = NvmCounters{};
-  std::fill(word_write_counts_.begin(), word_write_counts_.end(), 0);
-  std::fill(line_write_counts_.begin(), line_write_counts_.end(), 0);
   std::fill(bit_write_counts_.begin(), bit_write_counts_.end(), 0);
 }
 

@@ -27,10 +27,6 @@ struct NvmConfig {
   /// Keep a per-bit write counter (memory-heavy: 2 bytes per stored bit).
   /// Needed only by the wear-leveling experiments (paper Fig. 13).
   bool track_bit_wear = false;
-  /// Advise the kernel to back the simulated array with transparent huge
-  /// pages (best effort; see util::Arena::Options::huge_pages). Real PM is
-  /// mapped with huge pages too, so this is both a perf knob and fidelity.
-  bool huge_pages = false;
   /// Latency parameters for the simulated device.
   LatencyParams latency;
 };
@@ -69,7 +65,9 @@ struct NvmCounters {
 /// The device is the *single source of truth* for wear accounting: every
 /// write scheme and every K/V store in this repository mutates memory only
 /// through `WriteConventional` / `WriteDifferential`, so bit-flip, word, and
-/// cache-line counts are always computed by the same code.
+/// cache-line counts are always computed by the same code. It keeps them
+/// as totals (`counters()`) and, with `track_bit_wear`, per bit (Fig. 13);
+/// wear per bucket (Fig. 12, migration) is nvm::WearTracker's.
 ///
 /// Thread-compatible: callers serialize access (the PNW store does; the
 /// bench harnesses are single-threaded per device).
@@ -132,14 +130,12 @@ class NvmDevice {
   }
 
   /// Restore a checkpointed device verbatim: contents, cumulative
-  /// counters, and the per-word / per-line / per-bit wear histograms
-  /// (`bit_counts` must be empty exactly when the device was configured
-  /// without `track_bit_wear`). Every span length must match this device's
-  /// geometry -- a mismatch is Corruption and leaves the device untouched.
+  /// counters, and the per-bit wear counts (`bit_counts` must be empty
+  /// exactly when the device was configured without `track_bit_wear`).
+  /// Every span length must match this device's geometry -- a mismatch is
+  /// Corruption and leaves the device untouched.
   Status RestoreState(std::span<const uint8_t> contents,
                       const NvmCounters& counters,
-                      std::span<const uint32_t> word_counts,
-                      std::span<const uint32_t> line_counts,
                       std::span<const uint16_t> bit_counts);
 
   /// Testing hook: make upcoming write operations fail. The next `skip`
@@ -152,17 +148,6 @@ class NvmDevice {
   void InjectWriteFaults(uint64_t skip, uint64_t count) {
     fault_skip_ = skip;
     fault_count_ = count;
-  }
-
-  /// Per-word cumulative write counts (one entry per kWordBytes of the
-  /// device). Index = addr / kWordBytes.
-  const std::vector<uint32_t>& word_write_counts() const {
-    return word_write_counts_;
-  }
-
-  /// Per-line cumulative write counts. Index = addr / cache_line_bytes.
-  const std::vector<uint32_t>& line_write_counts() const {
-    return line_write_counts_;
   }
 
   /// Per-bit cumulative write counts; empty unless
@@ -184,7 +169,7 @@ class NvmDevice {
   /// Differential inner loop on the 8-byte word grid (one dirty_mask64
   /// pass per 64-word block, then a walk of the dirty words): diff `data`
   /// against the resident bytes, store the changed words, and account
-  /// bits/words/lines (plus wear histograms) into `result`.
+  /// bits/words/lines (plus per-bit wear when tracked) into `result`.
   void DiffWords(uint64_t addr, std::span<const uint8_t> data,
                  WriteResult* result);
 
@@ -192,14 +177,12 @@ class NvmDevice {
   uint64_t fault_count_ = 0;
   NvmConfig config_;
   LatencyModel latency_model_;
-  /// The simulated array lives in an mmap'd arena slab (huge-page advised
-  /// when configured), not a std::vector: one contiguous allocation whose
-  /// pages are never recycled, which the seqlock read path relies on.
+  /// The simulated array lives in an mmap'd arena slab, not a
+  /// std::vector: one contiguous allocation whose pages are never
+  /// recycled, which the seqlock read path relies on.
   util::Arena arena_;
   uint8_t* data_ = nullptr;
   size_t size_ = 0;
-  std::vector<uint32_t> word_write_counts_;
-  std::vector<uint32_t> line_write_counts_;
   std::vector<uint16_t> bit_write_counts_;
   NvmCounters counters_;
 };

@@ -8,7 +8,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
-#include <unistd.h>
 #define PNW_ARENA_HAVE_MMAP 1
 #else
 #define PNW_ARENA_HAVE_MMAP 0
@@ -33,25 +32,12 @@ size_t RoundUp(size_t v, size_t align) {
   return (v + align - 1) & ~(align - 1);
 }
 
-void* MapSlab(size_t bytes, bool huge_pages) {
+void* MapSlab(size_t bytes) {
 #if PNW_ARENA_HAVE_MMAP
   void* mem = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (mem == MAP_FAILED) {
-    return nullptr;
-  }
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  if (huge_pages) {
-    // Best effort: THP may be disabled system-wide; the slab works either
-    // way, huge pages only change TLB behavior.
-    (void)::madvise(mem, bytes, MADV_HUGEPAGE);
-  }
+  return mem == MAP_FAILED ? nullptr : mem;
 #else
-  (void)huge_pages;
-#endif
-  return mem;
-#else
-  (void)huge_pages;
   return ::operator new(bytes, std::nothrow);
 #endif
 }
@@ -94,7 +80,7 @@ void Arena::AddSlab(size_t min_bytes) {
   const size_t payload = std::max(options_.slab_bytes,
                                   RoundUp(min_bytes, size_t{4096}));
   const size_t map_bytes = kSlabHeaderBytes + payload;
-  void* mem = MapSlab(map_bytes, options_.huge_pages);
+  void* mem = MapSlab(map_bytes);
   if (mem == nullptr) {
     std::fprintf(stderr, "pnw arena: slab mmap of %zu bytes failed\n",
                  map_bytes);

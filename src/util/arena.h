@@ -2,8 +2,8 @@
 // simulated NVM array, DramHashIndex nodes, and PnwStore bucket staging.
 //
 // Design (after the free-list-over-page-pool idiom in SNIPPETS.md):
-//   - memory arrives in large mmap'd slabs (default 2 MiB, optionally
-//     MADV_HUGEPAGE-advised) and is bump-allocated from the current slab;
+//   - memory arrives in large mmap'd slabs (default 2 MiB) and is
+//     bump-allocated from the current slab;
 //   - freed blocks are recycled through power-of-two size-class free
 //     lists (the next pointer lives in the freed block itself);
 //   - slabs are NEVER unmapped before the arena is destroyed. This is a
@@ -44,8 +44,6 @@ class Arena {
     /// Granularity of slab growth; requests larger than this get a
     /// dedicated slab of exactly the rounded request size.
     size_t slab_bytes = size_t{2} << 20;
-    /// Best-effort MADV_HUGEPAGE on each slab (Linux; ignored elsewhere).
-    bool huge_pages = false;
   };
 
   Arena() : Arena(Options()) {}

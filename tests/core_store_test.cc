@@ -8,6 +8,7 @@
 #include <numeric>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/pnw_store.h"
@@ -1003,12 +1004,12 @@ TEST(PnwStoreTest, DeleteFilesUnderTheLabelTheModelPredicts) {
   EXPECT_TRUE(store->metrics().PlacementAttributionConsistent());
 }
 
-/// What one replay leaves behind: the store's ledger, the device's word
-/// and line wear histograms, and the device bytes.
+/// What one replay leaves behind: the store's ledger, the per-bucket
+/// wear, every free list in pop order, and the device bytes.
 struct ReplayOutcome {
   StoreMetrics metrics;
-  std::vector<uint32_t> word_wear;
-  std::vector<uint32_t> line_wear;
+  std::vector<uint32_t> bucket_wear;
+  std::vector<std::vector<uint64_t>> free_lists;
   std::vector<uint8_t> contents;
 };
 
@@ -1049,9 +1050,13 @@ ReplayOutcome ReplayImageStream() {
         store->Put(i, ds.new_data[i % ds.new_data.size()]).ok());
     EXPECT_TRUE(store->Delete((kBuckets / 2 + i) % kBuckets).ok());
   }
+  std::vector<std::vector<uint64_t>> free_lists;
+  for (size_t c = 0; c < store->pool().num_clusters(); ++c) {
+    free_lists.push_back(store->pool().FreeList(c));
+  }
   const auto contents = store->device().Contents();
-  return {store->metrics(), store->device().word_write_counts(),
-          store->device().line_write_counts(),
+  return {store->metrics(), store->wear_tracker().bucket_write_counts(),
+          std::move(free_lists),
           std::vector<uint8_t>(contents.begin(), contents.end())};
 }
 
@@ -1066,8 +1071,8 @@ TEST(PnwStoreTest, PlacementAndWearIdenticalAcrossIsas) {
     SCOPED_TRACE(simd::IsaName(isa));
     const ReplayOutcome got = ReplayImageStream();
     ExpectSameCounters(got.metrics, want.metrics);
-    EXPECT_EQ(got.word_wear, want.word_wear);
-    EXPECT_EQ(got.line_wear, want.line_wear);
+    EXPECT_EQ(got.bucket_wear, want.bucket_wear);
+    EXPECT_EQ(got.free_lists, want.free_lists);
     EXPECT_TRUE(got.contents == want.contents);
   }
   simd::UnpinIsa();

@@ -106,13 +106,15 @@ TEST(NvmDeviceTest, CountersAccumulate) {
 }
 
 TEST(NvmDeviceTest, ResetCountersClearsEverything) {
-  NvmDevice device(SmallConfig());
+  NvmDevice device(SmallConfig(/*bit_wear=*/true));
   std::vector<uint8_t> data(8, 0xff);
   ASSERT_TRUE(device.WriteDifferential(0, data).ok());
+  ASSERT_EQ(device.bit_write_counts()[0], 1u);
   device.ResetCounters();
   EXPECT_EQ(device.counters().total_bits_written, 0u);
-  EXPECT_EQ(device.word_write_counts()[0], 0u);
-  EXPECT_EQ(device.line_write_counts()[0], 0u);
+  EXPECT_EQ(device.counters().total_words_written, 0u);
+  EXPECT_EQ(device.counters().total_lines_written, 0u);
+  EXPECT_EQ(device.bit_write_counts()[0], 0u);
   // Content survives a counter reset.
   std::vector<uint8_t> out(8);
   ASSERT_TRUE(device.Read(0, out).ok());
@@ -124,10 +126,17 @@ TEST(NvmDeviceTest, WordCountersTrackDirtiedWords) {
   std::vector<uint8_t> data(24, 0);
   data[0] = 1;   // word 0
   data[17] = 1;  // word 2
-  ASSERT_TRUE(device.WriteDifferential(0, data).ok());
-  EXPECT_EQ(device.word_write_counts()[0], 1u);
-  EXPECT_EQ(device.word_write_counts()[1], 0u);
-  EXPECT_EQ(device.word_write_counts()[2], 1u);
+  auto first = device.WriteDifferential(0, data);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().words_written, 2u);
+  data[0] = 0;   // word 0 again
+  data[9] = 1;   // word 1
+  data[16] = 1;  // word 2, beside byte 17
+  auto second = device.WriteDifferential(0, data);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value().words_written, 3u);
+  EXPECT_EQ(device.counters().total_words_written, 5u);
+  EXPECT_EQ(device.counters().total_lines_written, 2u);
 }
 
 TEST(NvmDeviceTest, BitWearTracking) {
@@ -205,8 +214,8 @@ TEST(NvmDeviceTest, ChargeReadChargesWhatReadChargesAndCopiesNothing) {
 // loop (uint64_t loads + XOR + popcount, unaligned head/tail) against a
 // byte-at-a-time oracle. Over random unaligned offsets, lengths, and
 // contents of mixed sparsity, the two must agree on every observable:
-// stored contents, per-write WriteResult, cumulative counters, word/line/
-// bit wear histograms, and fault-injection behavior.
+// stored contents, per-write WriteResult, cumulative counters, per-bit wear
+// counts, and fault-injection behavior.
 
 /// The byte-at-a-time differential write: the same accounting contract as
 /// NvmDevice::WriteDifferential, one byte per step, with no fast path to
@@ -216,8 +225,6 @@ struct ByteReferenceDevice {
       : line_bytes(config.cache_line_bytes),
         latency(config.latency),
         contents(config.size_bytes, 0),
-        word_counts((config.size_bytes + kWordBytes - 1) / kWordBytes, 0),
-        line_counts((config.size_bytes + line_bytes - 1) / line_bytes, 0),
         bit_counts(config.track_bit_wear ? config.size_bytes * 8 : 0, 0) {}
 
   Result<WriteResult> WriteDifferential(uint64_t addr,
@@ -251,12 +258,10 @@ struct ByteReferenceDevice {
       if (at / kWordBytes != prev_word) {
         prev_word = at / kWordBytes;
         ++result.words_written;
-        ++word_counts[prev_word];
       }
       if (at / line_bytes != prev_line) {
         prev_line = at / line_bytes;
         ++result.lines_written;
-        ++line_counts[prev_line];
       }
       for (size_t bit = 0; bit < 8 && !bit_counts.empty(); ++bit) {
         if ((diff >> bit) & 1) {
@@ -280,8 +285,6 @@ struct ByteReferenceDevice {
   size_t line_bytes;
   LatencyModel latency;
   std::vector<uint8_t> contents;
-  std::vector<uint32_t> word_counts;
-  std::vector<uint32_t> line_counts;
   std::vector<uint16_t> bit_counts;
   NvmCounters counters;
   uint64_t fault_skip = 0;
@@ -323,8 +326,6 @@ void ExpectDevicesIdentical(const NvmDevice& word_dev,
   EXPECT_EQ(wc.total_write_ops, bc.total_write_ops);
   EXPECT_EQ(wc.total_payload_bits, bc.total_payload_bits);
   EXPECT_DOUBLE_EQ(wc.total_latency_ns, bc.total_latency_ns);
-  EXPECT_EQ(word_dev.word_write_counts(), byte_dev.word_counts);
-  EXPECT_EQ(word_dev.line_write_counts(), byte_dev.line_counts);
   EXPECT_EQ(word_dev.bit_write_counts(), byte_dev.bit_counts);
 }
 

@@ -386,17 +386,13 @@ TEST_F(PersistTest, MigrationReplayReproducesEnduranceStateBitForBit) {
 }
 
 /// A store recovered by replay is bit-identical to the live one: metrics,
-/// both wear histograms (per bucket, and the device's per word and per
-/// line), every free list in pop order, and the device bytes.
+/// the per-bucket wear, every free list in pop order, and the device
+/// bytes.
 void ExpectReplayedStoreIdentical(PnwStore& reopened, PnwStore& store) {
   ExpectMetricsEqual(reopened.metrics(), store.metrics());
   EXPECT_EQ(reopened.metrics().migrations, store.metrics().migrations);
   EXPECT_EQ(reopened.wear_tracker().bucket_write_counts(),
             store.wear_tracker().bucket_write_counts());
-  EXPECT_EQ(reopened.device().word_write_counts(),
-            store.device().word_write_counts());
-  EXPECT_EQ(reopened.device().line_write_counts(),
-            store.device().line_write_counts());
   ASSERT_EQ(reopened.pool().num_clusters(), store.pool().num_clusters());
   for (size_t c = 0; c < store.pool().num_clusters(); ++c) {
     EXPECT_EQ(reopened.pool().FreeList(c), store.pool().FreeList(c)) << c;
@@ -905,6 +901,49 @@ TEST_F(PersistTest, NvmIndexAndBitWearRoundTrip) {
   // Per-bit wear histograms round-trip too (Fig. 13 survives restarts).
   EXPECT_EQ(reopened.value()->shard(0).device().bit_write_counts(),
             store->shard(0).device().bit_write_counts());
+}
+
+// A shard snapshot's device section is the device contents, its
+// NvmCounters and the per-bit wear (empty without track_bit_wear), and
+// nothing more: a per-address array that no output reads must not ride in
+// every checkpoint.
+TEST_F(PersistTest, DeviceSectionHoldsContentsCountersAndBitWearOnly) {
+  for (const bool bit_wear : {false, true}) {
+    SCOPED_TRACE(bit_wear ? "track_bit_wear" : "no bit wear");
+    PnwOptions options = SmallOptions();
+    options.track_bit_wear = bit_wear;
+    auto store = MakeBootstrappedStore(options);
+    ASSERT_TRUE(store->Put(500, GroupValue(1, 5)).ok());
+    const std::string dir = Path(bit_wear ? "bits" : "plain");
+    ASSERT_TRUE(store->Checkpoint(dir).ok());
+
+    const auto snap = persist::SnapshotReader::FromFile(
+                          ShardSnap(dir), PnwStore::kSnapshotVersion)
+                          .value();
+    constexpr uint32_t kDeviceSection = 3;
+    auto section = snap.Section(kDeviceSection);
+    ASSERT_TRUE(section.ok()) << section.status();
+    persist::BufferReader& r = section.value();
+    std::vector<uint8_t> contents;
+    nvm::NvmCounters counters;
+    std::vector<uint16_t> bit_counts;
+    ASSERT_TRUE(r.GetSizedBytes(&contents).ok());
+    ASSERT_TRUE(persist::DecodeNvmCounters(r, &counters).ok());
+    ASSERT_TRUE(r.GetU16Vec(&bit_counts).ok());
+    EXPECT_EQ(r.remaining(), 0u);
+
+    const nvm::NvmDevice& device = store->shard(0).device();
+    const auto live = device.Contents();
+    EXPECT_TRUE(std::equal(contents.begin(), contents.end(), live.begin(),
+                           live.end()));
+    persist::BufferWriter got;
+    persist::BufferWriter want;
+    persist::EncodeNvmCounters(counters, got);
+    persist::EncodeNvmCounters(device.counters(), want);
+    EXPECT_EQ(got.data(), want.data());
+    EXPECT_EQ(bit_counts, device.bit_write_counts());
+    EXPECT_EQ(bit_counts.empty(), !bit_wear);
+  }
 }
 
 TEST_F(PersistTest, ShardedCheckpointRoundTripsInParallel) {

@@ -105,22 +105,16 @@ TEST(OptimisticConcurrencyTest, OptimisticGetMatchesLockedGet) {
   EXPECT_EQ(m.get_misses.load(), 1u);
 }
 
-TEST(OptimisticConcurrencyTest, FallsBackWhenUnsupportedOrDisabled) {
-  // NVM path-hash index: no lock-free lookup, must decline.
+TEST(OptimisticConcurrencyTest, FallsBackWhenUnsupported) {
+  // NVM path-hash index: no lock-free lookup, must decline up front and
+  // charge nothing.
   PnwOptions nvm_options = SmallOptions();
   nvm_options.index_placement = IndexPlacement::kNvmPathHash;
   auto nvm_store = BootstrappedStore(nvm_options, 32);
   EXPECT_FALSE(nvm_store->TryGetOptimistic(1).has_value());
-
-  // Knob off: must decline even with the DRAM index.
-  PnwOptions off_options = SmallOptions();
-  off_options.optimistic_reads = false;
-  auto off_store = BootstrappedStore(off_options, 32);
-  EXPECT_FALSE(off_store->TryGetOptimistic(1).has_value());
-  {
-    util::ReaderLock lock(off_store->mu());
-    EXPECT_EQ(off_store->metrics().optimistic_gets.load(), 0u);
-  }
+  util::ReaderLock lock(nvm_store->mu());
+  EXPECT_EQ(nvm_store->metrics().optimistic_gets.load(), 0u);
+  EXPECT_EQ(nvm_store->metrics().optimistic_retries.load(), 0u);
 }
 
 TEST(OptimisticConcurrencyTest, RefreshArenaStatsPopulatesGauges) {
